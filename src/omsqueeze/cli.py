@@ -41,10 +41,15 @@ from .instrument import (
     output_spectrum,
     rbw_resample,
 )
-from .noise import apply_detection_chain, bath_occupation, effective_temperature
+from .noise import bath_occupation, effective_temperature
 from .oracle import InputCorrelationMatrix, OracleError, matrix_solve_spectrum, sde_time_domain_psd
 
 FMT = "%.9g"
+NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic")
+
+
+class DataError(ValueError):
+    """An input CSV lacks a column or holds values that do not parse."""
 
 
 def _fmt(x):
@@ -74,12 +79,14 @@ def write_spectrum_csv(path, trace: SpectrumTrace, components=None):
 
 
 def write_map_csv(path, sqmap):
-    rows = (
-        [_fmt(t), _fmt(f), _fmt(sqmap.values[i, j])]
-        for i, t in enumerate(sqmap.theta_locks)
-        for j, f in enumerate(sqmap.freqs)
-    )
-    _write_rows(path, ["theta_lock_rad", "freq_hz", "s_norm"], rows)
+    """Long form theta_lock_rad,freq_hz,s_norm; the same bytes ``csv.writer``
+    produces, one map row per write."""
+    freqs = [_fmt(f) for f in sqmap.freqs]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("theta_lock_rad,freq_hz,s_norm\r\n")
+        for theta, row in zip(sqmap.theta_locks, sqmap.values.tolist()):
+            t = _fmt(theta)
+            fh.write("".join([f"{t},{f},{FMT % v}\r\n" for f, v in zip(freqs, row)]))
 
 
 def write_fit_csv(path, pairs, residual_norm):
@@ -88,51 +95,58 @@ def write_fit_csv(path, pairs, residual_norm):
     _write_rows(path, ["param", "estimate", "stderr"], rows)
 
 
-def read_thermometry_csv(path) -> ThermometryCurve:
+def _read_columns(path, names):
+    """Named columns of a CSV with a header row, as float arrays."""
     data = np.genfromtxt(path, delimiter=",", names=True)
-    return ThermometryCurve(
-        detunings=2 * np.pi * np.atleast_1d(data["delta_hz"]),
-        eff_freqs=2 * np.pi * np.atleast_1d(data["eff_freq_hz"]),
-        eff_linewidths=2 * np.pi * np.atleast_1d(data["eff_linewidth_hz"]),
-        areas=np.atleast_1d(data["area_sn_hz"]),
+    missing = [n for n in names if n not in (data.dtype.names or ())]
+    if missing:
+        raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+    cols = [np.atleast_1d(data[n]) for n in names]
+    if not all(np.all(np.isfinite(c)) for c in cols):
+        raise DataError(f"{path}: empty or non-numeric values in {', '.join(names)}")
+    return cols
+
+
+def read_thermometry_csv(path) -> ThermometryCurve:
+    delta, freq, linewidth, area = _read_columns(
+        path, ("delta_hz", "eff_freq_hz", "eff_linewidth_hz", "area_sn_hz")
     )
+    try:
+        return ThermometryCurve(
+            detunings=2 * np.pi * delta,
+            eff_freqs=2 * np.pi * freq,
+            eff_linewidths=2 * np.pi * linewidth,
+            areas=area,
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def read_locksweep_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return np.column_stack(
-        [np.atleast_1d(data["theta_lock_rad"]), np.atleast_1d(data["area_sn_hz"])]
-    )
+    return np.column_stack(_read_columns(path, ("theta_lock_rad", "area_sn_hz")))
 
 
 def _detected_components(cfg: ScenarioConfig, theta_lock):
     scenario = cfg.scenario
     grid = cfg.grid
     fine = grid.fine_freqs()
-    omega = 2 * np.pi * fine
     theta = lock_to_quadrature(
         theta_lock, scenario.system.optical, scenario.system.drive.delta
     ).theta
-    comp = output_spectrum(omega, theta, scenario, detected=False)
+    comp = output_spectrum(2 * np.pi * fine, theta, scenario, detected=False)
     eta = scenario.eta_tot
     out = grid.out_freqs()
 
     def shape(vals):
         return rbw_resample(SpectrumTrace(freqs=fine, values=vals), grid.rbw_hz, out).values
 
-    detected = apply_detection_chain(
-        comp["s_norm"], scenario.chain, scenario.system.optical.eta_kappa
-    ) if scenario.chain is not None else comp["s_norm"]
-    columns = {
-        # vacuum column carries the (1 - eta) uncorrelated-vacuum offset
-        "s_vac": shape(eta * comp["s_vac"] + (1 - eta)),
-        "s_thermal": shape(eta * comp["s_thermal"]),
-        "s_phase": shape(eta * comp["s_phase"]),
-        "s_extra": shape(eta * comp["s_extra"]),
-        "s_absorptive": shape(eta * comp["s_absorptive"]),
-    }
+    # the vacuum column carries the (1 - eta) uncorrelated-vacuum offset, so
+    # the shaped columns sum to the detected spectrum
+    columns = {"s_vac": shape(eta * comp["s_vac"] + (1 - eta))}
+    for name in ("s_thermal", "s_phase", "s_extra", "s_absorptive"):
+        columns[name] = shape(eta * comp[name])
     trace = SpectrumTrace(
-        freqs=out, values=shape(detected), rbw=grid.rbw_hz,
+        freqs=out, values=sum(columns.values()), rbw=grid.rbw_hz,
         meta={"theta_lock_rad": float(theta_lock)},
     )
     return trace, columns
@@ -320,6 +334,13 @@ def main(argv=None):
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "resolved_config.ini").write_text(serialize_config(cfg), encoding="utf-8")
+        if args.command in NEEDS_STABLE and not cfg.system.gamma > 0:
+            print(
+                "numerical failure: unstable operating point, total mechanical damping "
+                f"gamma/2pi = {cfg.system.gamma / (2 * np.pi):.6g} Hz <= 0",
+                file=sys.stderr,
+            )
+            return 2
         if args.command in ("thermometry-fit", "infer-detuning"):
             return _COMMANDS[args.command](cfg, outdir, data=args.data)
         return _COMMANDS[args.command](cfg, outdir)
@@ -329,7 +350,7 @@ def main(argv=None):
     except (EstimationError, OracleError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, DataError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
 

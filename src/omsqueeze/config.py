@@ -144,6 +144,15 @@ def _parse_sections(text):
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
+def _number(section, key, raw):
+    """``raw`` as the key's int or float; NaN and infinities are rejected
+    unless the key's default is that same value."""
+    value = int(raw) if key in _INT_KEYS else float(raw)
+    if not (math.isfinite(value) or value == _SCHEMA[section][key][1]):
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
 def _collect_values(sections):
     problems = []
     values = {}
@@ -162,9 +171,9 @@ def _collect_values(sections):
                     out[key] = got[key]
                     continue
                 try:
-                    out[key] = int(got[key]) if key in _INT_KEYS else float(got[key])
+                    out[key] = _number(section, key, got[key])
                 except ValueError:
-                    problems.append(f"{section}.{key}: not a number ({got[key]!r})")
+                    problems.append(f"{section}.{key}: not a finite number ({got[key]!r})")
             elif required:
                 problems.append(f"missing required key {section}.{key}")
             else:
@@ -260,8 +269,11 @@ def load_config_text(text, overrides=None) -> ScenarioConfig:
         if section in values and key in _SCHEMA.get(section, {}):
             if key in _STR_KEYS:
                 values[section][key] = str(val)
-            else:
-                values[section][key] = int(val) if key in _INT_KEYS else float(val)
+                continue
+            try:
+                values[section][key] = _number(section, key, val)
+            except ValueError:
+                problems.append(f"override {section}.{key}: not a finite number ({val!r})")
         else:
             problems.append(f"unknown override {section}.{key}")
     return _build(values, problems)

@@ -25,11 +25,15 @@ __all__ = [
     "SystemParams",
     "CoefficientSet",
     "mech_susceptibility",
+    "spring_damping_rates",
     "spring_and_damping",
     "transfer_coefficients",
+    "spectrum_harmonics",
+    "at_quadrature",
     "spectrum_full",
     "quasi_static_spectrum",
     "squeezing_cross_term",
+    "transduction_phasors",
     "zero_transduction_angle",
 ]
 
@@ -173,6 +177,15 @@ def mech_susceptibility(omega, mech: MechanicalMode):
     return wm**2 / (wm**2 - np.asarray(omega, dtype=float) ** 2 - 1j * mech.gamma_i * wm)
 
 
+def spring_damping_rates(delta, g2, kappa, omega_m0):
+    """Optical spring shift and optomechanical damping rate (rad/s) for
+    coupling rate squared ``g2``; vectorized over ``delta`` and ``g2``."""
+    bracket = 1.0 / (1j * (delta - omega_m0) + kappa / 2) - 1.0 / (
+        -1j * (delta + omega_m0) + kappa / 2
+    )
+    return g2 * bracket.imag, 2.0 * g2 * bracket.real
+
+
 def spring_and_damping(params: SystemParams):
     """Optical spring shift and optomechanical damping rate (rad/s).
 
@@ -180,12 +193,9 @@ def spring_and_damping(params: SystemParams):
     undriven cavity and the damping is positive for red detuning
     (delta > 0 in the sign convention used here).
     """
-    delta = params.drive.delta
-    kappa = params.optical.kappa
-    wm = params.mech.omega_m0
-    g2 = params.drive.g ** 2
-    bracket = 1.0 / (1j * (delta - wm) + kappa / 2) - 1.0 / (-1j * (delta + wm) + kappa / 2)
-    return g2 * bracket.imag, 2.0 * g2 * bracket.real
+    return spring_damping_rates(
+        params.drive.delta, params.drive.g ** 2, params.optical.kappa, params.mech.omega_m0
+    )
 
 
 def _denominators(omega, params: SystemParams):
@@ -199,15 +209,7 @@ def _denominators(omega, params: SystemParams):
     return d_c, d_cbar, d_m, d_mbar
 
 
-def transfer_coefficients(omega, params: SystemParams) -> CoefficientSet:
-    """Closed-form coefficients relating the cavity output to its inputs.
-
-    The drive-port prefactors carry sqrt(kappa_e); with critical
-    kappa_e = kappa this reduces to the single-port expressions.  The
-    mechanical denominators use the renormalized (omega_m, gamma) while
-    the bath coupling keeps sqrt(gamma_i).
-    """
-    d_c, d_cbar, d_m, d_mbar = _denominators(omega, params)
+def _coefficients(d_c, d_cbar, d_m, d_mbar, params: SystemParams) -> CoefficientSet:
     kappa_e = params.optical.kappa_e
     g = params.drive.g
     gamma_i = params.mech.gamma_i
@@ -219,6 +221,60 @@ def transfer_coefficients(omega, params: SystemParams) -> CoefficientSet:
     b1 = b_pref / d_m
     b2 = b_pref / d_mbar
     return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2)
+
+
+def transfer_coefficients(omega, params: SystemParams) -> CoefficientSet:
+    """Closed-form coefficients relating the cavity output to its inputs.
+
+    The drive-port prefactors carry sqrt(kappa_e); with critical
+    kappa_e = kappa this reduces to the single-port expressions.  The
+    mechanical denominators use the renormalized (omega_m, gamma) while
+    the bath coupling keeps sqrt(gamma_i).
+    """
+    return _coefficients(*_denominators(omega, params), params)
+
+
+def spectrum_harmonics(omega, params: SystemParams, nbar):
+    """Quadrature dependence of the vacuum and thermal parts of the PSD.
+
+    Each part is a quadratic form in e^{-+i theta}, so it is fixed by a
+    real ``P`` and a complex ``Q``: S(theta) = P + 2 Re(e^{-2i theta} Q).
+    Returns ``((P_vac, Q_vac), (P_thermal, Q_thermal))``.  The -omega
+    coefficients follow from the +omega ones, because
+    d_c(-omega) = conj(d_cbar(omega)) and d_m(-omega) = conj(d_mbar(omega)).
+    """
+    d_c, d_cbar, d_m, d_mbar = _denominators(omega, params)
+    c_p = _coefficients(d_c, d_cbar, d_m, d_mbar, params)
+    mirror = d_c / d_cbar
+    del d_c, d_cbar, d_m, d_mbar  # bounds peak memory on long frequency grids
+    a2_m = -np.conj(c_p.a2)
+    b1_m = -np.conj(c_p.b2 * mirror)
+    b2_m = -np.conj(c_p.b1 * mirror)
+    nbar = np.asarray(nbar, dtype=float)
+
+    one_a1 = 1.0 + c_p.a1
+    p_vac = np.abs(a2_m) ** 2 + np.abs(one_a1) ** 2
+    q_vac = one_a1 * a2_m
+    kappa_ratio = params.optical.kappa_i / params.optical.kappa_e
+    if kappa_ratio > 0:
+        p_vac = p_vac + kappa_ratio * (np.abs(c_p.a1) ** 2 + np.abs(a2_m) ** 2)
+        q_vac = q_vac + kappa_ratio * c_p.a1 * a2_m
+
+    p_thermal = (
+        np.abs(c_p.b1) ** 2 * (nbar + 1.0)
+        + np.abs(b1_m) ** 2 * nbar
+        + np.abs(b2_m) ** 2 * (nbar + 1.0)
+        + np.abs(c_p.b2) ** 2 * nbar
+    )
+    q_thermal = c_p.b1 * b2_m * (nbar + 1.0) + b1_m * c_p.b2 * nbar
+    return (p_vac, q_vac), (p_thermal, q_thermal)
+
+
+def at_quadrature(harmonics, theta):
+    """P + 2 Re(e^{-2i theta} Q) of a ``(P, Q)`` pair, clamped at zero: every
+    part is a sum of squared quadrature projections, so only roundoff is cut."""
+    p, q = harmonics
+    return np.maximum(p + 2.0 * np.real(np.exp(-2j * theta) * q), 0.0)
 
 
 def spectrum_full(omega, theta, params: SystemParams, nbar):
@@ -244,37 +300,9 @@ def spectrum_full(omega, theta, params: SystemParams, nbar):
         exactly 1 for any coupling); ``s_thermal`` is the six-term
         mechanical-bath contribution with occupations (nbar, nbar + 1).
     """
-    c_p = transfer_coefficients(omega, params)
-    c_m = transfer_coefficients(-np.asarray(omega, dtype=float), params)
-    phase = np.exp(-2j * theta)
-    nbar = np.asarray(nbar, dtype=float)
-
-    one_a1 = 1.0 + c_p.a1
-    s_vac = (
-        np.abs(c_m.a2) ** 2
-        + np.abs(one_a1) ** 2
-        + 2.0 * np.real(phase * one_a1 * c_m.a2)
-    )
-    kappa_ratio = params.optical.kappa_i / params.optical.kappa_e
-    if kappa_ratio > 0:
-        s_vac = s_vac + kappa_ratio * (
-            np.abs(c_p.a1) ** 2
-            + np.abs(c_m.a2) ** 2
-            + 2.0 * np.real(phase * c_p.a1 * c_m.a2)
-        )
-
-    s_thermal = (
-        np.abs(c_p.b1) ** 2 * (nbar + 1.0)
-        + np.abs(c_m.b1) ** 2 * nbar
-        + np.abs(c_m.b2) ** 2 * (nbar + 1.0)
-        + np.abs(c_p.b2) ** 2 * nbar
-        + 2.0 * np.real(phase * c_p.b1 * c_m.b2) * (nbar + 1.0)
-        + 2.0 * np.real(phase * c_m.b1 * c_p.b2) * nbar
-    )
-    # both parts are sums of squared quadrature projections, nonnegative
-    # exactly; clamp the cancellation roundoff near zero
-    s_vac = np.maximum(s_vac, 0.0)
-    s_thermal = np.maximum(s_thermal, 0.0)
+    vac, thermal = spectrum_harmonics(omega, params, nbar)
+    s_vac = at_quadrature(vac, theta)
+    s_thermal = at_quadrature(thermal, theta)
     return s_vac + s_thermal, s_vac, s_thermal
 
 
@@ -305,18 +333,23 @@ def squeezing_cross_term(omega, theta, params: SystemParams):
     return 4.0 * np.sin(2.0 * theta) * ratio * chi.real
 
 
+def transduction_phasors(delta, kappa, omega_probe):
+    """Resonant transduction phasors u = 1/D_c(omega_probe) and
+    v = conj(1/D_c(-omega_probe)); vectorized over ``delta``."""
+    u = 1.0 / (1j * (delta - omega_probe) + kappa / 2)
+    v = np.conj(1.0 / (1j * (delta + omega_probe) + kappa / 2))
+    return u, v
+
+
 def zero_transduction_angle(omega_probe, params: SystemParams):
     """Input-referenced quadrature angle where the mechanical peak at
     ``omega_probe`` transduces minimally.
 
     From the resonant part of the thermal transfer, the transduced
     amplitude is proportional to |e^{-i theta} u - e^{i theta} v| with
-    u = 1/D_c(omega_probe) and v = conj(1/D_c(-omega_probe)); it is
-    minimized at theta = (arg u - arg v)/2, which tends to
-    -arctan(2 delta/kappa) in the quasi-static bad-cavity limit.
+    (u, v) the transduction phasors; it is minimized at
+    theta = (arg u - arg v)/2, which tends to -arctan(2 delta/kappa) in
+    the quasi-static bad-cavity limit.
     """
-    delta = params.drive.delta
-    kappa = params.optical.kappa
-    u = 1.0 / (1j * (delta - omega_probe) + kappa / 2)
-    v = np.conj(1.0 / (1j * (delta + omega_probe) + kappa / 2))
+    u, v = transduction_phasors(params.drive.delta, params.optical.kappa, omega_probe)
     return 0.5 * (np.angle(u) - np.angle(v))

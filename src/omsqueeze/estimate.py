@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
-from .core import MechanicalMode, OpticalMode, SystemParams
+from .core import MechanicalMode, OpticalMode, SystemParams, spring_damping_rates, transduction_phasors
 from .instrument import reflection_phase
 from .noise import DetectionChain
 
@@ -91,28 +91,15 @@ def _cavity_photon_number(delta, n_c0, kappa):
     return n_c0 * (kappa / 2) ** 2 / (delta**2 + (kappa / 2) ** 2)
 
 
-def _spring_damping_arrays(delta, g2, kappa, omega_m0):
-    bracket = 1.0 / (1j * (delta - omega_m0) + kappa / 2) - 1.0 / (
-        -1j * (delta + omega_m0) + kappa / 2
-    )
-    return g2 * bracket.imag, 2.0 * g2 * bracket.real
-
-
-def _transduction_phasors(delta, kappa, omega_probe):
-    u = 1.0 / (1j * (delta - omega_probe) + kappa / 2)
-    v = np.conj(1.0 / (1j * (delta + omega_probe) + kappa / 2))
-    return u, v
-
-
 def thermometry_model(delta, g0, gamma_i, n_b, omega_m0, optical: OpticalMode, n_c0):
     """Model triple (eff_freq, eff_linewidth, area) at each detuning."""
     delta = np.asarray(delta, dtype=float)
     kappa = optical.kappa
     n_c = _cavity_photon_number(delta, n_c0, kappa)
     g2 = g0**2 * n_c
-    d_omega, gamma_om = _spring_damping_arrays(delta, g2, kappa, omega_m0)
+    d_omega, gamma_om = spring_damping_rates(delta, g2, kappa, omega_m0)
     gamma_tot = gamma_i + gamma_om
-    u, v = _transduction_phasors(delta, kappa, omega_m0)
+    u, v = transduction_phasors(delta, kappa, omega_m0)
     c2_max = g2 * (np.abs(u) + np.abs(v)) ** 2
     area = (n_b + 1.0) * optical.kappa_e * gamma_i * c2_max / gamma_tot
     return omega_m0 + d_omega, gamma_tot, area
@@ -125,7 +112,7 @@ def lock_sweep_area_model(theta_lock, params: SystemParams, n_b):
     delta = params.drive.delta
     phi = reflection_phase(optical, delta)
     theta = theta_lock + phi
-    u, v = _transduction_phasors(delta, optical.kappa, params.mech.omega_m0)
+    u, v = transduction_phasors(delta, optical.kappa, params.mech.omega_m0)
     c2 = params.drive.g ** 2 * np.abs(np.exp(-1j * theta) * u - np.exp(1j * theta) * v) ** 2
     return (n_b + 1.0) * optical.kappa_e * params.mech.gamma_i * c2 / params.gamma
 
@@ -161,11 +148,11 @@ def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c, weights=
     k = int(np.argmax(curve.eff_linewidths))
     swing = curve.eff_linewidths[k] - np.min(curve.eff_linewidths)
     n_ck = _cavity_photon_number(curve.detunings[k], n_c, optical.kappa)
-    _, gom_unit = _spring_damping_arrays(
+    _, gom_unit = spring_damping_rates(
         np.atleast_1d(curve.detunings[k]), np.atleast_1d(n_ck), optical.kappa, omega_m0_init
     )
     g0_init = np.sqrt(max(swing, gamma_i_init) / max(abs(float(gom_unit[0])), 1e-300))
-    u, v = _transduction_phasors(curve.detunings, optical.kappa, omega_m0_init)
+    u, v = transduction_phasors(curve.detunings, optical.kappa, omega_m0_init)
     c2 = g0_init**2 * _cavity_photon_number(curve.detunings, n_c, optical.kappa) * (
         np.abs(u) + np.abs(v)
     ) ** 2
@@ -286,7 +273,7 @@ def _wrap_half_pi(angle):
 
 def model_zero_transduction_lock(delta, optical: OpticalMode, omega_probe=0.0):
     """theta*_lock(delta) = theta*(delta) - phi(delta), wrapped mod pi."""
-    u, v = _transduction_phasors(delta, optical.kappa, omega_probe)
+    u, v = transduction_phasors(delta, optical.kappa, omega_probe)
     theta_star = 0.5 * (np.angle(u) - np.angle(v))
     return _wrap_half_pi(theta_star - reflection_phase(optical, delta))
 

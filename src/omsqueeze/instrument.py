@@ -8,8 +8,6 @@ detection chain).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +19,12 @@ from .noise import (
     DetectionChain,
     ExtraModeNoise,
     LaserNoiseModel,
-    absorptive_psd,
+    absorptive_harmonics,
     apply_detection_chain,
     bath_occupation,
     effective_temperature,
-    extra_mode_psd,
-    phase_noise_psd,
+    extra_mode_harmonics,
+    phase_noise_harmonics,
 )
 from . import core
 
@@ -39,11 +37,14 @@ __all__ = [
     "lock_to_quadrature",
     "quadrature_to_lock",
     "rbw_resample",
+    "output_harmonics",
+    "total_harmonics",
     "output_spectrum",
     "assemble_density_map",
 ]
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+RBW_BLOCK = 64  # kernel windows gathered at once: 64 x 1579 taps ~ 0.8 MB at the default grid
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,26 @@ def rbw_resample(fine: SpectrumTrace, rbw, out_freqs) -> SpectrumTrace:
     are padded by replication.  Linear, power preserving for features
     wider than the kernel, and a no-op on white spectra.
     """
+    out_freqs = np.asarray(out_freqs, dtype=float)
+    out_values = _rbw_shape(fine.freqs, fine.values[np.newaxis], rbw, out_freqs)[0]
+    meta = dict(fine.meta)
+    meta.update(rbw_hz=float(rbw), rbw_kernel="gaussian_fwhm")
+    return SpectrumTrace(freqs=out_freqs, values=out_values, rbw=float(rbw), meta=meta)
+
+
+def _rbw_shape(freqs, rows, rbw, out_freqs):
+    """RBW shaping of each row of ``rows`` (sampled on ``freqs``) at ``out_freqs``.
+
+    The convolution is evaluated only at the fine-grid points that bracket
+    an output frequency, then interpolated linearly between them as
+    ``np.interp`` would on the fully convolved trace.
+    """
     if rbw <= 0:
         raise ValueError("rbw must be positive")
-    freqs = fine.freqs
-    values = fine.values
     df = np.diff(freqs)
     if not np.allclose(df, df[0], rtol=1e-6):
         raise ValueError("fine grid must be uniform")
     df = df[0]
-    out_freqs = np.asarray(out_freqs, dtype=float)
     if out_freqs.min() < freqs[0] or out_freqs.max() > freqs[-1]:
         raise ValueError("out_freqs outside the span of the fine grid")
     out_spacing = np.min(np.diff(out_freqs)) if len(out_freqs) > 1 else np.inf
@@ -158,12 +170,17 @@ def rbw_resample(fine: SpectrumTrace, rbw, out_freqs) -> SpectrumTrace:
     half = int(np.ceil(5 * sigma / df))
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * df / sigma) ** 2)
     kernel /= kernel.sum()
-    padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
-    smooth = np.convolve(padded, kernel, mode="valid")
-    out_values = np.interp(out_freqs, freqs, smooth)
-    meta = dict(fine.meta)
-    meta.update(rbw_hz=float(rbw), rbw_kernel="gaussian_fwhm")
-    return SpectrumTrace(freqs=out_freqs, values=out_values, rbw=float(rbw), meta=meta)
+    lo = np.clip(np.searchsorted(freqs, out_freqs, side="right") - 1, 0, len(freqs) - 2)
+    idx = np.union1d(lo, lo + 1)
+    out = np.empty((len(rows), len(out_freqs)))
+    for row, values in zip(out, rows):
+        padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+        smooth = np.concatenate(
+            [windows[idx[k : k + RBW_BLOCK]] @ kernel for k in range(0, len(idx), RBW_BLOCK)]
+        )
+        row[:] = np.interp(out_freqs, freqs[idx], smooth)
+    return out
 
 
 @dataclass(frozen=True)
@@ -195,6 +212,44 @@ class Scenario:
         )
 
 
+def output_harmonics(omega, scenario: Scenario):
+    """Yield ``(name, (P, Q))`` for every noise component, undetected and
+    named like the ``output_spectrum`` columns, where the component at
+    quadrature theta is P + 2 Re(e^{-2i theta} Q).  Components are computed
+    one at a time, so callers that reduce them keep one pair alive."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    params = scenario.system
+    bath, laser, lump, absorptive = scenario.bath, scenario.laser, scenario.lump, scenario.absorptive
+    zero = (np.zeros_like(omega),) * 2
+    nbar = zero[0] if bath is None else bath_occupation(
+        np.abs(omega), effective_temperature(bath, params.drive.n_c)
+    )
+    vac, thermal = core.spectrum_harmonics(omega, params, nbar)
+    yield "s_vac", vac
+    yield "s_thermal", thermal
+    del vac, thermal
+    yield "s_phase", zero if laser is None else phase_noise_harmonics(omega, params, laser)
+    yield "s_extra", (
+        zero if lump is None or bath is None
+        else extra_mode_harmonics(omega, params, lump, nbar)
+    )
+    yield "s_absorptive", (
+        zero if absorptive is None
+        else absorptive_harmonics(omega, params.drive.n_c, absorptive, params)
+    )
+
+
+def total_harmonics(omega, scenario: Scenario):
+    """``(A, B, C)`` of the summed cavity-output PSD
+    A + B cos 2theta + C sin 2theta at input-referenced quadrature theta,
+    before the detection chain."""
+    p = q = 0.0
+    for _, (p_k, q_k) in output_harmonics(omega, scenario):
+        p = p + p_k
+        q = q + q_k
+    return p, 2.0 * q.real, 2.0 * q.imag
+
+
 def output_spectrum(omega, theta, scenario: Scenario, detected=True):
     """All noise contributions at input-referenced quadrature ``theta``.
 
@@ -202,59 +257,27 @@ def output_spectrum(omega, theta, scenario: Scenario, detected=True):
     ``s_thermal``, ``s_extra``, ``s_phase``, ``s_absorptive`` and their
     sum ``s_norm`` (after the detection chain when ``detected``).
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    params = scenario.system
-    if scenario.bath is not None:
-        t_eff = effective_temperature(scenario.bath, params.drive.n_c)
-        nbar = bath_occupation(np.abs(omega), t_eff)
-    else:
-        nbar = np.zeros_like(omega)
-
-    _, s_vac, s_thermal = core.spectrum_full(omega, theta, params, nbar)
-    zero = np.zeros_like(omega)
-    s_extra = (
-        extra_mode_psd(omega, theta, params, scenario.lump, nbar)
-        if (scenario.lump is not None and scenario.bath is not None)
-        else zero
+    comp = {name: core.at_quadrature(pq, theta) for name, pq in output_harmonics(omega, scenario)}
+    total = (
+        comp["s_vac"] + comp["s_thermal"] + comp["s_extra"] + comp["s_phase"]
+        + comp["s_absorptive"]
     )
-    s_phase = (
-        phase_noise_psd(omega, theta, params, scenario.laser)
-        if scenario.laser is not None
-        else zero
-    )
-    s_abs = (
-        absorptive_psd(omega, theta, params.drive.n_c, scenario.absorptive, params)
-        if scenario.absorptive is not None
-        else zero
-    )
-    total = s_vac + s_thermal + s_extra + s_phase + s_abs
     if detected and scenario.chain is not None:
-        total = apply_detection_chain(total, scenario.chain, params.optical.eta_kappa)
-    return {
-        "s_norm": total,
-        "s_vac": s_vac,
-        "s_thermal": s_thermal,
-        "s_phase": s_phase,
-        "s_extra": s_extra,
-        "s_absorptive": s_abs,
-    }
-
-
-def _map_workers():
-    raw = os.environ.get("OMSQUEEZE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        total = apply_detection_chain(
+            total, scenario.chain, scenario.system.optical.eta_kappa
+        )
+    return {"s_norm": total, **comp}
 
 
 def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, fine_freqs=None, rbw=None) -> SqueezingMap:
     """Detected, RBW-shaped noise PSD over (lock angle, frequency).
 
-    Each row maps its lock angle to the input-referenced quadrature,
-    evaluates the full detected model on the fine grid, and resamples
-    through the analyzer kernel.  Rows are independent; evaluation order
-    never changes the result.
+    The analyzer kernel is linear and the detection chain affine, so the
+    model is evaluated once on the fine grid as (A, B, C), only those
+    three are resampled, and each row is A + B cos 2theta + C sin 2theta
+    at the quadrature its lock angle maps to, mixed with vacuum by the
+    chain.  The floor over all quadratures, A - sqrt(B^2 + C^2), must be
+    nonnegative up to roundoff.
     """
     theta_locks = np.asarray(theta_locks, dtype=float)
     out_freqs = np.asarray(out_freqs, dtype=float)
@@ -262,22 +285,19 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, fine_freqs=
         span = out_freqs[-1] - out_freqs[0]
         lo = max(out_freqs[0] - span * 0.05, span / 1e4)
         fine_freqs = np.linspace(lo, out_freqs[-1] + span * 0.05, 50000)
-    fine_omega = 2 * np.pi * np.asarray(fine_freqs, dtype=float)
-    delta = scenario.system.drive.delta
-
-    def row(theta_lock):
-        theta = lock_to_quadrature(theta_lock, scenario.system.optical, delta).theta
-        comp = output_spectrum(fine_omega, theta, scenario, detected=True)
-        trace = SpectrumTrace(freqs=fine_freqs, values=comp["s_norm"])
-        if rbw is not None:
-            trace = rbw_resample(trace, rbw, out_freqs)
-            return trace.values
-        return np.interp(out_freqs, fine_freqs, trace.values)
-
-    workers = _map_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, theta_locks))
+    fine_freqs = np.asarray(fine_freqs, dtype=float)
+    abc = np.array(total_harmonics(2 * np.pi * fine_freqs, scenario))
+    if not np.all(abc[0] - np.hypot(abc[1], abc[2]) >= -1e-12 * abc[0]):
+        raise ValueError("model PSD is negative or not finite at some quadrature")
+    if rbw is not None:
+        abc = _rbw_shape(fine_freqs, abc, rbw, out_freqs)
+    elif np.any(np.diff(fine_freqs) <= 0):
+        raise ValueError("fine_freqs must be strictly increasing")
     else:
-        rows = [row(t) for t in theta_locks]
-    return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=np.vstack(rows))
+        abc = np.array([np.interp(out_freqs, fine_freqs, v) for v in abc])
+    optical, delta = scenario.system.optical, scenario.system.drive.delta
+    two_theta = 2.0 * lock_to_quadrature(theta_locks, optical, delta).theta[:, np.newaxis]
+    values = abc[0] + np.cos(two_theta) * abc[1] + np.sin(two_theta) * abc[2]
+    eta = scenario.eta_tot
+    values = eta * values + (1.0 - eta)
+    return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=values)

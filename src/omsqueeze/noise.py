@@ -18,7 +18,9 @@ from scipy.constants import hbar, k as k_B
 from .core import (
     MechanicalMode,
     SystemParams,
+    at_quadrature,
     spectrum_full,
+    spectrum_harmonics,
     zero_transduction_angle,
 )
 
@@ -30,8 +32,11 @@ __all__ = [
     "DetectionChain",
     "bath_occupation",
     "effective_temperature",
+    "phase_noise_harmonics",
     "phase_noise_psd",
+    "absorptive_harmonics",
     "absorptive_psd",
+    "extra_mode_harmonics",
     "extra_mode_psd",
     "apply_detection_chain",
     "gain_unbalance_correction",
@@ -158,75 +163,94 @@ def effective_temperature(bath: BathModel, n_c):
     return bath.t_b0 + bath.c0 * np.asarray(n_c, dtype=float)
 
 
+def _zeros(omega):
+    zero = np.zeros_like(np.asarray(omega, dtype=float))
+    return zero, zero
+
+
+def _phase_noise_terms(omega, params: SystemParams, laser: LaserNoiseModel):
+    # local import; instrument depends on this module for the noise stack
+    from .instrument import reflection_coefficient
+
+    omega = np.asarray(omega, dtype=float)
+    delta = params.drive.delta
+    r0 = reflection_coefficient(0.0, params.optical, delta)
+    x = reflection_coefficient(omega, params.optical, delta) - r0
+    y = reflection_coefficient(-omega, params.optical, delta) - r0
+    # |alpha_in|^2: input photon flux sustaining n_c at this detuning
+    flux = params.drive.n_c * (delta**2 + (params.optical.kappa / 2) ** 2) / params.optical.kappa_e
+    return x, y, flux * laser.s_omega_omega / omega**2
+
+
+def phase_noise_harmonics(omega, params: SystemParams, laser: LaserNoiseModel):
+    """``(P, Q)`` pair of ``phase_noise_psd``: P = (|X|^2 + |Y|^2) S, Q = -X Y S."""
+    if laser.s_omega_omega == 0:
+        return _zeros(omega)
+    x, y, scale = _phase_noise_terms(omega, params, laser)
+    return (np.abs(x) ** 2 + np.abs(y) ** 2) * scale, -x * y * scale
+
+
 def phase_noise_psd(omega, theta, params: SystemParams, laser: LaserNoiseModel):
     """Detected noise from laser phase noise, shot-noise normalized.
 
     The common phase fluctuation of signal and LO cancels except through
     the dispersion of the cavity reflection r(omega) around the carrier:
 
-        F(omega) ~ e^{-i theta} (r(omega) - r(0)) - e^{i theta} conj(r(-omega) - r(0))
+        F(omega) ~ e^{-i theta} X - e^{i theta} conj(Y),
+        X = r(omega) - r(0),  Y = r(-omega) - r(0)
 
-    and the contribution is |F|^2 S_phiphi with S_phiphi = S_ww / omega^2.
+    and the contribution is S |F|^2 with S = flux * S_ww / omega^2.
     With a flat S_ww this is flat in omega for the bare cavity, vanishes
-    for a dispersionless reflector, and vanishes at theta = 0 on resonance.
+    for a dispersionless reflector, and vanishes at theta = 0 on resonance;
+    evaluating |F|^2 rather than the (P, Q) pair keeps that zero exact.
     """
     if laser.s_omega_omega == 0:
-        return np.zeros_like(np.asarray(omega, dtype=float))
-    # local import; instrument depends on this module for the noise stack
-    from .instrument import reflection_coefficient
-
-    omega = np.asarray(omega, dtype=float)
-    delta = params.drive.delta
-    r = lambda w: reflection_coefficient(w, params.optical, delta)
-    combo = np.exp(-1j * theta) * (r(omega) - r(0.0)) - np.exp(1j * theta) * np.conj(
-        r(-omega) - r(0.0)
-    )
-    # |alpha_in|^2: input photon flux sustaining n_c at this detuning
-    flux = params.drive.n_c * (delta**2 + (params.optical.kappa / 2) ** 2) / params.optical.kappa_e
-    s_phiphi = laser.s_omega_omega / omega**2
-    return flux * np.abs(combo) ** 2 * s_phiphi
+        return _zeros(omega)[0]
+    x, y, scale = _phase_noise_terms(omega, params, laser)
+    return np.abs(np.exp(-1j * theta) * x - np.exp(1j * theta) * np.conj(y)) ** 2 * scale
 
 
-def absorptive_psd(omega, theta, n_c, model: AbsorptiveNoiseModel, params: SystemParams = None):
-    """Phenomenological kappa-fluctuation noise, shot-noise normalized.
+def absorptive_harmonics(omega, n_c, model: AbsorptiveNoiseModel, params: SystemParams = None):
+    """``(P, Q)`` pair of the phenomenological kappa-fluctuation noise.
 
     amp_coeff * n_c * sqrt(omega_ref/omega) * cos^2(theta - theta_perp),
     concentrated in the quadrature orthogonal to the mechanical
     transduction (theta_perp is the zero-transduction angle, ~0 for
-    small detuning).  omega_ref is fixed at 2 pi * 1 MHz.
+    small detuning).  omega_ref is fixed at 2 pi * 1 MHz.  With
+    cos^2 x = 1/2 + 1/2 cos 2x this is P = w/2, Q = (w/4) e^{2i theta_perp}.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ValueError("omega must be positive")
-    if params is None:
-        theta_perp = 0.0
-    else:
-        theta_perp = zero_transduction_angle(params.mech.omega_m0, params)
-    return (
-        model.amp_coeff
-        * n_c
-        * np.sqrt(ABSORPTIVE_REF_OMEGA / omega)
-        * np.cos(theta - theta_perp) ** 2
-    )
+    theta_perp = 0.0 if params is None else zero_transduction_angle(params.mech.omega_m0, params)
+    w = model.amp_coeff * n_c * np.sqrt(ABSORPTIVE_REF_OMEGA / omega)
+    return 0.5 * w, 0.25 * w * np.exp(2j * theta_perp)
+
+
+def absorptive_psd(omega, theta, n_c, model: AbsorptiveNoiseModel, params: SystemParams = None):
+    """Kappa-fluctuation noise at quadrature ``theta``."""
+    return at_quadrature(absorptive_harmonics(omega, n_c, model, params), theta)
+
+
+def _lump_system(params: SystemParams, lump: ExtraModeNoise):
+    """The driven system with the lumped mode in place of the mechanics."""
+    mech = MechanicalMode(omega_m0=lump.omega_lump, gamma_i=lump.gamma_lump, g0=lump.g0_lump)
+    return SystemParams.build(params.optical, mech, params.drive.delta, params.drive.n_c)
+
+
+def extra_mode_harmonics(omega, params: SystemParams, lump: ExtraModeNoise, nbar_lump):
+    """``(P, Q)`` pair of the thermal contribution of the lumped background mode.
+
+    The six-term thermal part of the full spectrum for a system sharing
+    the optical mode and drive but with the lumped mechanical parameters;
+    the low-frequency tail falls off as 1/omega.
+    """
+    return spectrum_harmonics(omega, _lump_system(params, lump), nbar_lump)[1]
 
 
 def extra_mode_psd(omega, theta, params: SystemParams, lump: ExtraModeNoise, nbar_lump):
-    """Thermal contribution of the lumped background mode.
-
-    Evaluates the six-term thermal part of the full spectrum for a system
-    sharing the optical mode and drive but with the lumped mechanical
-    parameters; the low-frequency tail falls off as 1/omega.
-    """
-    if lump.g0_lump == 0:
-        return np.zeros_like(np.asarray(omega, dtype=float))
-    mech = MechanicalMode(
-        omega_m0=lump.omega_lump, gamma_i=lump.gamma_lump, g0=lump.g0_lump
-    )
-    lump_params = SystemParams.build(
-        params.optical, mech, params.drive.delta, params.drive.n_c
-    )
-    _, _, s_thermal = spectrum_full(omega, theta, lump_params, nbar_lump)
-    return s_thermal
+    """Thermal contribution of the lumped background mode at quadrature ``theta``."""
+    return spectrum_full(omega, theta, _lump_system(params, lump), nbar_lump)[2]
 
 
 def apply_detection_chain(s_out, chain: DetectionChain, eta_kappa, include_dark=False):

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omsqueeze.cli import main, read_locksweep_csv, read_thermometry_csv
+from omsqueeze import SqueezingMap
+from omsqueeze.cli import main, read_locksweep_csv, read_thermometry_csv, write_map_csv
 from omsqueeze.config import (
     ConfigError,
     default_config_text,
@@ -71,6 +72,18 @@ class TestConfig:
         canon = serialize_config(cfg)
         cfg2 = load_config_text(canon)
         assert serialize_config(cfg2) == canon
+
+    def test_non_finite_values_rejected(self, config_path):
+        text = config_path.read_text()
+        for old, new in (("n_c = 790", "n_c = inf"), ("eta_hd = 0.66", "eta_hd = nan")):
+            with pytest.raises(ConfigError) as err:
+                load_config_text(text.replace(old, new))
+            assert any("not a finite number" in p for p in err.value.problems)
+        with pytest.raises(ConfigError):
+            load_config_text(text, overrides={("system", "n_c"): float("nan")})
+        # an infinite default stays expressible
+        cfg = load_config_text(text.replace("dark_ratio_db = 10.4", "dark_ratio_db = inf"))
+        assert cfg.scenario.chain.dark_ratio_db == float("inf")
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -185,6 +198,23 @@ class TestCliCommands:
             outs.append((out / "thermometry.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_map_csv_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        sqmap = SqueezingMap(
+            theta_locks=np.linspace(-1.5, 1.5, 4), freqs=np.linspace(8e4, 4e7, 5),
+            values=rng.random((4, 5)) * 10.0 ** rng.integers(-8, 8, (4, 5)),
+        )
+        write_map_csv(tmp_path / "fast.csv", sqmap)
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["theta_lock_rad", "freq_hz", "s_norm"])
+            w.writerows(
+                ["%.9g" % t, "%.9g" % f, "%.9g" % sqmap.values[i, j]]
+                for i, t in enumerate(sqmap.theta_locks)
+                for j, f in enumerate(sqmap.freqs)
+            )
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_spectrum_reproducible(self, config_path, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -258,6 +288,47 @@ class TestCliExitCodes:
             "--data", str(tmp_path / "missing.csv"),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["spectrum", "densitymap", "quasistatic"])
+    def test_unstable_operating_point_exit_2(self, config_path, tmp_path, command, capsys):
+        # blue detuning at full power: the optomechanical anti-damping wins
+        text = config_path.read_text().replace(
+            "delta_over_kappa = 0.044", "delta_over_kappa = -0.044"
+        )
+        cfg = tmp_path / "blue.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "unstable" in err
+        assert not (out / f"{command}.csv").exists()
+
+    def test_nan_in_config_exit_1(self, config_path, tmp_path, capsys):
+        bad = tmp_path / "nan.ini"
+        bad.write_text(config_path.read_text().replace("n_c = 790", "n_c = nan"), encoding="utf-8")
+        assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "system.n_c" in capsys.readouterr().err
+
+    def test_nan_override_exit_1(self, config_path, tmp_path, capsys):
+        rc = main([
+            "spectrum", "--config", str(config_path), "--out", str(tmp_path / "o"),
+            "--theta-lock", "nan",
+        ])
+        assert rc == 1
+        assert "run.theta_lock_rad" in capsys.readouterr().err
+
+    def test_missing_csv_column_exit_3(self, config_path, tmp_path, capsys):
+        data = tmp_path / "thermometry.csv"
+        with open(data, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["delta_hz", "eff_freq_hz", "area_sn_hz"])
+            w.writerows([[f"{d}", "28e6", "1e3"] for d in np.linspace(-1e8, 1e8, 7)])
+        rc = main([
+            "thermometry-fit", "--config", str(config_path), "--out", str(tmp_path / "o"),
+            "--data", str(data),
+        ])
+        assert rc == 3
+        assert "eff_linewidth_hz" in capsys.readouterr().err
 
     def test_fit_without_data_exit_1(self, config_path, tmp_path):
         rc = main([

@@ -14,7 +14,9 @@ from omsqueeze import (
     squeezing_cross_term,
     transfer_coefficients,
 )
-from omsqueeze.core import zero_transduction_angle
+from omsqueeze.core import spring_damping_rates, transduction_phasors, zero_transduction_angle
+from omsqueeze.estimate import model_zero_transduction_lock, thermometry_model
+from omsqueeze.instrument import reflection_phase
 
 from conftest import DELTA, ETA_KAPPA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 
@@ -156,6 +158,39 @@ class TestSpectrumFull:
         assert np.isfinite(s)
         assert s >= 0.0 and s_vac >= 0.0 and s_th >= 0.0
 
+    @given(
+        theta=st.floats(-np.pi, np.pi),
+        log_f=st.floats(5.5, 7.6),
+        log_nc=st.floats(-1.0, 3.8),
+        delta_frac=st.floats(-0.15, 0.15),
+        eta=st.floats(0.2, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_plus_minus_coefficients(self, theta, log_f, log_nc, delta_frac, eta):
+        # reference: the six-term form with coefficients solved at +omega and -omega
+        optical = OpticalMode(omega_o=1e15, kappa=KAPPA, kappa_e=eta * KAPPA)
+        mech = MechanicalMode(omega_m0=OMEGA_M0, gamma_i=GAMMA_I, g0=G0)
+        p = SystemParams.build(optical, mech, delta=delta_frac * KAPPA, n_c=10**log_nc)
+        w = TWO_PI * 10**log_f
+        nbar = 1.2e4 * 28e6 / 10**log_f
+        c_p, c_m = transfer_coefficients(w, p), transfer_coefficients(-w, p)
+        ph = np.exp(-2j * theta)
+        ratio = optical.kappa_i / optical.kappa_e
+        vac = (
+            abs(c_m.a2) ** 2 + abs(1 + c_p.a1) ** 2 + 2 * np.real(ph * (1 + c_p.a1) * c_m.a2)
+            + ratio * (abs(c_p.a1) ** 2 + abs(c_m.a2) ** 2 + 2 * np.real(ph * c_p.a1 * c_m.a2))
+        )
+        thermal = (
+            abs(c_p.b1) ** 2 * (nbar + 1) + abs(c_m.b1) ** 2 * nbar
+            + abs(c_m.b2) ** 2 * (nbar + 1) + abs(c_p.b2) ** 2 * nbar
+            + 2 * np.real(ph * c_p.b1 * c_m.b2) * (nbar + 1)
+            + 2 * np.real(ph * c_m.b1 * c_p.b2) * nbar
+        )
+        s, s_vac, s_th = spectrum_full(w, theta, p, nbar)
+        scale = 1.0 + abs(c_p.b1) ** 2 * (nbar + 1)
+        assert abs(s_vac - vac) <= 1e-12 * scale
+        assert abs(s_th - thermal) <= 1e-12 * scale
+
     def test_sign_flip_across_resonance(self, resonant_bad_cavity):
         p = resonant_bad_cavity
         thetas = np.linspace(-np.pi / 2, np.pi / 2, 721)
@@ -165,6 +200,28 @@ class TestSpectrumFull:
             s, _, _ = spectrum_full(w, thetas, p, 0.0)
             signs.append(np.sign(thetas[int(np.argmin(s))]))
         assert signs[0] == -signs[1] and signs[0] != 0
+
+
+class TestSharedFormulas:
+    def test_spring_damping_rates_vectorize_system_values(self, paper_optical, paper_mech):
+        deltas = np.linspace(-0.3, 0.3, 13) * KAPPA
+        d_omega, gamma_om = spring_damping_rates(deltas, G0**2 * N_C, KAPPA, OMEGA_M0)
+        for k, delta in enumerate(deltas):
+            p = SystemParams.build(paper_optical, paper_mech, delta=delta, n_c=N_C)
+            assert (d_omega[k], gamma_om[k]) == pytest.approx(spring_and_damping(p), rel=1e-14)
+        f, lw, _ = thermometry_model(deltas, G0, GAMMA_I, 0.0, OMEGA_M0, paper_optical, N_C)
+        p0 = SystemParams.build(paper_optical, paper_mech, delta=0.0, n_c=N_C)
+        assert (f[6], lw[6]) == pytest.approx((p0.omega_m, p0.gamma), rel=1e-14)
+
+    def test_zero_transduction_lock_uses_the_same_angle(self, paper_params):
+        delta = paper_params.drive.delta
+        optical = paper_params.optical
+        u, v = transduction_phasors(delta, KAPPA, OMEGA_M0)
+        theta = zero_transduction_angle(OMEGA_M0, paper_params)
+        assert theta == 0.5 * (np.angle(u) - np.angle(v))
+        lock = model_zero_transduction_lock(delta, optical, OMEGA_M0)
+        wrapped = theta - reflection_phase(optical, delta)
+        assert lock == pytest.approx(wrapped - np.pi * np.round(wrapped / np.pi), abs=1e-15)
 
 
 class TestQuasiStatic:

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omsqueeze import (
     AbsorptiveNoiseModel,
@@ -19,6 +23,7 @@ from omsqueeze import (
     rbw_resample,
     reflection_coefficient,
 )
+from omsqueeze.instrument import total_harmonics
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 
@@ -128,6 +133,23 @@ class TestRbwResample:
         p_out = np.trapezoid(out.values, out_freqs)
         assert p_out == pytest.approx(p_in, rel=1e-3)
 
+    def test_matches_full_convolution(self):
+        # reference: convolve the whole padded trace, then interpolate
+        rng = np.random.default_rng(3)
+        freqs = np.linspace(1e3, 40e6, 50000)
+        values = 1.0 + rng.random(50000) + 50.0 * np.exp(-0.5 * ((freqs - 28e6) / 1e5) ** 2)
+        out_freqs = np.concatenate([[freqs[0]], np.linspace(80e3, 39.9e6, 499), [freqs[-1]]])
+        rbw = 300e3
+        sigma = rbw / (2 * np.sqrt(2 * np.log(2)))
+        df = freqs[1] - freqs[0]
+        half = int(np.ceil(5 * sigma / df))
+        kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * df / sigma) ** 2)
+        kernel /= kernel.sum()
+        padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+        ref = np.interp(out_freqs, freqs, np.convolve(padded, kernel, mode="valid"))
+        out = rbw_resample(SpectrumTrace(freqs=freqs, values=values), rbw, out_freqs)
+        np.testing.assert_allclose(out.values, ref, rtol=1e-13, atol=0)
+
     def test_rejects_out_of_span(self):
         freqs = np.linspace(1e6, 30e6, 30000)
         trace = SpectrumTrace(freqs=freqs, values=np.ones_like(freqs))
@@ -219,15 +241,21 @@ class TestDensityMap:
         )
         assert np.all(sqmap.values >= 1.0 - scenario.eta_tot - 1e-12)
 
-    def test_threaded_rows_identical(self, paper_params, monkeypatch):
-        scenario = full_scenario(paper_params)
-        locks = np.linspace(-0.5, 0.5, 5)
-        freqs = np.linspace(26e6, 30e6, 11)
+    def test_map_matches_per_angle_rows(self, paper_params):
+        # the harmonic map against rows built one quadrature at a time, with
+        # every noise block present and with each block switched off in turn
+        full = full_scenario(paper_params)
+        locks = np.linspace(-1.5, 1.5, 7)
+        freqs = np.linspace(2e6, 30e6, 57)
         fine = np.linspace(1e5, 32e6, 20000)
-        serial = assemble_density_map(locks, freqs, scenario, fine_freqs=fine, rbw=300e3)
-        monkeypatch.setenv("OMSQUEEZE_THREADS", "4")
-        threaded = assemble_density_map(locks, freqs, scenario, fine_freqs=fine, rbw=300e3)
-        assert np.array_equal(serial.values, threaded.values)
+        for off in (None, "bath", "lump", "laser", "absorptive", "chain"):
+            scenario = full if off is None else dataclasses.replace(full, **{off: None})
+            sqmap = assemble_density_map(locks, freqs, scenario, fine_freqs=fine, rbw=300e3)
+            for lock, row in zip(locks, sqmap.values):
+                theta = lock_to_quadrature(lock, paper_params.optical, DELTA).theta
+                s = output_spectrum(TWO_PI * fine, theta, scenario)["s_norm"]
+                direct = rbw_resample(SpectrumTrace(freqs=fine, values=s), 300e3, freqs).values
+                np.testing.assert_allclose(row, direct, rtol=1e-12, atol=0, err_msg=str(off))
 
 
 class TestScenarioComponents:
@@ -248,3 +276,62 @@ class TestScenarioComponents:
             comp = output_spectrum(w, theta, scenario, detected=False)
             for key, vals in comp.items():
                 assert np.all(vals >= 0.0), key
+
+
+def random_scenario(n_c, delta_over_kappa, eta_kappa):
+    optical = OpticalMode(omega_o=TWO_PI * 194.67e12, kappa=KAPPA, kappa_e=eta_kappa * KAPPA)
+    mech = MechanicalMode(omega_m0=OMEGA_M0, gamma_i=GAMMA_I, g0=G0)
+    params = SystemParams.build(optical, mech, delta=delta_over_kappa * KAPPA, n_c=n_c)
+    return full_scenario(params)
+
+
+SCENARIOS = dict(
+    n_c=st.floats(0.0, 3000.0),
+    delta_over_kappa=st.floats(-0.3, 0.3),
+    eta_kappa=st.floats(0.05, 1.0),
+)
+OMEGA = TWO_PI * np.linspace(0.2e6, 40e6, 199)
+
+
+class TestHarmonicForm:
+    @given(theta=st.floats(-np.pi, np.pi), **SCENARIOS)
+    @settings(max_examples=60, deadline=None)
+    def test_spectrum_is_harmonic_in_two_theta(self, theta, n_c, delta_over_kappa, eta_kappa):
+        scenario = random_scenario(n_c, delta_over_kappa, eta_kappa)
+        assume(scenario.system.gamma > 0)
+        a, b, c = total_harmonics(OMEGA, scenario)
+        s = output_spectrum(OMEGA, theta, scenario, detected=False)["s_norm"]
+        harmonic = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
+        np.testing.assert_allclose(s, harmonic, rtol=1e-12, atol=1e-12 * np.max(a))
+        eta = scenario.eta_tot
+        detected = output_spectrum(OMEGA, theta, scenario)["s_norm"]
+        np.testing.assert_allclose(
+            detected, eta * harmonic + 1 - eta, rtol=1e-12, atol=1e-12 * np.max(a)
+        )
+
+    @given(
+        theta=st.floats(-np.pi, np.pi),
+        delta_over_kappa=SCENARIOS["delta_over_kappa"],
+        eta_kappa=SCENARIOS["eta_kappa"],
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_undriven_cavity_is_shot_noise(self, theta, delta_over_kappa, eta_kappa):
+        scenario = random_scenario(0.0, delta_over_kappa, eta_kappa)
+        for detected in (False, True):
+            s = output_spectrum(OMEGA, theta, scenario, detected=detected)["s_norm"]
+            np.testing.assert_allclose(s, 1.0, rtol=0, atol=1e-12)
+
+    @given(**SCENARIOS)
+    @settings(max_examples=10, deadline=None)
+    def test_floor_bounds_every_quadrature(self, n_c, delta_over_kappa, eta_kappa):
+        scenario = random_scenario(n_c, delta_over_kappa, eta_kappa)
+        assume(scenario.system.gamma > 0)
+        omega = OMEGA[::4]
+        a, b, c = total_harmonics(omega, scenario)
+        s_min = a - np.hypot(b, c)
+        assert np.all(s_min >= 0.0)
+        thetas = np.linspace(-np.pi / 2, np.pi / 2, 721)
+        brute = np.min(
+            [output_spectrum(omega, t, scenario, detected=False)["s_norm"] for t in thetas], axis=0
+        )
+        assert np.all(brute >= s_min - 1e-12 * a)
