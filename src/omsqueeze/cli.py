@@ -42,7 +42,13 @@ from .instrument import (
     rbw_resample,
 )
 from .noise import bath_occupation, effective_temperature
-from .oracle import InputCorrelationMatrix, OracleError, matrix_solve_spectrum, sde_time_domain_psd
+from .oracle import (
+    InputCorrelationMatrix,
+    OracleError,
+    matrix_solve_spectrum,
+    plan_sde,
+    sde_time_domain_psd,
+)
 
 FMT = "%.9g"
 NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic")
@@ -229,6 +235,14 @@ def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data=None):
 
 def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
     params = cfg.system
+    sde = cfg.sde_duration_s > 0 and cfg.sde_dt_s > 0
+    if sde:
+        # reject bad SDE settings before the draws run (gamma <= 0 raises OracleError)
+        try:
+            plan_sde(params, cfg.sde_duration_s, cfg.sde_dt_s)
+        except ValueError as exc:
+            print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
+            return 1
     rng = np.random.default_rng(cfg.seed)
     rows = []
     max_err = 0.0
@@ -249,7 +263,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
         rows.append([_fmt(omega / (2 * np.pi)), _fmt(theta), _fmt(err)])
     rows.append(["max_rel_err", "", _fmt(max_err)])
     _write_rows(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], rows)
-    if cfg.sde_duration_s > 0 and cfg.sde_dt_s > 0:
+    if sde:
         trace = sde_time_domain_psd(
             params, nbar=0.0, theta=cfg.theta_lock_rad, duration=cfg.sde_duration_s,
             dt=cfg.sde_dt_s, seed=cfg.seed,

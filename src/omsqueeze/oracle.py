@@ -31,11 +31,13 @@ __all__ = [
     "InputCorrelationMatrix",
     "OracleError",
     "matrix_solve_spectrum",
+    "plan_sde",
     "sde_time_domain_psd",
 ]
 
 ADIABATIC_KAPPA_RATIO = 50.0
-_CHUNK = 1 << 22
+_CHUNK = 1 << 22  # complex samples per RNG draw; fixes the noise stream
+_BLOCK = 1 << 14  # samples integrated per cache-sized step
 
 
 class OracleError(RuntimeError):
@@ -148,14 +150,36 @@ def matrix_solve_spectrum(omega, theta, params: SystemParams, corr: InputCorrela
     return float(s.real)
 
 
-def _gaussian_chunks(rng, n_total, scale, chunk=_CHUNK):
-    """Deterministic stream of complex Gaussian chunks with Var[z] = scale^2."""
-    done = 0
-    while done < n_total:
-        n = min(chunk, n_total - done)
-        z = rng.standard_normal(2 * n).view(np.complex128) * (scale / np.sqrt(2.0))
-        yield z
-        done += n
+def _adiabatic(params: SystemParams):
+    return params.optical.kappa > ADIABATIC_KAPPA_RATIO * params.omega_m
+
+
+def plan_sde(params: SystemParams, duration, dt, freq_bins=None, segment_samples=None):
+    """Check every precondition of ``sde_time_domain_psd`` before any noise is
+    drawn and return its empty PSD accumulator.  Raises OracleError when
+    gamma <= 0 and ValueError for a step, duration or bin grid out of range."""
+    omega_m, gamma = params.omega_m, params.gamma
+    if not gamma > 0:
+        raise OracleError(f"unstable operating point: total mechanical damping gamma = {gamma:.6g} <= 0")
+    adiabatic = _adiabatic(params)
+    if dt > 0.01 / (omega_m if adiabatic else params.optical.kappa):
+        raise ValueError(
+            f"dt={dt:g} violates the step-size precondition dt <= 0.01/{'omega_m' if adiabatic else 'kappa'}"
+        )
+    if duration < 100.0 / gamma:
+        raise ValueError("duration must cover at least 100 mechanical decay times")
+
+    segment_samples = 1 << 14 if segment_samples is None else segment_samples
+    n_segments = int(duration / dt) // segment_samples
+    if n_segments < 8:
+        raise ValueError("duration too short for at least 8 PSD segments")
+    if freq_bins is None:
+        f_m = omega_m / (2 * np.pi)
+        span = 0.4 * f_m
+        resolution = 1.0 / (segment_samples * dt)
+        n_bins = int(min(20, max(4, span / (1.5 * resolution))))
+        freq_bins = np.linspace(0.8 * f_m, 1.2 * f_m, n_bins + 1)
+    return _Welch(dt, segment_samples, n_segments, np.asarray(freq_bins, dtype=float))
 
 
 def sde_time_domain_psd(
@@ -183,178 +207,154 @@ def sde_time_domain_psd(
     (explicit Euler on the co-rotating mechanical envelope, drive-port
     filters frozen at +-omega_m); otherwise the full two-oscillator
     system is integrated.  Step-size preconditions:
-    dt <= 0.01/omega_m (adiabatic) or dt <= 0.01/kappa (full).
+    dt <= 0.01/omega_m (adiabatic) or dt <= 0.01/kappa (full), checked
+    with the others by ``plan_sde``.  The record is never held: the
+    adiabatic branch needs two ``_CHUNK`` noise buffers, one block and
+    one segment whatever the duration; the full branch draws its noise
+    for the whole record.
     """
-    kappa = params.optical.kappa
-    omega_m = params.omega_m
-    gamma = params.gamma
-    adiabatic = kappa > ADIABATIC_KAPPA_RATIO * omega_m
-    fast = omega_m if adiabatic else kappa
-    if dt > 0.01 / fast:
-        raise ValueError(
-            f"dt={dt:g} violates the step-size precondition dt <= 0.01/{'omega_m' if adiabatic else 'kappa'}"
-        )
-    if duration < 100.0 / gamma:
-        raise ValueError("duration must cover at least 100 mechanical decay times")
-
-    if segment_samples is None:
-        segment_samples = 1 << 14
-    n_segments = int(duration / dt) // segment_samples
-    if n_segments < 8:
-        raise ValueError("duration too short for at least 8 PSD segments")
-
-    if freq_bins is None:
-        f_m = omega_m / (2 * np.pi)
-        span = 0.4 * f_m
-        resolution = 1.0 / (segment_samples * dt)
-        n_bins = int(min(20, max(4, span / (1.5 * resolution))))
-        freq_bins = np.linspace(0.8 * f_m, 1.2 * f_m, n_bins + 1)
-    freq_bins = np.asarray(freq_bins, dtype=float)
-
-    rng = np.random.default_rng(seed)
-    if adiabatic:
-        current = _integrate_adiabatic(params, nbar, theta, dt, n_segments, segment_samples, rng)
-    else:
-        current = _integrate_full(params, nbar, theta, dt, n_segments, segment_samples, rng)
-
-    return _binned_welch(current, dt, segment_samples, n_segments, freq_bins, params)
+    welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
+    integrate = _integrate_adiabatic if _adiabatic(params) else _integrate_full
+    integrate(params, nbar, theta, dt, welch, np.random.default_rng(seed))
+    return welch.result(params)
 
 
-def _integrate_adiabatic(params, nbar, theta, dt, n_segments, segment_samples, rng):
-    kappa = params.optical.kappa
-    kappa_e = params.optical.kappa_e
-    kappa_i = params.optical.kappa_i
-    gamma_i = params.mech.gamma_i
-    delta = params.drive.delta
-    g = params.drive.g
-    omega_m = params.omega_m
-    gamma = params.gamma
+def _normals(rng, buf, scale):
+    """Fill the float buffer with scaled standard normals, viewed as complex."""
+    rng.standard_normal(out=buf)
+    buf *= scale
+    return buf.view(np.complex128)
+
+
+def _integrate_adiabatic(params, nbar, theta, dt, welch, rng):
+    kappa, kappa_e, kappa_i = params.optical.kappa, params.optical.kappa_e, params.optical.kappa_i
+    delta, g, omega_m, gamma = params.drive.delta, params.drive.g, params.omega_m, params.gamma
 
     d_c = 1j * (delta - omega_m) + kappa / 2
     d_cbar = -1j * (delta + omega_m) + kappa / 2
-    refl_e = 1.0 - kappa_e / d_c
-    refl_i = -np.sqrt(kappa_e * kappa_i) / d_c
-    mech_out = -1j * g * np.sqrt(kappa_e) / d_c
+    se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(params.mech.gamma_i)
+    c1, c2 = 1j * g / d_c, 1j * g / d_cbar
+    # homodyne current = Re(p_e z_a + p_i z_i) + q Re(env conj(rot))
+    phase_out = 2.0 * np.exp(-1j * theta)
+    p_e = phase_out * (1.0 - kappa_e / d_c)
+    p_i = phase_out * -np.sqrt(kappa_e * kappa_i) / d_c
+    q = 2.0 * np.real(phase_out * -1j * g * se / d_c)
 
     decay = 1.0 - gamma * dt / 2.0
-    sigma_vac = np.sqrt(0.5 / dt)
-    sigma_bath = np.sqrt((nbar + 0.5) / dt)
-
-    n_total = n_segments * segment_samples
+    s_vac = np.sqrt(0.5 / dt) / np.sqrt(2.0)
+    s_bath = np.sqrt((nbar + 0.5) / dt) / np.sqrt(2.0)
     amp_bound = 1e6 * (1.0 + np.sqrt(nbar + params.drive.gamma_meas / gamma + 1.0))
 
-    out = np.empty(n_total)
-    state = 0.0 + 0.0j
-    zi = np.zeros(1, dtype=complex)
-    gen_a = _gaussian_chunks(rng, n_total, sigma_vac)
-    gen_i = _gaussian_chunks(rng, n_total, sigma_vac)
-    gen_b = _gaussian_chunks(rng, n_total, sigma_bath)
-    done = 0
-    phase_out = np.exp(-1j * theta)
-    while done < n_total:
-        za = next(gen_a)
-        zirr = next(gen_i)
-        zb = next(gen_b)
-        n = len(za)
-        t = (done + np.arange(n)) * dt
-        rot = np.exp(1j * omega_m * t)
-        drive = (
-            -np.sqrt(gamma_i) * zb
-            + 1j * g * (np.sqrt(kappa_e) * za + np.sqrt(kappa_i) * zirr) / d_c
-            + 1j * g * (np.sqrt(kappa_e) * np.conj(za) + np.sqrt(kappa_i) * np.conj(zirr)) / d_cbar
-        )
-        u = rot * drive
-        y, zi = lfilter([dt], [1.0, -decay], u, zi=zi)
-        env = np.empty(n, dtype=complex)
-        env[0] = state
-        env[1:] = y[:-1]
-        state = y[-1]
-        if not np.isfinite(state) or abs(state) > amp_bound:
-            raise OracleError(
-                "unstable integration (energy growth beyond bound); "
-                "the dt <= 0.01/omega_m step-size precondition is too loose for this system"
-            )
-        x = 2.0 * np.real(env * np.conj(rot))
-        a_out = refl_e * za + refl_i * zirr + mech_out * x
-        out[done : done + n] = 2.0 * np.real(phase_out * a_out)
-        done += n
-    return out
+    n_total = welch.n_total
+    buf_a, buf_i = np.empty((2, 2 * min(_CHUNK, n_total)))
+    buf_b = np.empty(2 * min(_BLOCK, _CHUNK, n_total))
+    w_dt = omega_m * dt
+    steps = np.exp(1j * (w_dt * np.arange(len(buf_b) // 2)))
+    state, zi = 0.0j, np.zeros(1, dtype=complex)
+    # each chunk draws its a, then its i, then its bath normals; drawing the
+    # bath part block by block leaves that stream unchanged
+    for chunk in range(0, n_total, _CHUNK):
+        n = min(_CHUNK, n_total - chunk)
+        za_chunk = _normals(rng, buf_a[: 2 * n], s_vac)
+        zirr_chunk = _normals(rng, buf_i[: 2 * n], s_vac)
+        for k in range(0, n, len(steps)):
+            m = min(len(steps), n - k)
+            za, zirr = za_chunk[k : k + m], zirr_chunk[k : k + m]
+            zb = _normals(rng, buf_b[: 2 * m], s_bath)
+            rot = np.exp(1j * (w_dt * (chunk + k))) * steps[:m]
+            w = se * za + si * zirr
+            y, zi = lfilter([dt], [1.0, -decay], (c1 * w + c2 * np.conj(w) - sg * zb) * rot, zi=zi)
+            env = np.concatenate(([state], y[:-1]))
+            state = y[-1]
+            if not np.isfinite(state) or abs(state) > amp_bound:
+                raise OracleError(
+                    "unstable integration (energy growth beyond bound); "
+                    "the dt <= 0.01/omega_m step-size precondition is too loose for this system"
+                )
+            welch.add(np.real(p_e * za + p_i * zirr + q * (env * np.conj(rot))))
 
 
-def _integrate_full(params, nbar, theta, dt, n_segments, segment_samples, rng):
-    kappa = params.optical.kappa
-    kappa_e = params.optical.kappa_e
-    kappa_i = params.optical.kappa_i
-    gamma_i = params.mech.gamma_i
-    delta = params.drive.delta
-    g = params.drive.g
-    omega_m0 = params.mech.omega_m0
+def _integrate_full(params, nbar, theta, dt, welch, rng):
+    kappa, kappa_e, kappa_i = params.optical.kappa, params.optical.kappa_e, params.optical.kappa_i
+    delta, g, gamma_i, omega_m0 = params.drive.delta, params.drive.g, params.mech.gamma_i, params.mech.omega_m0
 
     se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(gamma_i)
     sigma_vac = np.sqrt(0.5 / dt)
     sigma_bath = np.sqrt((nbar + 0.5) / dt)
 
-    n_total = n_segments * segment_samples
+    n_total = welch.n_total
     za = rng.standard_normal(2 * n_total).view(np.complex128) * (sigma_vac / np.sqrt(2.0))
     zirr = rng.standard_normal(2 * n_total).view(np.complex128) * (sigma_vac / np.sqrt(2.0))
     zb = rng.standard_normal(2 * n_total).view(np.complex128) * (sigma_bath / np.sqrt(2.0))
 
     cav_drift = -(1j * delta + kappa / 2)
     rot = np.exp(1j * omega_m0 * dt)
-    a = 0.0 + 0.0j
-    env = 0.0 + 0.0j
+    a = env = 0.0 + 0.0j
     phase = 1.0 + 0.0j  # e^{i omega_m0 t}
     phase_out = np.exp(-1j * theta)
-    out = np.empty(n_total)
+    out = np.empty(min(_BLOCK, n_total))
     amp_bound = 1e6 * (1.0 + np.sqrt(nbar + params.drive.gamma_meas / params.gamma + 1.0))
-    for n in range(n_total):
-        x = 2.0 * np.real(env * np.conj(phase))
-        a_out = za[n] + se * a
-        out[n] = 2.0 * np.real(phase_out * a_out)
-        a_new = a + dt * (cav_drift * a - 1j * g * x - se * za[n] - si * zirr[n])
-        env_new = env + dt * (-gamma_i / 2 * env + phase * (-1j * g * 2.0 * np.real(a) - sg * zb[n]))
-        a, env = a_new, env_new
-        phase *= rot
-        if n % 65536 == 0 and (not np.isfinite(abs(env)) or abs(env) > amp_bound):
-            raise OracleError(
-                "unstable integration (energy growth beyond bound); "
-                "the dt <= 0.01/kappa step-size precondition is too loose for this system"
-            )
-    return out
+    for start in range(0, n_total, len(out)):
+        block = out[: min(len(out), n_total - start)]
+        for n in range(start, start + len(block)):
+            x = 2.0 * np.real(env * np.conj(phase))
+            a_out = za[n] + se * a
+            block[n - start] = 2.0 * np.real(phase_out * a_out)
+            a_new = a + dt * (cav_drift * a - 1j * g * x - se * za[n] - si * zirr[n])
+            env_new = env + dt * (-gamma_i / 2 * env + phase * (-1j * g * 2.0 * np.real(a) - sg * zb[n]))
+            a, env = a_new, env_new
+            phase *= rot
+            if n % 65536 == 0 and (not np.isfinite(abs(env)) or abs(env) > amp_bound):
+                raise OracleError(
+                    "unstable integration (energy growth beyond bound); "
+                    "the dt <= 0.01/kappa step-size precondition is too loose for this system"
+                )
+        welch.add(block)
 
 
-def _binned_welch(current, dt, segment_samples, n_segments, freq_bins, params):
-    window = np.hanning(segment_samples)
-    norm = dt / (segment_samples * np.mean(window**2))
-    freqs = np.fft.rfftfreq(segment_samples, dt)
-    idx = np.digitize(freqs, freq_bins) - 1
-    n_bins = len(freq_bins) - 1
-    sums = np.zeros(n_bins)
-    sumsq = np.zeros(n_bins)
-    counts = np.bincount(idx[(idx >= 0) & (idx < n_bins)], minlength=n_bins)
-    if np.any(counts == 0):
-        raise ValueError("freq_bins too fine for the segment resolution")
-    sel = (idx >= 0) & (idx < n_bins)
-    for k in range(n_segments):
-        seg = current[k * segment_samples : (k + 1) * segment_samples]
-        pxx = np.abs(np.fft.rfft(window * seg)) ** 2 * norm
-        binned = np.bincount(idx[sel], weights=pxx[sel], minlength=n_bins) / counts
-        sums += binned
-        sumsq += binned**2
-    mean = sums / n_segments
-    var = np.maximum(sumsq / n_segments - mean**2, 0.0)
-    stderr = np.sqrt(var / n_segments)
-    centers = 0.5 * (freq_bins[:-1] + freq_bins[1:])
-    resolution = 1.0 / (segment_samples * dt)
-    return SpectrumTrace(
-        freqs=centers,
-        values=mean,
-        rbw=resolution,
-        stderr=stderr,
-        meta={
-            "segments": int(n_segments),
-            "dt_s": float(dt),
-            "resolution_hz": float(resolution),
-            "omega_m_rad_s": float(params.omega_m),
-        },
-    )
+class _Welch:
+    """Welch (1967) estimate fed as samples arrive: Hann-windowed periodograms
+    of consecutive non-overlapping segments, averaged into frequency bins,
+    with the per-bin standard error from the inter-segment variance.  It
+    holds one segment, whatever the record length."""
+
+    def __init__(self, dt, segment_samples, n_segments, freq_bins):
+        self.dt, self.n_segments, self.freq_bins = dt, n_segments, freq_bins
+        self.n_total = n_segments * segment_samples
+        self.window = np.hanning(segment_samples)
+        self.norm = dt / (segment_samples * np.mean(self.window**2))
+        idx = np.digitize(np.fft.rfftfreq(segment_samples, dt), freq_bins) - 1
+        self.n_bins = n_bins = len(freq_bins) - 1
+        self.sel = (idx >= 0) & (idx < n_bins)
+        self.idx = idx[self.sel]
+        self.counts = np.bincount(self.idx, minlength=n_bins)
+        if np.any(self.counts == 0):
+            raise ValueError("freq_bins too fine for the segment resolution")
+        self.sums, self.sumsq = np.zeros((2, n_bins))
+        self.seg = np.empty(segment_samples)
+        self.fill = 0
+
+    def add(self, samples):
+        """Append the next samples of the record; fold each full segment into the bin sums."""
+        while len(samples):
+            take = min(len(samples), len(self.seg) - self.fill)
+            self.seg[self.fill : self.fill + take] = samples[:take]
+            self.fill += take
+            samples = samples[take:]
+            if self.fill == len(self.seg):
+                pxx = np.abs(np.fft.rfft(self.window * self.seg)) ** 2 * self.norm
+                binned = np.bincount(self.idx, weights=pxx[self.sel], minlength=self.n_bins) / self.counts
+                self.sums += binned
+                self.sumsq += binned**2
+                self.fill = 0
+
+    def result(self, params) -> SpectrumTrace:
+        n = self.n_segments
+        mean = self.sums / n
+        stderr = np.sqrt(np.maximum(self.sumsq / n - mean**2, 0.0) / n)
+        resolution = 1.0 / (len(self.seg) * self.dt)
+        return SpectrumTrace(
+            freqs=0.5 * (self.freq_bins[:-1] + self.freq_bins[1:]), values=mean, rbw=resolution, stderr=stderr,
+            meta={"segments": int(n), "dt_s": float(self.dt), "resolution_hz": float(resolution),
+                  "omega_m_rad_s": float(params.omega_m)},
+        )

@@ -30,6 +30,23 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def small_sde_config(tmp_path, duration, dt):
+    """A small fast system so the stochastic trace is cheap."""
+    text = default_config_text()
+    text = text.replace("kappa_over_2pi_hz = 3.42e9", "kappa_over_2pi_hz = 2e8")
+    text = text.replace("omega_m0_over_2pi_hz = 28e6", "omega_m0_over_2pi_hz = 1e6")
+    text = text.replace("gamma_i_over_2pi_hz = 172", "gamma_i_over_2pi_hz = 2e4")
+    text = text.replace("g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 1e3")
+    text = text.replace("n_c = 790", "n_c = 10")
+    text = text.replace(
+        "theta_lock_rad = 0.0",
+        f"theta_lock_rad = 0.4\nsde_duration_s = {duration!r}\nsde_dt_s = {dt!r}",
+    )
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(text, encoding="utf-8")
+    return cfg
+
+
 class TestConfig:
     def test_default_loads_table_values(self, config_path):
         cfg = load_config(config_path)
@@ -224,19 +241,7 @@ class TestCliCommands:
         assert blobs[0] == blobs[1]
 
     def test_oracle_check_emits_sde_trace_with_stderr(self, tmp_path):
-        # small fast system so the stochastic trace is cheap
-        text = default_config_text()
-        text = text.replace("kappa_over_2pi_hz = 3.42e9", "kappa_over_2pi_hz = 2e8")
-        text = text.replace("omega_m0_over_2pi_hz = 28e6", "omega_m0_over_2pi_hz = 1e6")
-        text = text.replace("gamma_i_over_2pi_hz = 172", "gamma_i_over_2pi_hz = 2e4")
-        text = text.replace("g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 1e3")
-        text = text.replace("n_c = 790", "n_c = 10")
-        text = text.replace(
-            "theta_lock_rad = 0.0",
-            "theta_lock_rad = 0.4\nsde_duration_s = 1.2e-3\nsde_dt_s = 1.5e-9",
-        )
-        cfg = tmp_path / "small.ini"
-        cfg.write_text(text, encoding="utf-8")
+        cfg = small_sde_config(tmp_path, duration=1.2e-3, dt=1.5e-9)
         out = tmp_path / "out"
         rc = main(["oracle-check", "--config", str(cfg), "--out", str(out), "--seed", "5"])
         assert rc == 0
@@ -329,6 +334,19 @@ class TestCliExitCodes:
         ])
         assert rc == 3
         assert "eff_linewidth_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "duration, dt, message",
+        [(1.2e-3, 1e-8, "step-size"), (1e-5, 1.5e-9, "decay times")],
+    )
+    def test_bad_sde_settings_exit_1_before_draws(self, tmp_path, capsys, duration, dt, message):
+        cfg = small_sde_config(tmp_path, duration=duration, dt=dt)
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert "Traceback" not in err
+        assert not (out / "oracle_check.csv").exists()
 
     def test_fit_without_data_exit_1(self, config_path, tmp_path):
         rc = main([

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from omsqueeze import oracle
 from omsqueeze import (
     InputCorrelationMatrix,
     MechanicalMode,
@@ -185,3 +189,182 @@ class TestSdeFullCavityBranch:
             vals.append(np.mean(0.5 * (s_p + s_m)))
         z = np.abs(tr.values - np.array(vals)) / tr.stderr
         assert np.all(z <= 4.0)
+
+
+# Whole-record reference: the integrators as they were before the record was
+# streamed into the Welch estimate.  They hold every noise draw and the full
+# homodyne record, then average the periodograms segment by segment.
+
+
+def _ref_gaussian_chunks(rng, n_total, scale, chunk):
+    done = 0
+    while done < n_total:
+        n = min(chunk, n_total - done)
+        yield rng.standard_normal(2 * n).view(np.complex128) * (scale / np.sqrt(2.0))
+        done += n
+
+
+def _ref_adiabatic_record(p, nbar, theta, dt, n_total, rng, chunk):
+    kappa, kappa_e, kappa_i = p.optical.kappa, p.optical.kappa_e, p.optical.kappa_i
+    delta, g, omega_m, gamma = p.drive.delta, p.drive.g, p.omega_m, p.gamma
+    d_c = 1j * (delta - omega_m) + kappa / 2
+    d_cbar = -1j * (delta + omega_m) + kappa / 2
+    refl_e = 1.0 - kappa_e / d_c
+    refl_i = -np.sqrt(kappa_e * kappa_i) / d_c
+    mech_out = -1j * g * np.sqrt(kappa_e) / d_c
+    decay = 1.0 - gamma * dt / 2.0
+    gen_a = _ref_gaussian_chunks(rng, n_total, np.sqrt(0.5 / dt), chunk)
+    gen_i = _ref_gaussian_chunks(rng, n_total, np.sqrt(0.5 / dt), chunk)
+    gen_b = _ref_gaussian_chunks(rng, n_total, np.sqrt((nbar + 0.5) / dt), chunk)
+    out = np.empty(n_total)
+    state, zi, done = 0.0j, np.zeros(1, dtype=complex), 0
+    while done < n_total:
+        za, zirr, zb = next(gen_a), next(gen_i), next(gen_b)
+        n = len(za)
+        rot = np.exp(1j * omega_m * (done + np.arange(n)) * dt)
+        drive = (
+            -np.sqrt(p.mech.gamma_i) * zb
+            + 1j * g * (np.sqrt(kappa_e) * za + np.sqrt(kappa_i) * zirr) / d_c
+            + 1j * g * (np.sqrt(kappa_e) * np.conj(za) + np.sqrt(kappa_i) * np.conj(zirr)) / d_cbar
+        )
+        y, zi = lfilter([dt], [1.0, -decay], rot * drive, zi=zi)
+        env = np.concatenate(([state], y[:-1]))
+        state = y[-1]
+        x = 2.0 * np.real(env * np.conj(rot))
+        a_out = refl_e * za + refl_i * zirr + mech_out * x
+        out[done : done + n] = 2.0 * np.real(np.exp(-1j * theta) * a_out)
+        done += n
+    return out
+
+
+def _ref_full_record(p, nbar, theta, dt, n_total, rng):
+    kappa, kappa_e, kappa_i = p.optical.kappa, p.optical.kappa_e, p.optical.kappa_i
+    delta, g, gamma_i = p.drive.delta, p.drive.g, p.mech.gamma_i
+    se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(gamma_i)
+    s_vac, s_bath = np.sqrt(0.5 / dt), np.sqrt((nbar + 0.5) / dt)
+    za = rng.standard_normal(2 * n_total).view(np.complex128) * (s_vac / np.sqrt(2.0))
+    zirr = rng.standard_normal(2 * n_total).view(np.complex128) * (s_vac / np.sqrt(2.0))
+    zb = rng.standard_normal(2 * n_total).view(np.complex128) * (s_bath / np.sqrt(2.0))
+    cav_drift = -(1j * delta + kappa / 2)
+    rot = np.exp(1j * p.mech.omega_m0 * dt)
+    a = env = 0.0 + 0.0j
+    phase = 1.0 + 0.0j
+    phase_out = np.exp(-1j * theta)
+    out = np.empty(n_total)
+    for n in range(n_total):
+        x = 2.0 * np.real(env * np.conj(phase))
+        out[n] = 2.0 * np.real(phase_out * (za[n] + se * a))
+        a_new = a + dt * (cav_drift * a - 1j * g * x - se * za[n] - si * zirr[n])
+        env = env + dt * (-gamma_i / 2 * env + phase * (-1j * g * 2.0 * np.real(a) - sg * zb[n]))
+        a = a_new
+        phase *= rot
+    return out
+
+
+def _ref_psd(p, nbar, theta, duration, dt, seed, freq_bins, segment_samples, chunk):
+    n_segments = int(duration / dt) // segment_samples
+    n_total = n_segments * segment_samples
+    rng = np.random.default_rng(seed)
+    if p.optical.kappa > oracle.ADIABATIC_KAPPA_RATIO * p.omega_m:
+        current = _ref_adiabatic_record(p, nbar, theta, dt, n_total, rng, chunk)
+    else:
+        current = _ref_full_record(p, nbar, theta, dt, n_total, rng)
+    window = np.hanning(segment_samples)
+    norm = dt / (segment_samples * np.mean(window**2))
+    idx = np.digitize(np.fft.rfftfreq(segment_samples, dt), freq_bins) - 1
+    n_bins = len(freq_bins) - 1
+    sel = (idx >= 0) & (idx < n_bins)
+    counts = np.bincount(idx[sel], minlength=n_bins)
+    binned = []
+    for k in range(n_segments):
+        seg = current[k * segment_samples : (k + 1) * segment_samples]
+        pxx = np.abs(np.fft.rfft(window * seg)) ** 2 * norm
+        binned.append(np.bincount(idx[sel], weights=pxx[sel], minlength=n_bins) / counts)
+    binned = np.array(binned)
+    mean = binned.mean(axis=0)
+    return mean, np.sqrt(np.maximum((binned**2).mean(axis=0) - mean**2, 0.0) / n_segments)
+
+
+def streaming_adiabatic_case():
+    omega_m = TWO_PI * 1e6
+    kappa = 200 * omega_m
+    optical = OpticalMode(omega_o=1e15, kappa=kappa, kappa_e=0.7 * kappa)
+    mech = MechanicalMode(omega_m0=omega_m, gamma_i=omega_m / 5, g0=5e-3 * omega_m)
+    p = SystemParams.build(optical, mech, delta=0.05 * kappa, n_c=30.0)
+    return p, 0.01 / omega_m, np.linspace(0.2e6, 3e6, 9)
+
+
+def streaming_full_case():
+    omega_m = TWO_PI * 1e5
+    kappa = 4 * omega_m
+    optical = OpticalMode(omega_o=1e15, kappa=kappa, kappa_e=0.8 * kappa)
+    mech = MechanicalMode(omega_m0=omega_m, gamma_i=omega_m, g0=3e-3 * omega_m)
+    p = SystemParams.build(optical, mech, delta=0.2 * kappa, n_c=30.0)
+    return p, 0.01 / kappa, np.linspace(1e5, 1e6, 5)
+
+
+class TestSdeStreaming:
+    # 3000-sample segments divide neither the 2**14-sample integration block
+    # nor the patched RNG chunk, so segments straddle both boundaries
+    SEG = 3000
+    CHUNK = 1 << 16
+
+    def test_adiabatic_matches_whole_record_reference(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", self.CHUNK)
+        p, dt, bins = streaming_adiabatic_case()
+        duration = 60.5 * self.SEG * dt  # 2.75 chunks, a partial last block
+        tr = sde_time_domain_psd(p, 3.0, 0.4, duration, dt, seed=4, freq_bins=bins, segment_samples=self.SEG)
+        mean, stderr = _ref_psd(p, 3.0, 0.4, duration, dt, 4, bins, self.SEG, self.CHUNK)
+        assert tr.meta["segments"] == 60
+        np.testing.assert_allclose(tr.values, mean, rtol=1e-12)
+        np.testing.assert_allclose(tr.stderr, stderr, rtol=1e-12)
+
+    def test_full_branch_matches_whole_record_reference(self):
+        p, dt, bins = streaming_full_case()
+        duration = 14.5 * self.SEG * dt  # 2.6 blocks of 2**14 samples
+        tr = sde_time_domain_psd(p, 5.0, 0.6, duration, dt, seed=5, freq_bins=bins, segment_samples=self.SEG)
+        mean, stderr = _ref_psd(p, 5.0, 0.6, duration, dt, 5, bins, self.SEG, None)
+        assert tr.meta["segments"] == 14
+        np.testing.assert_allclose(tr.values, mean, rtol=1e-12)
+        np.testing.assert_allclose(tr.stderr, stderr, rtol=1e-12)
+
+    def test_peak_memory_independent_of_duration(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 1 << 12)
+        p, dt, bins = streaming_adiabatic_case()
+        seg = 2048
+        peaks = []
+        for n_seg in (40, 160):
+            tracemalloc.start()
+            try:
+                sde_time_domain_psd(
+                    p, 3.0, 0.4, (n_seg + 0.5) * seg * dt, dt, seed=1,
+                    freq_bins=bins[::2], segment_samples=seg,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestSdeChecksBeforeWork:
+    @pytest.fixture(autouse=True)
+    def no_integration(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("integrator ran")
+
+        monkeypatch.setattr(oracle, "_integrate_adiabatic", fail)
+        monkeypatch.setattr(oracle, "_integrate_full", fail)
+
+    def test_too_fine_bins_raise_first(self):
+        p, dt, _ = streaming_adiabatic_case()
+        bins = np.linspace(0.9e6, 0.91e6, 11)  # 1 kHz bins, 20 kHz resolution
+        with pytest.raises(ValueError, match="too fine"):
+            sde_time_domain_psd(p, 0.0, 0.4, 8.5 * 50_000 * dt, dt, seed=0, freq_bins=bins,
+                                segment_samples=50_000)
+
+    def test_anti_damped_operating_point_raises_first(self):
+        optical, mech = small_adiabatic(g0_frac=3e-2)
+        p = SystemParams.build(optical, mech, delta=-0.1 * optical.kappa, n_c=1e6)
+        assert p.gamma <= 0
+        with pytest.raises(OracleError, match="unstable operating point"):
+            sde_time_domain_psd(p, 0.0, 0.4, duration=1.0, dt=0.01 / mech.omega_m0, seed=0)
