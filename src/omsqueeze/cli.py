@@ -80,8 +80,11 @@ def write_spectrum_csv(path, trace: SpectrumTrace, components=None):
     if trace.stderr is not None:
         header.append("stderr")
         cols.append(trace.stderr)
-    rows = ([_fmt(c[i]) for c in cols] for i in range(len(trace.freqs)))
-    _write_rows(path, header, rows)
+    # the same bytes ``csv.writer`` produces, one formatted string per row
+    row_fmt = ",".join([FMT] * len(cols)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]))
 
 
 def write_map_csv(path, sqmap):
@@ -235,7 +238,15 @@ def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data=None):
 
 def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
     params = cfg.system
-    sde = cfg.sde_duration_s > 0 and cfg.sde_dt_s > 0
+    if (cfg.sde_duration_s > 0) != (cfg.sde_dt_s > 0):
+        print(
+            "config error: run.sde_duration_s and run.sde_dt_s must both be positive "
+            f"for an SDE trace or both <= 0 to skip it (got {cfg.sde_duration_s!r} "
+            f"and {cfg.sde_dt_s!r})",
+            file=sys.stderr,
+        )
+        return 1
+    sde = cfg.sde_duration_s > 0
     if sde:
         # reject bad SDE settings before the draws run (gamma <= 0 raises OracleError)
         try:

@@ -29,6 +29,7 @@ __all__ = [
     "spring_and_damping",
     "transfer_coefficients",
     "spectrum_harmonics",
+    "thermal_harmonics",
     "at_quadrature",
     "spectrum_full",
     "quasi_static_spectrum",
@@ -209,17 +210,18 @@ def _denominators(omega, params: SystemParams):
     return d_c, d_cbar, d_m, d_mbar
 
 
+def _bath_coefficients(d_c, d_m, d_mbar, params: SystemParams):
+    """Mechanical-bath coefficients (b1, b2) at +omega."""
+    b_pref = np.sqrt(params.optical.kappa_e * params.mech.gamma_i) / d_c * 1j * params.drive.g
+    return b_pref / d_m, b_pref / d_mbar
+
+
 def _coefficients(d_c, d_cbar, d_m, d_mbar, params: SystemParams) -> CoefficientSet:
     kappa_e = params.optical.kappa_e
-    g = params.drive.g
-    gamma_i = params.mech.gamma_i
-
-    mech_loop = g**2 * (1.0 / d_m - 1.0 / d_mbar)
+    mech_loop = params.drive.g**2 * (1.0 / d_m - 1.0 / d_mbar)
     a1 = kappa_e / d_c * (mech_loop / d_c - 1.0)
     a2 = kappa_e / d_c * mech_loop / d_cbar
-    b_pref = np.sqrt(kappa_e * gamma_i) / d_c * 1j * g
-    b1 = b_pref / d_m
-    b2 = b_pref / d_mbar
+    b1, b2 = _bath_coefficients(d_c, d_m, d_mbar, params)
     return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2)
 
 
@@ -232,6 +234,30 @@ def transfer_coefficients(omega, params: SystemParams) -> CoefficientSet:
     the bath coupling keeps sqrt(gamma_i).
     """
     return _coefficients(*_denominators(omega, params), params)
+
+
+def _thermal_pq(b1, b2, mirror, nbar):
+    """Thermal ``(P, Q)`` from the +omega bath coefficients; the -omega ones
+    are ``-conj(b2 * mirror)`` and ``-conj(b1 * mirror)``, mirror = d_c/d_cbar."""
+    b1_m = -np.conj(b2 * mirror)
+    b2_m = -np.conj(b1 * mirror)
+    nbar = np.asarray(nbar, dtype=float)
+    p = (
+        np.abs(b1) ** 2 * (nbar + 1.0)
+        + np.abs(b1_m) ** 2 * nbar
+        + np.abs(b2_m) ** 2 * (nbar + 1.0)
+        + np.abs(b2) ** 2 * nbar
+    )
+    q = b1 * b2_m * (nbar + 1.0) + b1_m * b2 * nbar
+    return p, q
+
+
+def thermal_harmonics(omega, params: SystemParams, nbar):
+    """``(P, Q)`` of the thermal (mechanical-bath) part of the PSD alone,
+    without the vacuum part or the optical coefficients."""
+    d_c, d_cbar, d_m, d_mbar = _denominators(omega, params)
+    b1, b2 = _bath_coefficients(d_c, d_m, d_mbar, params)
+    return _thermal_pq(b1, b2, d_c / d_cbar, nbar)
 
 
 def spectrum_harmonics(omega, params: SystemParams, nbar):
@@ -248,9 +274,6 @@ def spectrum_harmonics(omega, params: SystemParams, nbar):
     mirror = d_c / d_cbar
     del d_c, d_cbar, d_m, d_mbar  # bounds peak memory on long frequency grids
     a2_m = -np.conj(c_p.a2)
-    b1_m = -np.conj(c_p.b2 * mirror)
-    b2_m = -np.conj(c_p.b1 * mirror)
-    nbar = np.asarray(nbar, dtype=float)
 
     one_a1 = 1.0 + c_p.a1
     p_vac = np.abs(a2_m) ** 2 + np.abs(one_a1) ** 2
@@ -259,15 +282,7 @@ def spectrum_harmonics(omega, params: SystemParams, nbar):
     if kappa_ratio > 0:
         p_vac = p_vac + kappa_ratio * (np.abs(c_p.a1) ** 2 + np.abs(a2_m) ** 2)
         q_vac = q_vac + kappa_ratio * c_p.a1 * a2_m
-
-    p_thermal = (
-        np.abs(c_p.b1) ** 2 * (nbar + 1.0)
-        + np.abs(b1_m) ** 2 * nbar
-        + np.abs(b2_m) ** 2 * (nbar + 1.0)
-        + np.abs(c_p.b2) ** 2 * nbar
-    )
-    q_thermal = c_p.b1 * b2_m * (nbar + 1.0) + b1_m * c_p.b2 * nbar
-    return (p_vac, q_vac), (p_thermal, q_thermal)
+    return (p_vac, q_vac), _thermal_pq(c_p.b1, c_p.b2, mirror, nbar)
 
 
 def at_quadrature(harmonics, theta):

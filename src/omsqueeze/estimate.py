@@ -272,7 +272,8 @@ def _wrap_half_pi(angle):
 
 
 def model_zero_transduction_lock(delta, optical: OpticalMode, omega_probe=0.0):
-    """theta*_lock(delta) = theta*(delta) - phi(delta), wrapped mod pi."""
+    """theta*_lock(delta) = theta*(delta) - phi(delta), wrapped mod pi;
+    elementwise over an array ``delta``."""
     u, v = transduction_phasors(delta, optical.kappa, omega_probe)
     theta_star = 0.5 * (np.angle(u) - np.angle(v))
     return _wrap_half_pi(theta_star - reflection_phase(optical, delta))
@@ -311,13 +312,16 @@ def infer_detuning(mode_area_vs_lock, optical: OpticalMode, omega_probe=0.0):
         )
 
     grid = np.linspace(-0.25 * kappa, 0.25 * kappa, 4001)
-    vals = np.array([mismatch(d) for d in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0 and abs(vals[i + 1] - vals[i]) < 1.0:
-            roots.append(brentq(mismatch, grid[i], grid[i + 1], xtol=1e-9 * kappa))
+    vals = mismatch(grid)
+    lo, hi = vals[:-1], vals[1:]
+    exact = lo == 0.0
+    # a sign change across a wrap of the mismatch jumps by ~pi, not through zero
+    bracket = (lo * hi < 0) & (np.abs(hi - lo) < 1.0)
+    roots = [
+        grid[i] if exact[i]
+        else brentq(mismatch, grid[i], grid[i + 1], xtol=1e-9 * kappa)
+        for i in np.flatnonzero(exact | bracket)
+    ]
     if not roots:
         raise EstimationError("no detuning reproduces the observed lock angle")
     delta_hat = min(roots, key=lambda d: (abs(mismatch(d)), abs(d)))

@@ -115,8 +115,10 @@ def reflection_coefficient(omega, optical: OpticalMode, delta):
 
 
 def reflection_phase(optical: OpticalMode, delta):
-    """Phase imparted on the carrier upon reflection, phi(delta)."""
-    return float(np.angle(reflection_coefficient(0.0, optical, delta)))
+    """Phase imparted on the carrier upon reflection, phi(delta); a float
+    for scalar ``delta``, an array of the same shape otherwise."""
+    phi = np.angle(reflection_coefficient(0.0, optical, delta))
+    return float(phi) if np.ndim(phi) == 0 else phi
 
 
 def lock_to_quadrature(theta_lock, optical: OpticalMode, delta) -> QuadratureSetting:

@@ -20,7 +20,7 @@ from .core import (
     SystemParams,
     at_quadrature,
     spectrum_full,
-    spectrum_harmonics,
+    thermal_harmonics,
     zero_transduction_angle,
 )
 
@@ -245,7 +245,7 @@ def extra_mode_harmonics(omega, params: SystemParams, lump: ExtraModeNoise, nbar
     the optical mode and drive but with the lumped mechanical parameters;
     the low-frequency tail falls off as 1/omega.
     """
-    return spectrum_harmonics(omega, _lump_system(params, lump), nbar_lump)[1]
+    return thermal_harmonics(omega, _lump_system(params, lump), nbar_lump)
 
 
 def extra_mode_psd(omega, theta, params: SystemParams, lump: ExtraModeNoise, nbar_lump):

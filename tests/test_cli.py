@@ -4,8 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omsqueeze import SqueezingMap
-from omsqueeze.cli import main, read_locksweep_csv, read_thermometry_csv, write_map_csv
+from omsqueeze import SpectrumTrace, SqueezingMap
+from omsqueeze import cli
+from omsqueeze.cli import (
+    main,
+    read_locksweep_csv,
+    read_thermometry_csv,
+    write_map_csv,
+    write_spectrum_csv,
+)
 from omsqueeze.config import (
     ConfigError,
     default_config_text,
@@ -232,6 +239,34 @@ class TestCliCommands:
             )
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("with_components", [False, True])
+    @pytest.mark.parametrize("with_stderr", [False, True])
+    def test_spectrum_csv_matches_csv_writer(self, tmp_path, with_components, with_stderr):
+        rng = np.random.default_rng(2)
+        n = 7
+        scale = 10.0 ** rng.integers(-8, 8, n)
+        trace = SpectrumTrace(
+            freqs=np.linspace(8e4, 4e7, n), values=rng.random(n) * scale,
+            stderr=np.append(rng.random(n - 1), np.nan) if with_stderr else None,
+        )
+        names = ("s_vac", "s_thermal", "s_phase", "s_extra", "s_absorptive")
+        components = (
+            {name: rng.standard_normal(n) * scale for name in names} if with_components else None
+        )
+        write_spectrum_csv(tmp_path / "fast.csv", trace, components=components)
+        header = ["freq_hz", "s_norm"] + (list(names) if with_components else [])
+        cols = [trace.freqs, trace.values] + (
+            [components[name] for name in names] if with_components else []
+        )
+        if with_stderr:
+            header.append("stderr")
+            cols.append(trace.stderr)
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(["%.9g" % c[i] for c in cols] for i in range(n))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_spectrum_reproducible(self, config_path, tmp_path):
         blobs = []
         for name in ("a", "b"):
@@ -347,6 +382,27 @@ class TestCliExitCodes:
         assert len(err.strip().splitlines()) == 1 and message in err
         assert "Traceback" not in err
         assert not (out / "oracle_check.csv").exists()
+
+    @pytest.mark.parametrize(
+        "duration, dt",
+        [(1.2e-3, 0.0), (0.0, 1.5e-9), (1.2e-3, -1.5e-9), (-1.2e-3, 1.5e-9)],
+    )
+    def test_half_set_sde_settings_exit_1_before_draws(
+        self, tmp_path, capsys, monkeypatch, duration, dt
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the oracle draws ran")
+
+        monkeypatch.setattr(cli, "matrix_solve_spectrum", no_draws)
+        cfg = small_sde_config(tmp_path, duration=duration, dt=dt)
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "run.sde_duration_s" in err and "run.sde_dt_s" in err
+        assert "Traceback" not in err
+        assert not (out / "oracle_check.csv").exists()
+        assert not (out / "sde_trace.csv").exists()
 
     def test_fit_without_data_exit_1(self, config_path, tmp_path):
         rc = main([

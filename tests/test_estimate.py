@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, least_squares
 
 from omsqueeze import (
     DetectionChain,
@@ -11,15 +14,24 @@ from omsqueeze import (
     homodyne_efficiency_from_tone,
     infer_detuning,
 )
+from omsqueeze import estimate
 from omsqueeze.estimate import (
     ThermometryCurve,
+    _wrap_half_pi,
     generate_lock_sweep,
     generate_thermometry_curve,
     lock_sweep_area_model,
+    model_zero_transduction_lock,
     thermometry_model,
 )
 from omsqueeze.noise import bath_occupation
-from omsqueeze.instrument import lock_to_quadrature, output_spectrum, Scenario
+from omsqueeze.instrument import (
+    Scenario,
+    lock_to_quadrature,
+    output_spectrum,
+    reflection_coefficient,
+    reflection_phase,
+)
 from omsqueeze.noise import BathModel
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
@@ -31,6 +43,54 @@ N_C_THERMO = 50.0
 @pytest.fixture
 def n_b():
     return float(bath_occupation(OMEGA_M0, 16.0))
+
+
+def _reference_infer_detuning(mode_area_vs_lock, optical, omega_probe=0.0):
+    """The scalar scan: one model call per grid point, then a loop over the
+    grid for exact zeros and sign changes."""
+    data = np.asarray(mode_area_vs_lock, dtype=float)
+    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 7:
+        raise EstimationError("need >= 7 (theta_lock, area) samples")
+    order = np.argsort(data[:, 0])
+    th = data[order, 0]
+    area = data[order, 1]
+    k = int(np.argmin(area))
+    if k == 0 or k == len(th) - 1:
+        raise EstimationError("no interior minimum: insufficient angular coverage")
+    x0, x1, x2 = th[k - 1 : k + 2]
+    y0, y1, y2 = area[k - 1 : k + 2]
+    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
+    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
+    b = (x2**2 * (y0 - y1) + x1**2 * (y2 - y0) + x0**2 * (y1 - y2)) / denom
+    if a <= 0:
+        raise EstimationError("non-convex neighborhood around the minimum")
+    theta_star_lock = _wrap_half_pi(-b / (2 * a))
+
+    kappa = optical.kappa
+    def mismatch(delta):
+        return _wrap_half_pi(
+            model_zero_transduction_lock(delta, optical, omega_probe) - theta_star_lock
+        )
+
+    grid = np.linspace(-0.25 * kappa, 0.25 * kappa, 4001)
+    vals = np.array([mismatch(d) for d in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0 and abs(vals[i + 1] - vals[i]) < 1.0:
+            roots.append(brentq(mismatch, grid[i], grid[i + 1], xtol=1e-9 * kappa))
+    if not roots:
+        raise EstimationError("no detuning reproduces the observed lock angle")
+    delta_hat = min(roots, key=lambda d: (abs(mismatch(d)), abs(d)))
+    return float(delta_hat), float(theta_star_lock)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EstimationError as exc:
+        return ("EstimationError", str(exc))
 
 
 class TestAreaModel:
@@ -183,6 +243,93 @@ class TestInferDetuning:
         data = np.column_stack([th, th])  # monotone, minimum at the edge
         with pytest.raises(EstimationError, match="coverage"):
             infer_detuning(data, paper_optical)
+
+
+class TestInferDetuningArrayScan:
+    OPTICAL = OpticalMode(omega_o=TWO_PI * 194.67e12, kappa=KAPPA, kappa_e=0.55 * KAPPA)
+    MECH = MechanicalMode(omega_m0=OMEGA_M0, gamma_i=GAMMA_I, g0=G0)
+
+    @given(
+        delta_frac=st.floats(-0.25, 0.25, exclude_min=True, exclude_max=True),
+        probe_frac=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(delta_frac=0.044, probe_frac=1.0, seed=0)
+    @example(delta_frac=0.0, probe_frac=1.0, seed=0)
+    @example(delta_frac=0.2, probe_frac=0.0, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_scan(self, delta_frac, probe_frac, seed):
+        p = SystemParams.build(self.OPTICAL, self.MECH, delta=delta_frac * KAPPA, n_c=N_C)
+        n_b = float(bath_occupation(OMEGA_M0, 16.0))
+        sweep = generate_lock_sweep(
+            p, np.linspace(-1.2, 1.2, 41), n_b, noise_frac=0.01, rng=seed
+        )
+        omega_probe = probe_frac * OMEGA_M0
+        got = _outcome(infer_detuning, sweep, self.OPTICAL, omega_probe=omega_probe)
+        want = _outcome(_reference_infer_detuning, sweep, self.OPTICAL, omega_probe=omega_probe)
+        assert repr(got) == repr(want)
+
+    def test_scan_without_roots_raises_like_reference(self, paper_optical):
+        # the model's zero-transduction lock angle spans only about +-1.37 rad
+        # on the +-kappa/4 grid, so a minimum at 1.5 rad has no solution
+        th = np.linspace(1.0, 2.0, 21)
+        sweep = np.column_stack([th, (th - 1.5) ** 2])
+        with pytest.raises(EstimationError, match="no detuning") as err:
+            infer_detuning(sweep, paper_optical, omega_probe=OMEGA_M0)
+        with pytest.raises(EstimationError) as ref_err:
+            _reference_infer_detuning(sweep, paper_optical, omega_probe=OMEGA_M0)
+        assert str(err.value) == str(ref_err.value)
+
+
+class TestReflectionPhase:
+    def test_scalar_gives_float(self, paper_optical):
+        for delta in (DELTA, np.float64(DELTA), 0.0, -0.3 * KAPPA):
+            assert type(reflection_phase(paper_optical, delta)) is float
+
+    @pytest.mark.parametrize("eta", [0.05, 0.3, 0.55, 0.999, 1.0])
+    def test_array_matches_scalar_calls(self, eta):
+        optical = OpticalMode(omega_o=1e15, kappa=KAPPA, kappa_e=eta * KAPPA)
+        deltas = np.linspace(-2.0, 2.0, 801).reshape(3, 267) * KAPPA
+        phi = reflection_phase(optical, deltas)
+        assert isinstance(phi, np.ndarray) and phi.shape == deltas.shape
+        scalar = np.vectorize(lambda d: reflection_phase(optical, float(d)))(deltas)
+        # scalar calls divide in Python complex arithmetic, arrays in numpy's:
+        # the two round differently in the last bit of r, so the phases agree
+        # to a few ulp of |r| (the angle's conditioning is 1/|r|)
+        r = np.abs(reflection_coefficient(0.0, optical, deltas))
+        assert np.all(np.abs(phi - scalar) * r <= 4 * np.finfo(float).eps)
+
+
+class TestSequentialFallback:
+    @staticmethod
+    def _joint_fit_fails(monkeypatch, fail_all=False):
+        def patched(fun, x0, *args, **kwargs):
+            res = least_squares(fun, x0, *args, **kwargs)
+            if fail_all or len(x0) == 4:
+                res.success = False
+            return res
+
+        monkeypatch.setattr(estimate, "least_squares", patched)
+
+    def test_fallback_recovers_parameters(self, monkeypatch, paper_optical, paper_mech, n_b):
+        curve = generate_thermometry_curve(
+            paper_optical, paper_mech, N_C_THERMO, RED_DELTAS, n_b, noise_frac=0.01, rng=3
+        )
+        self._joint_fit_fails(monkeypatch)
+        r = fit_thermometry(curve, paper_optical, N_C_THERMO)
+        assert r.method == "sequential"
+        assert r.g0_hat == pytest.approx(G0, rel=0.05)
+        assert r.gamma_i_hat == pytest.approx(GAMMA_I, rel=0.05)
+        errs = (r.g0_err, r.gamma_i_err, r.nb_err, r.omega_m0_err)
+        assert all(np.isfinite(e) for e in errs)
+
+    def test_failed_mechanical_fit_raises(self, monkeypatch, paper_optical, paper_mech, n_b):
+        curve = generate_thermometry_curve(
+            paper_optical, paper_mech, N_C_THERMO, RED_DELTAS, n_b, noise_frac=0.01, rng=3
+        )
+        self._joint_fit_fails(monkeypatch, fail_all=True)
+        with pytest.raises(EstimationError, match="sequential mechanical fit failed"):
+            fit_thermometry(curve, paper_optical, N_C_THERMO)
 
 
 class TestHomodyneTone:
