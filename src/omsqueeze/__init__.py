@@ -33,6 +33,7 @@ from .instrument import (
     SpectrumTrace,
     SqueezingMap,
     assemble_density_map,
+    detected_components,
     lock_to_quadrature,
     output_spectrum,
     quadrature_to_lock,

@@ -37,9 +37,8 @@ from .estimate import (
 from .instrument import (
     SpectrumTrace,
     assemble_density_map,
+    detected_components,
     lock_to_quadrature,
-    output_spectrum,
-    rbw_resample,
 )
 from .noise import bath_occupation, effective_temperature
 from .oracle import (
@@ -135,34 +134,12 @@ def read_locksweep_csv(path):
     return np.column_stack(_read_columns(path, ("theta_lock_rad", "area_sn_hz")))
 
 
-def _detected_components(cfg: ScenarioConfig, theta_lock):
-    scenario = cfg.scenario
-    grid = cfg.grid
-    fine = grid.fine_freqs()
-    theta = lock_to_quadrature(
-        theta_lock, scenario.system.optical, scenario.system.drive.delta
-    ).theta
-    comp = output_spectrum(2 * np.pi * fine, theta, scenario, detected=False)
-    eta = scenario.eta_tot
-    out = grid.out_freqs()
-
-    def shape(vals):
-        return rbw_resample(SpectrumTrace(freqs=fine, values=vals), grid.rbw_hz, out).values
-
-    # the vacuum column carries the (1 - eta) uncorrelated-vacuum offset, so
-    # the shaped columns sum to the detected spectrum
-    columns = {"s_vac": shape(eta * comp["s_vac"] + (1 - eta))}
-    for name in ("s_thermal", "s_phase", "s_extra", "s_absorptive"):
-        columns[name] = shape(eta * comp[name])
-    trace = SpectrumTrace(
-        freqs=out, values=sum(columns.values()), rbw=grid.rbw_hz,
-        meta={"theta_lock_rad": float(theta_lock)},
-    )
-    return trace, columns
-
-
 def cmd_spectrum(cfg: ScenarioConfig, outdir: Path):
-    trace, columns = _detected_components(cfg, cfg.theta_lock_rad)
+    grid = cfg.grid
+    trace, columns = detected_components(
+        cfg.theta_lock_rad, grid.out_freqs(), cfg.scenario,
+        fine_freqs=grid.fine_freqs(), rbw=grid.rbw_hz,
+    )
     write_spectrum_csv(outdir / "spectrum.csv", trace, components=columns)
     return 0
 

@@ -68,10 +68,6 @@ class OpticalMode:
         """Coupling efficiency kappa_e/kappa, in (0, 1]."""
         return self.kappa_e / self.kappa
 
-    @property
-    def q_optical(self):
-        return self.omega_o / self.kappa
-
 
 @dataclass(frozen=True)
 class MechanicalMode:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .core import MechanicalMode, OpticalMode, SystemParams, spring_damping_rates, transduction_phasors
 from .instrument import reflection_phase
@@ -132,6 +131,9 @@ def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c, weights=
     damping panels, then areas) if the joint fit does not converge;
     raises EstimationError with the residual report if both fail.
     """
+    # scipy.optimize takes ~0.5 s to import, so it loads only when a fit runs
+    from scipy.optimize import least_squares
+
     if curve.span <= 0:
         raise EstimationError("degenerate curve: zero detuning span")
     if curve.span < optical.kappa / 10 and (curve.detunings.min() > 0 or curve.detunings.max() < 0):
@@ -191,6 +193,8 @@ def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c, weights=
 
 
 def _fit_sequential(curve, optical, n_c, scales, p0, lb, ub):
+    from scipy.optimize import least_squares
+
     def resid_mech(p):
         g0, gamma_i, omega_m0 = p
         f, lw, _ = thermometry_model(curve.detunings, g0, gamma_i, 0.0, omega_m0, optical, n_c)
@@ -287,6 +291,8 @@ def infer_detuning(mode_area_vs_lock, optical: OpticalMode, omega_probe=0.0):
     theta*_lock = theta*(delta) - phi(delta) for delta on
     [-kappa/4, kappa/4].  Returns (delta_hat, theta_star_lock).
     """
+    from scipy.optimize import brentq
+
     data = np.asarray(mode_area_vs_lock, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 7:
         raise EstimationError("need >= 7 (theta_lock, area) samples")

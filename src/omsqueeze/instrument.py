@@ -41,6 +41,7 @@ __all__ = [
     "total_harmonics",
     "output_spectrum",
     "assemble_density_map",
+    "detected_components",
 ]
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -303,3 +304,31 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, fine_freqs=
     eta = scenario.eta_tot
     values = eta * values + (1.0 - eta)
     return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=values)
+
+
+def detected_components(theta_lock, out_freqs, scenario: Scenario, fine_freqs, rbw):
+    """Detected, RBW-shaped spectrum at one lock angle, with its components.
+
+    Returns ``(trace, columns)``, where ``columns`` maps each
+    ``output_spectrum`` component name to its detected, shaped share
+    ``eta * S_k``.  The vacuum column also carries the ``(1 - eta)``
+    uncorrelated-vacuum offset, so the columns sum to ``trace.values``.
+    All five columns are shaped in one pass over the kernel windows.
+    """
+    out_freqs = np.asarray(out_freqs, dtype=float)
+    fine_freqs = np.asarray(fine_freqs, dtype=float)
+    optical, delta = scenario.system.optical, scenario.system.drive.delta
+    theta = lock_to_quadrature(theta_lock, optical, delta).theta
+    eta = scenario.eta_tot
+    names, rows = zip(*(
+        (name, eta * core.at_quadrature(pq, theta))
+        for name, pq in output_harmonics(2 * np.pi * fine_freqs, scenario)
+    ))
+    rows = np.array(rows)
+    rows[0] += 1 - eta
+    shaped = _rbw_shape(fine_freqs, rows, rbw, out_freqs)
+    trace = SpectrumTrace(
+        freqs=out_freqs, values=sum(shaped), rbw=rbw,
+        meta={"theta_lock_rad": float(theta_lock)},
+    )
+    return trace, dict(zip(names, shaped))

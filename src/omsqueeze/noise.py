@@ -6,14 +6,17 @@ phenomenological kappa-fluctuation ("absorptive") noise, the detection
 chain, and the amplifier gain-unbalance correction.
 
 All spectral contributions are shot-noise normalized and nonnegative.
+The physical constants are the exact SI values (2019 redefinition), equal
+to ``scipy.constants.hbar`` and ``scipy.constants.k``, so loading this
+module does not load scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .core import (
     MechanicalMode,
@@ -23,6 +26,9 @@ from .core import (
     thermal_harmonics,
     zero_transduction_angle,
 )
+
+hbar = 6.62607015e-34 / (2 * math.pi)  # J s, exact h / 2pi
+k_B = 1.380649e-23  # J/K, exact
 
 __all__ = [
     "BathModel",

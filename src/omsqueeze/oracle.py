@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import SystemParams
 from .instrument import SpectrumTrace
@@ -227,6 +226,9 @@ def _normals(rng, buf, scale):
 
 
 def _integrate_adiabatic(params, nbar, theta, dt, welch, rng):
+    # scipy.signal takes ~0.6 s to import and only this integrator uses it
+    from scipy.signal import lfilter
+
     kappa, kappa_e, kappa_i = params.optical.kappa, params.optical.kappa_e, params.optical.kappa_i
     delta, g, omega_m, gamma = params.drive.delta, params.drive.g, params.omega_m, params.gamma
 

@@ -409,3 +409,59 @@ class TestCliExitCodes:
             "thermometry-fit", "--config", str(config_path), "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
+
+
+class TestColdStart:
+    """scipy subpackages load only inside the functions that call them, so
+    the commands that never fit or integrate start without them."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "import omsqueeze, omsqueeze.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert omsqueeze.cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+
+    @classmethod
+    def scipy_modules_after(cls, *calls):
+        """The ``scipy*`` modules loaded by a fresh interpreter that imports
+        omsqueeze and runs each of ``calls`` through ``cli.main``."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import omsqueeze
+
+        src = str(Path(omsqueeze.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", cls.SCRIPT, json.dumps([list(c) for c in calls])],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_import_loads_no_scipy(self):
+        assert self.scipy_modules_after() == set()
+
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "densitymap", "quasistatic", "synth", "oracle-check"]
+    )
+    def test_numpy_only_commands_load_no_scipy(self, command, config_path, tmp_path):
+        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o")]
+        assert self.scipy_modules_after(argv) == set()
+
+    @pytest.mark.parametrize("command, data", [
+        ("thermometry-fit", "thermometry.csv"),
+        ("infer-detuning", "locksweep.csv"),
+    ])
+    def test_fits_load_optimize_only(self, command, data, config_path, tmp_path):
+        out = tmp_path / "o"
+        common = ["--config", str(config_path), "--out", str(out), "--n-c", "50"]
+        assert main(["synth", *common]) == 0
+        loaded = self.scipy_modules_after([command, *common, "--data", str(out / data)])
+        assert "scipy.optimize" in loaded
+        assert not any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in loaded)

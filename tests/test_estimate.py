@@ -14,7 +14,6 @@ from omsqueeze import (
     homodyne_efficiency_from_tone,
     infer_detuning,
 )
-from omsqueeze import estimate
 from omsqueeze.estimate import (
     ThermometryCurve,
     _wrap_half_pi,
@@ -309,7 +308,7 @@ class TestSequentialFallback:
                 res.success = False
             return res
 
-        monkeypatch.setattr(estimate, "least_squares", patched)
+        monkeypatch.setattr("scipy.optimize.least_squares", patched)
 
     def test_fallback_recovers_parameters(self, monkeypatch, paper_optical, paper_mech, n_b):
         curve = generate_thermometry_curve(

@@ -17,6 +17,7 @@ from omsqueeze import (
     SpectrumTrace,
     SystemParams,
     assemble_density_map,
+    detected_components,
     lock_to_quadrature,
     output_spectrum,
     quadrature_to_lock,
@@ -259,6 +260,23 @@ class TestDensityMap:
 
 
 class TestScenarioComponents:
+    def test_detected_columns_match_per_column_shaping(self, paper_params):
+        # one stacked RBW pass against shaping each detected column alone
+        scenario = full_scenario(paper_params)
+        freqs = np.linspace(2e6, 30e6, 57)
+        fine = np.linspace(1e5, 32e6, 20000)
+        trace, columns = detected_components(0.4, freqs, scenario, fine, 300e3)
+        theta = lock_to_quadrature(0.4, paper_params.optical, DELTA).theta
+        comp = output_spectrum(TWO_PI * fine, theta, scenario, detected=False)
+        eta = scenario.eta_tot
+        assert list(columns) == ["s_vac", "s_thermal", "s_phase", "s_extra", "s_absorptive"]
+        for name, column in columns.items():
+            detected = eta * comp[name] + (1 - eta if name == "s_vac" else 0.0)
+            direct = rbw_resample(SpectrumTrace(freqs=fine, values=detected), 300e3, freqs)
+            assert np.array_equal(column, direct.values), name
+        assert np.array_equal(trace.values, sum(columns.values()))
+        assert trace.meta == {"theta_lock_rad": 0.4}
+
     def test_components_sum_to_total(self, paper_params):
         scenario = full_scenario(paper_params)
         w = TWO_PI * np.linspace(1e6, 39e6, 101)

@@ -18,6 +18,7 @@ from omsqueeze import (
     gain_unbalance_correction,
     phase_noise_psd,
 )
+from omsqueeze import noise
 
 from conftest import DELTA, G0, KAPPA, N_C, OMEGA_M0, TWO_PI
 
@@ -25,6 +26,10 @@ CHAIN = dict(eta_cp=0.90, eta_12=0.85, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
 
 
 class TestBathOccupation:
+    def test_constants_are_exact_si_values(self):
+        assert noise.hbar == hbar
+        assert noise.k_B == k_B
+
     def test_paper_value_28mhz(self):
         n = bath_occupation(TWO_PI * 28e6, 16.0)
         assert n == pytest.approx(1.2e4, rel=0.05)
