@@ -83,6 +83,7 @@ class FitResult:
     nb_err: float
     omega_m0_err: float
     residual_norm: float
+    # always "joint": there is one fit path, and benchmarks/tracer.py still reads the field
     method: str = "joint"
 
 
@@ -124,16 +125,16 @@ def _panel_scale(y):
 
 
 def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c, weights=None) -> FitResult:
-    """Joint weighted fit of (g0, gamma_i, n_b, omega_m0) to all three panels.
+    """Weighted least-squares fit of (g0, gamma_i, n_b, omega_m0) to all three panels.
 
     ``n_c`` is the intracavity photon number the constant-power drive
-    would sustain on resonance.  Falls back to a sequential fit (spring +
-    damping panels, then areas) if the joint fit does not converge;
-    raises EstimationError with the residual report if both fail.
+    would sustain on resonance.  The area panel is linear in (n_b + 1),
+    so n_b is projected out in closed form (variable projection) and a
+    Levenberg-Marquardt iteration fits (log g0, log gamma_i, omega_m0),
+    with omega_m0 kept within [0.5, 1.5] of its initial guess.  Raises
+    EstimationError with the residual norm if it does not converge within
+    MAX_NFEV trial evaluations.
     """
-    # scipy.optimize takes ~0.5 s to import, so it loads only when a fit runs
-    from scipy.optimize import least_squares
-
     if curve.span <= 0:
         raise EstimationError("degenerate curve: zero detuning span")
     if curve.span < optical.kappa / 10 and (curve.detunings.min() > 0 or curve.detunings.max() < 0):
@@ -154,107 +155,79 @@ def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c, weights=
         np.atleast_1d(curve.detunings[k]), np.atleast_1d(n_ck), optical.kappa, omega_m0_init
     )
     g0_init = np.sqrt(max(swing, gamma_i_init) / max(abs(float(gom_unit[0])), 1e-300))
-    u, v = transduction_phasors(curve.detunings, optical.kappa, omega_m0_init)
-    c2 = g0_init**2 * _cavity_photon_number(curve.detunings, n_c, optical.kappa) * (
-        np.abs(u) + np.abs(v)
-    ) ** 2
-    pred = optical.kappa_e * gamma_i_init * c2 / curve.eff_linewidths
-    nb_init = max(float(np.median(curve.areas / np.maximum(pred, 1e-300))) - 1.0, 1.0)
 
-    def residuals(p):
-        g0, gamma_i, n_b, omega_m0 = p
-        f, lw, area = thermometry_model(
-            curve.detunings, g0, gamma_i, n_b, omega_m0, optical, n_c
-        )
-        return np.concatenate(
-            [
-                (f - curve.eff_freqs) / scales[0],
-                (lw - curve.eff_linewidths) / scales[1],
-                (area - curve.areas) / scales[2],
-            ]
-        )
+    data = np.concatenate([curve.eff_freqs, curve.eff_linewidths, curve.areas])
+    scale = np.repeat(scales, len(curve.detunings))
 
-    p0 = np.array([g0_init, gamma_i_init, nb_init, omega_m0_init])
-    lb = np.array([1e-6 * g0_init, 1e-6 * gamma_i_init, 0.0, 0.5 * omega_m0_init])
-    ub = np.array([1e6 * g0_init, 1e6 * gamma_i_init, np.inf, 1.5 * omega_m0_init])
-    try:
-        res = least_squares(
-            residuals, p0, bounds=(lb, ub), x_scale=np.abs(p0),
-            xtol=1e-10, ftol=1e-12, gtol=1e-14, max_nfev=MAX_NFEV,
-        )
-        if not res.success or not np.all(np.isfinite(res.x)):
-            raise EstimationError(
-                f"joint fit did not converge: status={res.status}, "
-                f"residual_norm={np.linalg.norm(res.fun):.3e}"
-            )
-        return _pack_result(res, curve, method="joint")
-    except EstimationError:
-        return _fit_sequential(curve, optical, n_c, scales, p0, lb, ub)
+    def projected(p):
+        """Residuals at p = (g0, gamma_i, omega_m0) with n_b >= 0 projected
+        out, and that n_b + 1: the area panel is (n_b + 1) times its n_b = 0 value."""
+        f, lw, unit = thermometry_model(curve.detunings, p[0], p[1], 0.0, p[2], optical, n_c)
+        nb1 = max(unit @ curve.areas / (unit @ unit), 1.0)
+        return (np.concatenate([f, lw, nb1 * unit]) - data) / scale, nb1
 
+    def fun(p):
+        return projected(p)[0]
 
-def _fit_sequential(curve, optical, n_c, scales, p0, lb, ub):
-    from scipy.optimize import least_squares
-
-    def resid_mech(p):
-        g0, gamma_i, omega_m0 = p
-        f, lw, _ = thermometry_model(curve.detunings, g0, gamma_i, 0.0, omega_m0, optical, n_c)
-        return np.concatenate(
-            [(f - curve.eff_freqs) / scales[0], (lw - curve.eff_linewidths) / scales[1]]
-        )
-
-    res1 = least_squares(
-        resid_mech, p0[[0, 1, 3]], bounds=(lb[[0, 1, 3]], ub[[0, 1, 3]]),
-        x_scale=np.abs(p0[[0, 1, 3]]), xtol=1e-10, ftol=1e-12, gtol=1e-14, max_nfev=MAX_NFEV,
-    )
-    if not res1.success:
+    # Levenberg-Marquardt in (log g0, log gamma_i, omega_m0)
+    p = np.array([g0_init, gamma_i_init, omega_m0_init])
+    tol = 1e-10 * np.array([1.0, 1.0, omega_m0_init])
+    r = fun(p)
+    cost, lam, jac = r @ r, 1e-3, None
+    for _ in range(MAX_NFEV):
+        if jac is None:
+            jac = _jacobian(fun, p, r) * np.array([p[0], p[1], 1.0])  # d/dlog x = x d/dx
+        jtj = jac.T @ jac
+        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -(jac.T @ r))
+        p_new = np.array([
+            p[0] * np.exp(step[0]),
+            p[1] * np.exp(step[1]),
+            np.clip(p[2] + step[2], 0.5 * omega_m0_init, 1.5 * omega_m0_init),
+        ])
+        r_new = fun(p_new)
+        cost_new = r_new @ r_new
+        small = np.all(np.abs(step) <= tol)
+        if cost_new < cost:
+            done = small or cost - cost_new <= 1e-12 * cost
+            p, r, cost, jac = p_new, r_new, cost_new, None
+            lam = max(lam / 10, 1e-12)
+        else:
+            # a step below tolerance that no longer lowers the cost: converged
+            done = small and np.isfinite(cost)
+            lam *= 10
+        if done:
+            break
+    else:
         raise EstimationError(
-            f"sequential mechanical fit failed: status={res1.status}, "
-            f"residual_norm={np.linalg.norm(res1.fun):.3e}"
-        )
-    g0, gamma_i, omega_m0 = res1.x
-    _, _, area_unit = thermometry_model(curve.detunings, g0, gamma_i, 0.0, omega_m0, optical, n_c)
-    nb = float(np.mean(curve.areas / area_unit)) - 1.0  # area is linear in (n_b + 1)
-
-    def residuals(p):
-        f, lw, area = thermometry_model(curve.detunings, *p, optical=optical, n_c0=n_c)
-        return np.concatenate(
-            [
-                (f - curve.eff_freqs) / scales[0],
-                (lw - curve.eff_linewidths) / scales[1],
-                (area - curve.areas) / scales[2],
-            ]
+            f"fit did not converge in {MAX_NFEV} evaluations: "
+            f"residual_norm={np.sqrt(cost):.3e}"
         )
 
-    x = np.array([g0, gamma_i, nb, omega_m0])
-    fun = residuals(x)
-    jac = np.empty((len(fun), len(x)))
+    def residuals(x):
+        return (np.concatenate(thermometry_model(curve.detunings, *x, optical, n_c)) - data) / scale
+
+    x = np.array([p[0], p[1], projected(p)[1] - 1.0, p[2]])
+    fun_x = residuals(x)
+    return _pack_result(x, fun_x, _jacobian(residuals, x, fun_x))
+
+
+def _jacobian(fun, x, f0):
+    """Forward-difference Jacobian of ``fun`` at ``x``, where ``f0 = fun(x)``."""
+    jac = np.empty((len(f0), len(x)))
     for j in range(len(x)):
         step = 1e-6 * max(abs(x[j]), 1e-12)
         xp = x.copy()
         xp[j] += step
-        jac[:, j] = (residuals(xp) - fun) / step
-
-    class _Res:
-        pass
-
-    _Res.x = x
-    _Res.fun = fun
-    _Res.jac = jac
-    return _pack_result(_Res, curve, method="sequential")
+        jac[:, j] = (fun(xp) - f0) / step
+    return jac
 
 
-def _pack_result(res, curve, method):
-    p = res.x
-    dof = max(len(res.fun) - len(p), 1)
-    s2 = float(res.fun @ res.fun) / dof
-    if getattr(res, "jac", None) is not None:
-        jtj = res.jac.T @ res.jac
-        try:
-            cov = np.linalg.inv(jtj) * s2
-            err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        except np.linalg.LinAlgError:
-            err = np.full(len(p), np.nan)
-    else:
+def _pack_result(p, fun, jac):
+    dof = max(len(fun) - len(p), 1)
+    s2 = float(fun @ fun) / dof
+    try:
+        err = np.sqrt(np.maximum(np.diag(np.linalg.inv(jac.T @ jac)) * s2, 0.0))
+    except np.linalg.LinAlgError:
         err = np.full(len(p), np.nan)
     return FitResult(
         g0_hat=float(p[0]),
@@ -265,8 +238,7 @@ def _pack_result(res, curve, method):
         gamma_i_err=float(err[1]),
         nb_err=float(err[2]),
         omega_m0_err=float(err[3]),
-        residual_norm=float(np.linalg.norm(res.fun)),
-        method=method,
+        residual_norm=float(np.linalg.norm(fun)),
     )
 
 
@@ -283,16 +255,32 @@ def model_zero_transduction_lock(delta, optical: OpticalMode, omega_probe=0.0):
     return _wrap_half_pi(theta_star - reflection_phase(optical, delta))
 
 
+def _illinois(f, a, b, fa, fb, xtol):
+    """Root of ``f`` between ``a`` and ``b`` (``fa``, ``fb`` of opposite sign)
+    by Illinois regula falsi: the root stays bracketed, and a stale end's
+    value is halved so that end moves too.  Stops once a step is <= xtol."""
+    while True:
+        c = b - fb * (b - a) / (fb - fa)
+        if abs(c - b) <= xtol:
+            return float(c)
+        fc = f(c)
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+
+
 def infer_detuning(mode_area_vs_lock, optical: OpticalMode, omega_probe=0.0):
     """Recover the drive detuning from a lock-angle sweep of the peak area.
 
     Locates the transduction minimum theta*_lock by quadratic
     interpolation around the smallest measured area, then solves
     theta*_lock = theta*(delta) - phi(delta) for delta on
-    [-kappa/4, kappa/4].  Returns (delta_hat, theta_star_lock).
+    [-kappa/4, kappa/4]: each sign change on a 4001-point grid is refined
+    by Illinois regula falsi to 1e-9 kappa.
+    Returns (delta_hat, theta_star_lock).
     """
-    from scipy.optimize import brentq
-
     data = np.asarray(mode_area_vs_lock, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 7:
         raise EstimationError("need >= 7 (theta_lock, area) samples")
@@ -325,7 +313,7 @@ def infer_detuning(mode_area_vs_lock, optical: OpticalMode, omega_probe=0.0):
     bracket = (lo * hi < 0) & (np.abs(hi - lo) < 1.0)
     roots = [
         grid[i] if exact[i]
-        else brentq(mismatch, grid[i], grid[i + 1], xtol=1e-9 * kappa)
+        else _illinois(mismatch, grid[i], grid[i + 1], vals[i], vals[i + 1], 1e-9 * kappa)
         for i in np.flatnonzero(exact | bracket)
     ]
     if not roots:

@@ -413,7 +413,7 @@ class TestCliExitCodes:
 
 class TestColdStart:
     """scipy subpackages load only inside the functions that call them, so
-    the commands that never fit or integrate start without them."""
+    every command except an SDE-tracing oracle-check starts without them."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -447,21 +447,17 @@ class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert self.scipy_modules_after() == set()
 
-    @pytest.mark.parametrize(
-        "command", ["spectrum", "densitymap", "quasistatic", "synth", "oracle-check"]
-    )
-    def test_numpy_only_commands_load_no_scipy(self, command, config_path, tmp_path):
-        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o")]
-        assert self.scipy_modules_after(argv) == set()
+    FIT_DATA = {"thermometry-fit": "thermometry.csv", "infer-detuning": "locksweep.csv"}
 
-    @pytest.mark.parametrize("command, data", [
-        ("thermometry-fit", "thermometry.csv"),
-        ("infer-detuning", "locksweep.csv"),
+    @pytest.mark.parametrize("command", [
+        "spectrum", "densitymap", "quasistatic", "synth", "oracle-check",
+        "thermometry-fit", "infer-detuning",
     ])
-    def test_fits_load_optimize_only(self, command, data, config_path, tmp_path):
+    def test_numpy_only_commands_load_no_scipy(self, command, config_path, tmp_path):
         out = tmp_path / "o"
-        common = ["--config", str(config_path), "--out", str(out), "--n-c", "50"]
-        assert main(["synth", *common]) == 0
-        loaded = self.scipy_modules_after([command, *common, "--data", str(out / data)])
-        assert "scipy.optimize" in loaded
-        assert not any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in loaded)
+        common = ["--config", str(config_path), "--out", str(out)]
+        argv = [command, *common]
+        if command in self.FIT_DATA:
+            assert main(["synth", *common, "--n-c", "50"]) == 0
+            argv += ["--n-c", "50", "--data", str(out / self.FIT_DATA[command])]
+        assert self.scipy_modules_after(argv) == set()

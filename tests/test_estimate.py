@@ -14,8 +14,12 @@ from omsqueeze import (
     homodyne_efficiency_from_tone,
     infer_detuning,
 )
+from omsqueeze import estimate
+from omsqueeze.core import spring_damping_rates, transduction_phasors
 from omsqueeze.estimate import (
     ThermometryCurve,
+    _cavity_photon_number,
+    _panel_scale,
     _wrap_half_pi,
     generate_lock_sweep,
     generate_thermometry_curve,
@@ -46,7 +50,7 @@ def n_b():
 
 def _reference_infer_detuning(mode_area_vs_lock, optical, omega_probe=0.0):
     """The scalar scan: one model call per grid point, then a loop over the
-    grid for exact zeros and sign changes."""
+    grid for exact zeros and sign changes, each refined by brentq."""
     data = np.asarray(mode_area_vs_lock, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 7:
         raise EstimationError("need >= 7 (theta_lock, area) samples")
@@ -90,6 +94,48 @@ def _outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except EstimationError as exc:
         return ("EstimationError", str(exc))
+
+
+def _reference_fit_thermometry(curve, optical, n_c):
+    """The bounded least_squares fit of all four parameters, with its own
+    2-point Jacobian for the error bars; returns (estimates, stderrs) in the
+    order (g0, gamma_i, n_b, omega_m0)."""
+    scales = [_panel_scale(y) for y in (curve.eff_freqs, curve.eff_linewidths, curve.areas)]
+    omega_m0_init = float(np.median(curve.eff_freqs))
+    gamma_i_init = 0.9 * float(np.min(curve.eff_linewidths))
+    k = int(np.argmax(curve.eff_linewidths))
+    swing = curve.eff_linewidths[k] - np.min(curve.eff_linewidths)
+    n_ck = _cavity_photon_number(curve.detunings[k], n_c, optical.kappa)
+    _, gom_unit = spring_damping_rates(
+        np.atleast_1d(curve.detunings[k]), np.atleast_1d(n_ck), optical.kappa, omega_m0_init
+    )
+    g0_init = np.sqrt(max(swing, gamma_i_init) / max(abs(float(gom_unit[0])), 1e-300))
+    u, v = transduction_phasors(curve.detunings, optical.kappa, omega_m0_init)
+    c2 = g0_init**2 * _cavity_photon_number(curve.detunings, n_c, optical.kappa) * (
+        np.abs(u) + np.abs(v)
+    ) ** 2
+    pred = optical.kappa_e * gamma_i_init * c2 / curve.eff_linewidths
+    nb_init = max(float(np.median(curve.areas / np.maximum(pred, 1e-300))) - 1.0, 1.0)
+
+    def residuals(p):
+        f, lw, area = thermometry_model(curve.detunings, *p, optical, n_c)
+        return np.concatenate([
+            (f - curve.eff_freqs) / scales[0],
+            (lw - curve.eff_linewidths) / scales[1],
+            (area - curve.areas) / scales[2],
+        ])
+
+    p0 = np.array([g0_init, gamma_i_init, nb_init, omega_m0_init])
+    lb = np.array([1e-6 * g0_init, 1e-6 * gamma_i_init, 0.0, 0.5 * omega_m0_init])
+    ub = np.array([1e6 * g0_init, 1e6 * gamma_i_init, np.inf, 1.5 * omega_m0_init])
+    res = least_squares(
+        residuals, p0, bounds=(lb, ub), x_scale=np.abs(p0),
+        xtol=1e-10, ftol=1e-12, gtol=1e-14, max_nfev=200,
+    )
+    assert res.success
+    s2 = float(res.fun @ res.fun) / (len(res.fun) - len(p0))
+    err = np.sqrt(np.diag(np.linalg.inv(res.jac.T @ res.jac)) * s2)
+    return res.x, err
 
 
 class TestAreaModel:
@@ -266,7 +312,13 @@ class TestInferDetuningArrayScan:
         omega_probe = probe_frac * OMEGA_M0
         got = _outcome(infer_detuning, sweep, self.OPTICAL, omega_probe=omega_probe)
         want = _outcome(_reference_infer_detuning, sweep, self.OPTICAL, omega_probe=omega_probe)
-        assert repr(got) == repr(want)
+        if want[0] == "EstimationError" or got[0] == "EstimationError":
+            assert got == want
+            return
+        # the lock angle is the same arithmetic; the root is refined by another
+        # method, so it agrees within the reference's own brentq xtol
+        assert got[1] == want[1]
+        assert abs(got[0] - want[0]) <= 1e-9 * KAPPA
 
     def test_scan_without_roots_raises_like_reference(self, paper_optical):
         # the model's zero-transduction lock angle spans only about +-1.37 rad
@@ -299,36 +351,52 @@ class TestReflectionPhase:
         assert np.all(np.abs(phi - scalar) * r <= 4 * np.finfo(float).eps)
 
 
-class TestSequentialFallback:
-    @staticmethod
-    def _joint_fit_fails(monkeypatch, fail_all=False):
-        def patched(fun, x0, *args, **kwargs):
-            res = least_squares(fun, x0, *args, **kwargs)
-            if fail_all or len(x0) == 4:
-                res.success = False
-            return res
-
-        monkeypatch.setattr("scipy.optimize.least_squares", patched)
-
-    def test_fallback_recovers_parameters(self, monkeypatch, paper_optical, paper_mech, n_b):
+class TestOneFitPath:
+    def test_recovers_parameters(self, paper_optical, paper_mech, n_b):
         curve = generate_thermometry_curve(
             paper_optical, paper_mech, N_C_THERMO, RED_DELTAS, n_b, noise_frac=0.01, rng=3
         )
-        self._joint_fit_fails(monkeypatch)
         r = fit_thermometry(curve, paper_optical, N_C_THERMO)
-        assert r.method == "sequential"
+        assert r.method == "joint"
         assert r.g0_hat == pytest.approx(G0, rel=0.05)
         assert r.gamma_i_hat == pytest.approx(GAMMA_I, rel=0.05)
         errs = (r.g0_err, r.gamma_i_err, r.nb_err, r.omega_m0_err)
         assert all(np.isfinite(e) for e in errs)
 
-    def test_failed_mechanical_fit_raises(self, monkeypatch, paper_optical, paper_mech, n_b):
+    def test_nb_clamped_at_zero(self, paper_optical, paper_mech):
+        # areas below the n_b = 0 model: the projected n_b + 1 is clamped at 1
+        curve = generate_thermometry_curve(paper_optical, paper_mech, N_C_THERMO, RED_DELTAS, 0.0)
+        curve = ThermometryCurve(
+            curve.detunings, curve.eff_freqs, curve.eff_linewidths, 0.5 * curve.areas
+        )
+        r = fit_thermometry(curve, paper_optical, N_C_THERMO)
+        assert r.nb_hat == 0.0
+
+    def test_unconverged_fit_raises(self, monkeypatch, paper_optical, paper_mech, n_b):
         curve = generate_thermometry_curve(
             paper_optical, paper_mech, N_C_THERMO, RED_DELTAS, n_b, noise_frac=0.01, rng=3
         )
-        self._joint_fit_fails(monkeypatch, fail_all=True)
-        with pytest.raises(EstimationError, match="sequential mechanical fit failed"):
+        monkeypatch.setattr(estimate, "MAX_NFEV", 1)
+        with pytest.raises(EstimationError, match=r"did not converge.*residual_norm=\d"):
             fit_thermometry(curve, paper_optical, N_C_THERMO)
+
+    @pytest.mark.parametrize("noise_frac, seed", [(0.0, 0), *((0.01, s) for s in range(8))])
+    def test_matches_least_squares(self, paper_optical, paper_mech, n_b, noise_frac, seed):
+        curve = generate_thermometry_curve(
+            paper_optical, paper_mech, N_C_THERMO, RED_DELTAS, n_b,
+            noise_frac=noise_frac, rng=seed,
+        )
+        r = fit_thermometry(curve, paper_optical, N_C_THERMO)
+        got = np.array([r.g0_hat, r.gamma_i_hat, r.nb_hat, r.omega_m0_hat])
+        got_err = np.array([r.g0_err, r.gamma_i_err, r.nb_err, r.omega_m0_err])
+        want, want_err = _reference_fit_thermometry(curve, paper_optical, N_C_THERMO)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+        if noise_frac:
+            np.testing.assert_allclose(got_err, want_err, rtol=1e-3, atol=0)
+        else:
+            # a noiseless fit leaves a rounding-level residual, so both error
+            # bars are rounding noise: only their size is compared
+            assert np.all(got_err <= 1e-9 * got) and np.all(want_err <= 1e-9 * want)
 
 
 class TestHomodyneTone:
