@@ -59,11 +59,9 @@ _SCHEMA = {
         "eta_3h": (True, None),
         "eta_hd": (True, None),
         "dark_ratio_db": (False, math.inf),
-        "gain_slope_per_volt": (False, -0.0096),
     },
     "grid": {
-        "f_max_hz": (False, 40.4e6),
-        "n_fine": (False, 50000),
+        "f_min_hz": (False, 1e3),
         "out_f_start_hz": (False, 80e3),
         "out_f_step_hz": (False, 80e3),
         "out_n_points": (False, 501),
@@ -84,22 +82,25 @@ _SCHEMA = {
     },
 }
 
-_INT_KEYS = {"n_fine", "out_n_points", "n_theta_lock", "seed"}
+_INT_KEYS = {"out_n_points", "n_theta_lock", "seed"}
 _STR_KEYS = {"thermometry_csv", "locksweep_csv"}
 
 
 class ConfigError(ValueError):
-    """Carries the full list of violations found while loading."""
+    """Carries the full list of violations found while loading; a single
+    violation reads as one line."""
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("config invalid:\n" + "\n".join(f"  - {p}" for p in self.problems))
+        if len(self.problems) == 1:
+            super().__init__(f"config invalid: {self.problems[0]}")
+        else:
+            super().__init__("config invalid:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    f_max_hz: float
-    n_fine: int
+    f_min_hz: float
     out_f_start_hz: float
     out_f_step_hz: float
     out_n_points: int
@@ -107,10 +108,6 @@ class GridSpec:
     theta_lock_min_rad: float
     theta_lock_max_rad: float
     n_theta_lock: int
-
-    def fine_freqs(self):
-        df = self.f_max_hz / self.n_fine
-        return np.linspace(df, self.f_max_hz, self.n_fine)
 
     def out_freqs(self):
         return self.out_f_start_hz + self.out_f_step_hz * np.arange(self.out_n_points)
@@ -230,7 +227,6 @@ def _build(values, problems):
                 eta_cp=det_v["eta_cp"], eta_12=det_v["eta_12"], eta_23=det_v["eta_23"],
                 eta_3h=det_v["eta_3h"], eta_hd=det_v["eta_hd"],
                 dark_ratio_db=det_v["dark_ratio_db"],
-                gain_slope_volt=det_v["gain_slope_per_volt"],
             )
         except ValueError as exc:
             problems.append(f"detection: {exc}")
@@ -238,9 +234,13 @@ def _build(values, problems):
             grid = GridSpec(**grid_v)
             if grid.out_f_start_hz <= 0 or grid.out_f_step_hz <= 0 or grid.rbw_hz <= 0:
                 problems.append("grid: output grid and rbw must be positive")
-            out_max = grid.out_f_start_hz + grid.out_f_step_hz * (grid.out_n_points - 1)
-            if out_max > grid.f_max_hz:
-                problems.append("grid: output grid exceeds the fine span")
+            if not grid.f_min_hz > 0:
+                problems.append(f"grid.f_min_hz must be > 0 (got {grid.f_min_hz!r})")
+            elif grid.out_f_start_hz <= grid.f_min_hz:
+                problems.append(
+                    "grid.out_f_start_hz must exceed grid.f_min_hz "
+                    f"(got {grid.out_f_start_hz!r} <= {grid.f_min_hz!r})"
+                )
         except (TypeError, ValueError) as exc:
             problems.append(f"grid: {exc}")
         if not problems and system is not None:
@@ -336,11 +336,9 @@ eta_23 = 0.88
 eta_3h = 0.92
 eta_hd = 0.66
 dark_ratio_db = 10.4
-gain_slope_per_volt = -0.0096
 
 [grid]
-f_max_hz = 40.4e6
-n_fine = 50000
+f_min_hz = 1e3
 out_f_start_hz = 80e3
 out_f_step_hz = 80e3
 out_n_points = 501

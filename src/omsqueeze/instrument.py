@@ -1,6 +1,7 @@
 """From cavity output to a normalized, instrument-shaped spectrum.
 
-Cavity reflection response, lock-angle <-> quadrature mapping, Gaussian
+Cavity reflection response, lock-angle <-> quadrature mapping, the
+frequency quadrature rule the model is evaluated on, Gaussian
 resolution-bandwidth emulation of the spectrum analyzer, and assembly of
 spectra and density maps for a complete scenario (system + noise stack +
 detection chain).
@@ -37,6 +38,8 @@ __all__ = [
     "lock_to_quadrature",
     "quadrature_to_lock",
     "rbw_resample",
+    "rbw_shape_rows",
+    "quadrature_rule",
     "output_harmonics",
     "total_harmonics",
     "output_spectrum",
@@ -45,7 +48,14 @@ __all__ = [
 ]
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-RBW_BLOCK = 64  # kernel windows gathered at once: 64 x 1579 taps ~ 0.8 MB at the default grid
+RBW_SUPPORT = 10.0  # kernel half-width in sigma; the Gaussian is below 2e-22 beyond it
+RBW_BLOCK = 1 << 16  # kernel entries evaluated at once (512 kB of float64)
+# Node spacing of the frequency quadrature rule, each term of its point density:
+H_COARSE = 0.5  # node spacing far from every feature, in units of the RBW sigma
+H_LINE = 0.25  # step in asinh((f - f_k) / a_k) per node at each resonance
+H_LOG = 0.1  # step in ln(f) per node toward the low-frequency cutoff
+# Gregory's endpoint weights (trapezoid plus differences up to fourth order)
+GREGORY = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 
 
 @dataclass(frozen=True)
@@ -138,52 +148,143 @@ def quadrature_to_lock(theta, optical: OpticalMode, delta) -> QuadratureSetting:
 def rbw_resample(fine: SpectrumTrace, rbw, out_freqs) -> SpectrumTrace:
     """Emulate the analyzer's resolution bandwidth on a finely sampled trace.
 
-    Convolves with a Gaussian kernel of FWHM = rbw (sigma = rbw / 2.355)
-    on the uniform fine grid, then samples at ``out_freqs``.  Edge bins
-    are padded by replication.  Linear, power preserving for features
-    wider than the kernel, and a no-op on white spectra.
+    Each output bin is the trace averaged under a Gaussian of FWHM = rbw
+    (sigma = rbw / 2.355) centred on it, integrated with the trapezoid
+    weights of the trace's own grid and normalized over the trace's span.
+    Linear, power preserving for features wider than the kernel, and a
+    no-op on white spectra.
     """
     out_freqs = np.asarray(out_freqs, dtype=float)
-    out_values = _rbw_shape(fine.freqs, fine.values[np.newaxis], rbw, out_freqs)[0]
+    gaps = np.diff(fine.freqs)
+    weights = 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
+    out_values = rbw_shape_rows(fine.freqs, weights, fine.values[np.newaxis], rbw, out_freqs)[0]
     meta = dict(fine.meta)
     meta.update(rbw_hz=float(rbw), rbw_kernel="gaussian_fwhm")
     return SpectrumTrace(freqs=out_freqs, values=out_values, rbw=float(rbw), meta=meta)
 
 
-def _rbw_shape(freqs, rows, rbw, out_freqs):
-    """RBW shaping of each row of ``rows`` (sampled on ``freqs``) at ``out_freqs``.
+def rbw_shape_rows(nodes, weights, rows, rbw, out_freqs):
+    """RBW shaping of each row of ``rows``, sampled at ``nodes`` and
+    integrated with ``weights``, at ``out_freqs``.
 
-    The convolution is evaluated only at the fine-grid points that bracket
-    an output frequency, then interpolated linearly between them as
-    ``np.interp`` would on the fully convolved trace.
+    Output bin i is row-times-kernel summed over the nodes within
+    RBW_SUPPORT sigma of it, with kernel_j = weights_j exp(-(f_j - f_i)^2 / 2 sigma^2)
+    divided by its own sum: the kernel has no support outside the nodes'
+    span, and white stays white.  The banded kernel matrix is built and
+    applied in row blocks of about RBW_BLOCK entries.
     """
     if rbw <= 0:
         raise ValueError("rbw must be positive")
-    df = np.diff(freqs)
-    if not np.allclose(df, df[0], rtol=1e-6):
-        raise ValueError("fine grid must be uniform")
-    df = df[0]
-    if out_freqs.min() < freqs[0] or out_freqs.max() > freqs[-1]:
-        raise ValueError("out_freqs outside the span of the fine grid")
-    out_spacing = np.min(np.diff(out_freqs)) if len(out_freqs) > 1 else np.inf
-    if df > out_spacing / 10:
-        raise ValueError("fine grid must be at least 10x denser than out_freqs")
-
     sigma = rbw * FWHM_TO_SIGMA
-    half = int(np.ceil(5 * sigma / df))
-    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * df / sigma) ** 2)
-    kernel /= kernel.sum()
-    lo = np.clip(np.searchsorted(freqs, out_freqs, side="right") - 1, 0, len(freqs) - 2)
-    idx = np.union1d(lo, lo + 1)
+    if len(nodes) < 2 or np.max(np.diff(nodes)) > sigma / 2:
+        raise ValueError("the grid must sample the RBW kernel at least every sigma/2")
+    if out_freqs.min() < nodes[0] or out_freqs.max() > nodes[-1]:
+        raise ValueError("out_freqs outside the span of the grid")
+    lo = np.searchsorted(nodes, out_freqs - RBW_SUPPORT * sigma)
+    count = np.searchsorted(nodes, out_freqs + RBW_SUPPORT * sigma, side="right") - lo
+    step = max(1, RBW_BLOCK // int(count.max()))
     out = np.empty((len(rows), len(out_freqs)))
-    for row, values in zip(out, rows):
-        padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-        smooth = np.concatenate(
-            [windows[idx[k : k + RBW_BLOCK]] @ kernel for k in range(0, len(idx), RBW_BLOCK)]
-        )
-        row[:] = np.interp(out_freqs, freqs[idx], smooth)
+    for first in range(0, len(out_freqs), step):
+        block = slice(first, first + step)
+        n_taps = count[block]
+        starts = np.cumsum(n_taps) - n_taps
+        cols = np.repeat(lo[block] - starts, n_taps)
+        cols += np.arange(len(cols))
+        kernel = nodes[cols]
+        kernel -= np.repeat(out_freqs[block], n_taps)
+        kernel *= kernel
+        kernel *= -0.5 / sigma**2
+        np.exp(kernel, out=kernel)
+        kernel *= weights[cols]
+        norm = np.add.reduceat(kernel, starts)
+        for row, shaped in zip(rows, out[:, block]):
+            taps = row[cols]
+            taps *= kernel
+            shaped[:] = np.add.reduceat(taps, starts) / norm
     return out
+
+
+def _resonances(scenario):
+    """Centres f_k and half-widths a_k (Hz) of the spectral features the
+    quadrature rule clusters its nodes at: the renormalized mechanical line,
+    the cavity (at |delta|, half-width kappa/2) and the lumped mode."""
+    params = scenario.system
+    features = [
+        (params.omega_m, params.gamma / 2),
+        (abs(params.drive.delta), params.optical.kappa / 2),
+    ]
+    if scenario.lump is not None:
+        features.append((scenario.lump.omega_lump, scenario.lump.gamma_lump / 2))
+    return np.array(features).T / (2 * np.pi)
+
+
+def quadrature_rule(scenario, out_freqs, rbw, f_min):
+    """Nodes (Hz) and weights of the frequency quadrature rule that RBW-shapes
+    the model at ``out_freqs``; it spans [f_min, max(out_freqs) + RBW_SUPPORT sigma].
+
+    The nodes are equally spaced in u(f), the integral of the point density
+
+        rho(f) = 1/h_c + sum_k 1/(h_u sqrt(a_k^2 + (f - f_k)^2)) + 1/(h_l f)
+
+    with h_c = H_COARSE sigma, h_u = H_LINE, h_l = H_LOG and (f_k, a_k) from
+    ``_resonances``: a coarse spacing that resolves the kernel, arcsinh
+    clustering at each resonance, and logarithmic clustering toward f_min,
+    where the bath and lumped-mode tails rise as 1/f.  u(f) is closed form;
+    its inverse is found by safeguarded Newton from a table holding each
+    term's own inverse.  The weights are du / rho(f_j) with Gregory's
+    endpoint corrections, so the rule is the trapezoid rule in u, which
+    converges exponentially for integrands smooth in u, and is of fifth order
+    across the cut at f_min.
+    """
+    params = scenario.system
+    if not params.gamma > 0:
+        raise ValueError("no stationary spectrum: total mechanical damping gamma <= 0")
+    if not 0 < f_min < np.min(out_freqs):
+        raise ValueError("f_min must be positive and below every output frequency")
+    f_k, a_k = _resonances(scenario)
+    h_c = H_COARSE * rbw * FWHM_TO_SIGMA
+    f_max = np.max(out_freqs) + RBW_SUPPORT * rbw * FWHM_TO_SIGMA
+
+    def density(f):
+        x = f[:, np.newaxis] - f_k
+        return 1 / h_c + np.sum(1 / (H_LINE * np.hypot(a_k, x)), axis=1) + 1 / (H_LOG * f)
+
+    s_min = np.arcsinh((f_min - f_k) / a_k)
+
+    def cumulative(f):
+        s = np.arcsinh((f[:, np.newaxis] - f_k) / a_k)
+        return (f - f_min) / h_c + np.sum(s - s_min, axis=1) / H_LINE + np.log(f / f_min) / H_LOG
+
+    table = [
+        f_min + h_c * np.arange((f_max - f_min) / h_c),
+        f_min * np.exp(H_LOG * np.arange(np.log(f_max / f_min) / H_LOG)),
+        [f_max],
+    ]
+    for f0, a, s0 in zip(f_k, a_k, s_min):
+        table.append(f0 + a * np.sinh(np.arange(s0, np.arcsinh((f_max - f0) / a), H_LINE)))
+    table = np.unique(np.clip(np.concatenate(table), f_min, f_max))
+    u_table = cumulative(table)
+    u_max = u_table[-1]
+    n = int(np.ceil(u_max))
+    u = np.linspace(0.0, u_max, n + 1)
+    j = np.clip(np.searchsorted(u_table, u, side="right") - 1, 0, len(table) - 2)
+    lo, hi = table[j], table[j + 1]
+    f = np.interp(u, u_table, table)
+    for _ in range(60):  # Newton converges in a few steps; bisection bounds the rest
+        r = cumulative(f) - u
+        todo = np.abs(r) > 1e-13 * u_max
+        if not todo.any():
+            break
+        lo = np.where(r < 0, f, lo)
+        hi = np.where(r > 0, f, hi)
+        step = f - r / density(f)
+        step = np.where((step <= lo) | (step >= hi), 0.5 * (lo + hi), step)
+        f = np.where(todo, step, f)
+    f[0], f[-1] = f_min, f_max
+    weights = (u_max / n) / density(f)
+    weights[: len(GREGORY)] *= GREGORY
+    weights[-len(GREGORY) :] *= GREGORY[::-1]
+    return f, weights
 
 
 @dataclass(frozen=True)
@@ -272,32 +373,23 @@ def output_spectrum(omega, theta, scenario: Scenario, detected=True):
     return {"s_norm": total, **comp}
 
 
-def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, fine_freqs=None, rbw=None) -> SqueezingMap:
+def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw, f_min) -> SqueezingMap:
     """Detected, RBW-shaped noise PSD over (lock angle, frequency).
 
     The analyzer kernel is linear and the detection chain affine, so the
-    model is evaluated once on the fine grid as (A, B, C), only those
-    three are resampled, and each row is A + B cos 2theta + C sin 2theta
-    at the quadrature its lock angle maps to, mixed with vacuum by the
-    chain.  The floor over all quadratures, A - sqrt(B^2 + C^2), must be
-    nonnegative up to roundoff.
+    model is evaluated once on the nodes of ``quadrature_rule`` as
+    (A, B, C), only those three are shaped, and each row is
+    A + B cos 2theta + C sin 2theta at the quadrature its lock angle maps
+    to, mixed with vacuum by the chain.  The floor over all quadratures,
+    A - sqrt(B^2 + C^2), must be nonnegative up to roundoff.
     """
     theta_locks = np.asarray(theta_locks, dtype=float)
     out_freqs = np.asarray(out_freqs, dtype=float)
-    if fine_freqs is None:
-        span = out_freqs[-1] - out_freqs[0]
-        lo = max(out_freqs[0] - span * 0.05, span / 1e4)
-        fine_freqs = np.linspace(lo, out_freqs[-1] + span * 0.05, 50000)
-    fine_freqs = np.asarray(fine_freqs, dtype=float)
-    abc = np.array(total_harmonics(2 * np.pi * fine_freqs, scenario))
+    nodes, weights = quadrature_rule(scenario, out_freqs, rbw, f_min)
+    abc = np.array(total_harmonics(2 * np.pi * nodes, scenario))
     if not np.all(abc[0] - np.hypot(abc[1], abc[2]) >= -1e-12 * abc[0]):
         raise ValueError("model PSD is negative or not finite at some quadrature")
-    if rbw is not None:
-        abc = _rbw_shape(fine_freqs, abc, rbw, out_freqs)
-    elif np.any(np.diff(fine_freqs) <= 0):
-        raise ValueError("fine_freqs must be strictly increasing")
-    else:
-        abc = np.array([np.interp(out_freqs, fine_freqs, v) for v in abc])
+    abc = rbw_shape_rows(nodes, weights, abc, rbw, out_freqs)
     optical, delta = scenario.system.optical, scenario.system.drive.delta
     two_theta = 2.0 * lock_to_quadrature(theta_locks, optical, delta).theta[:, np.newaxis]
     values = abc[0] + np.cos(two_theta) * abc[1] + np.sin(two_theta) * abc[2]
@@ -306,27 +398,28 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, fine_freqs=
     return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=values)
 
 
-def detected_components(theta_lock, out_freqs, scenario: Scenario, fine_freqs, rbw):
+def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw, f_min):
     """Detected, RBW-shaped spectrum at one lock angle, with its components.
 
     Returns ``(trace, columns)``, where ``columns`` maps each
     ``output_spectrum`` component name to its detected, shaped share
     ``eta * S_k``.  The vacuum column also carries the ``(1 - eta)``
     uncorrelated-vacuum offset, so the columns sum to ``trace.values``.
-    All five columns are shaped in one pass over the kernel windows.
+    All five columns are shaped by one pass over the kernel of
+    ``quadrature_rule``, the one ``assemble_density_map`` uses.
     """
     out_freqs = np.asarray(out_freqs, dtype=float)
-    fine_freqs = np.asarray(fine_freqs, dtype=float)
+    nodes, weights = quadrature_rule(scenario, out_freqs, rbw, f_min)
     optical, delta = scenario.system.optical, scenario.system.drive.delta
     theta = lock_to_quadrature(theta_lock, optical, delta).theta
     eta = scenario.eta_tot
     names, rows = zip(*(
         (name, eta * core.at_quadrature(pq, theta))
-        for name, pq in output_harmonics(2 * np.pi * fine_freqs, scenario)
+        for name, pq in output_harmonics(2 * np.pi * nodes, scenario)
     ))
     rows = np.array(rows)
     rows[0] += 1 - eta
-    shaped = _rbw_shape(fine_freqs, rows, rbw, out_freqs)
+    shaped = rbw_shape_rows(nodes, weights, rows, rbw, out_freqs)
     trace = SpectrumTrace(
         freqs=out_freqs, values=sum(shaped), rbw=rbw,
         meta={"theta_lock_rad": float(theta_lock)},

@@ -127,7 +127,6 @@ class DetectionChain:
     eta_3h: float
     eta_hd: float
     dark_ratio_db: float = np.inf
-    gain_slope_volt: float = -0.0096
 
     def __post_init__(self):
         for name in ("eta_cp", "eta_12", "eta_23", "eta_3h", "eta_hd"):

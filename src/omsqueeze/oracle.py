@@ -76,56 +76,59 @@ class InputCorrelationMatrix:
             raise ValueError("thermal block must be (nbar+1, nbar)")
 
 
-def _output_quadrature_row(omega, theta, params: SystemParams):
+def _output_quadrature_rows(omega, theta, systems):
     """Coefficients of X_out(omega) on the six inputs
-    (a_in, a_in^dag, b_in, b_in^dag, a_in_i, a_in_i^dag), obtained by a
-    numerical linear solve of the frequency-domain system."""
-    delta = params.drive.delta
-    kappa = params.optical.kappa
-    kappa_e = params.optical.kappa_e
-    kappa_i = params.optical.kappa_i
-    gamma_i = params.mech.gamma_i
-    g = params.drive.g
+    (a_in, a_in^dag, b_in, b_in^dag, a_in_i, a_in_i^dag), obtained by one
+    stacked numerical solve of the frequency-domain systems.  ``systems`` is
+    a sequence; ``omega`` and ``theta`` are arrays whose last axis runs over
+    it, and the rows come back with the shape of ``omega`` plus one axis."""
+
+    def field(get):
+        return np.array([get(p) for p in systems])
+
+    delta = field(lambda p: p.drive.delta)
+    kappa = field(lambda p: p.optical.kappa)
+    g = field(lambda p: p.drive.g)
+    omega_m = field(lambda p: p.omega_m)
+    gamma = field(lambda p: p.gamma)
+    se = np.sqrt(field(lambda p: p.optical.kappa_e))
+    si = np.sqrt(field(lambda p: p.optical.kappa_i))
+    sg = np.sqrt(field(lambda p: p.mech.gamma_i))
 
     d_c = 1j * (delta - omega) + kappa / 2
     d_cbar = -1j * (delta + omega) + kappa / 2
-    d_m = 1j * (params.omega_m - omega) + params.gamma / 2
-    d_mbar = -1j * (params.omega_m + omega) + params.gamma / 2
+    d_m = 1j * (omega_m - omega) + gamma / 2
+    d_mbar = -1j * (omega_m + omega) + gamma / 2
 
-    m = np.array(
-        [
-            [d_c, 0, 1j * g, 1j * g],
-            [0, d_cbar, -1j * g, -1j * g],
-            [0, 0, d_m, 0],
-            [0, 0, 0, d_mbar],
-        ],
-        dtype=complex,
-    )
-    se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(gamma_i)
-    load = np.zeros((4, 6), dtype=complex)
-    load[0, 0] = -se
-    load[0, 4] = -si
-    load[1, 1] = -se
-    load[1, 5] = -si
+    m = np.zeros(d_c.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = d_c
+    m[..., 0, 2] = m[..., 0, 3] = 1j * g
+    m[..., 1, 1] = d_cbar
+    m[..., 1, 2] = m[..., 1, 3] = -1j * g
+    m[..., 2, 2] = d_m
+    m[..., 3, 3] = d_mbar
+    load = np.zeros(d_c.shape + (4, 6), dtype=complex)
+    load[..., 0, 0] = load[..., 1, 1] = -se
+    load[..., 0, 4] = load[..., 1, 5] = -si
     # mechanical rows: renormalized response driven directly by the inputs
-    load[2, 2] = -sg
-    load[2, 0] = 1j * g * se / d_c
-    load[2, 1] = 1j * g * se / d_cbar
-    load[2, 4] = 1j * g * si / d_c
-    load[2, 5] = 1j * g * si / d_cbar
-    load[3, 3] = -sg
-    load[3, 0] = -1j * g * se / d_c
-    load[3, 1] = -1j * g * se / d_cbar
-    load[3, 4] = -1j * g * si / d_c
-    load[3, 5] = -1j * g * si / d_cbar
+    load[..., 2, 2] = load[..., 3, 3] = -sg
+    load[..., 2, 0] = 1j * g * se / d_c
+    load[..., 2, 1] = 1j * g * se / d_cbar
+    load[..., 2, 4] = 1j * g * si / d_c
+    load[..., 2, 5] = 1j * g * si / d_cbar
+    load[..., 3, 0] = -1j * g * se / d_c
+    load[..., 3, 1] = -1j * g * se / d_cbar
+    load[..., 3, 4] = -1j * g * si / d_c
+    load[..., 3, 5] = -1j * g * si / d_cbar
     try:
         trans = np.linalg.solve(m, load)
     except np.linalg.LinAlgError as exc:
-        raise OracleError(f"singular frequency-domain system at omega={omega}") from exc
-    a_out = se * trans[0]
-    a_out[0] += 1.0
-    a_out_dag = se * trans[1]
-    a_out_dag[1] += 1.0
+        raise OracleError("singular frequency-domain system") from exc
+    a_out = se[:, np.newaxis] * trans[..., 0, :]
+    a_out[..., 0] += 1.0
+    a_out_dag = se[:, np.newaxis] * trans[..., 1, :]
+    a_out_dag[..., 1] += 1.0
+    theta = np.asarray(theta)[..., np.newaxis]
     return np.exp(-1j * theta) * a_out + np.exp(1j * theta) * a_out_dag
 
 
@@ -136,17 +139,23 @@ def matrix_solve_spectrum(omega, theta, params: SystemParams, corr: InputCorrela
     +-omega, forms the output quadrature coefficients on all input
     channels (including the intrinsic-port vacuum), and contracts with
     ``corr``.  Must agree with the closed-form spectrum to near machine
-    precision.
+    precision.  ``omega`` and ``theta`` may also be 1-d arrays, with
+    ``params`` and ``corr`` sequences of the same length: every system, at
+    both signs of omega, is then solved in one stacked call and an array
+    is returned.
     """
-    c_plus = _output_quadrature_row(float(omega), theta, params)
-    c_minus = _output_quadrature_row(-float(omega), theta, params)
-    full = np.zeros((6, 6), dtype=complex)
-    full[:4, :4] = corr.matrix
-    full[4, 5] = 1.0  # intrinsic loss port is always vacuum
-    s = c_plus @ full @ c_minus
-    if abs(s.imag) > 1e-9 * max(abs(s.real), 1.0):
+    scalar = np.ndim(omega) == 0
+    if scalar:
+        params, corr = [params], [corr]
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    c_plus, c_minus = _output_quadrature_rows(np.stack([omega, -omega]), theta, params)
+    full = np.zeros((len(omega), 6, 6), dtype=complex)
+    full[:, :4, :4] = [c.matrix for c in corr]
+    full[:, 4, 5] = 1.0  # intrinsic loss port is always vacuum
+    s = np.einsum("ni,ni->n", np.einsum("ni,nij->nj", c_plus, full), c_minus)
+    if np.any(np.abs(s.imag) > 1e-9 * np.maximum(np.abs(s.real), 1.0)):
         raise OracleError("contracted PSD acquired a nonreal part")
-    return float(s.real)
+    return float(s.real[0]) if scalar else s.real
 
 
 def _adiabatic(params: SystemParams):

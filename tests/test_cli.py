@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from omsqueeze import SpectrumTrace, SqueezingMap
-from omsqueeze import cli
+from omsqueeze import cli, instrument
 from omsqueeze.cli import (
     main,
     read_locksweep_csv,
@@ -410,6 +410,20 @@ class TestCliExitCodes:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("f_min", ["0", "-1e3", "80e3", "1e5"])
+    def test_bad_f_min_exit_1(self, config_path, tmp_path, capsys, f_min):
+        # f_min_hz must be positive and below the first output bin (80 kHz)
+        bad = tmp_path / "fmin.ini"
+        bad.write_text(
+            config_path.read_text().replace("f_min_hz = 1e3", f"f_min_hz = {f_min}"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "grid.f_min_hz" in err
+        assert not (out / "spectrum.csv").exists()
+
 
 class TestColdStart:
     """scipy subpackages load only inside the functions that call them, so
@@ -461,3 +475,88 @@ class TestColdStart:
             assert main(["synth", *common, "--n-c", "50"]) == 0
             argv += ["--n-c", "50", "--data", str(out / self.FIT_DATA[command])]
         assert self.scipy_modules_after(argv) == set()
+
+
+def config_variant(tmp_path, n_c, delta_over_kappa):
+    text = default_config_text().replace("n_c = 790", f"n_c = {n_c}").replace(
+        "delta_over_kappa = 0.044", f"delta_over_kappa = {delta_over_kappa}"
+    )
+    path = tmp_path / f"cfg-{n_c}-{delta_over_kappa}.ini"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def written_values(out, command):
+    """The numbers of a written spectrum.csv or densitymap.csv, as an array."""
+    return np.loadtxt(out / f"{command}.csv", delimiter=",", skiprows=1)
+
+
+class TestFrequencyRule:
+    """The quadrature rule behind ``spectrum`` and ``densitymap``, end to end."""
+
+    @pytest.mark.parametrize(
+        "n_c, delta_over_kappa", [(790, 0.044), (300, 0.02), (300, 0.08), (1500, 0.02), (1500, 0.08)]
+    )
+    def test_written_bins_converged(self, tmp_path, monkeypatch, n_c, delta_over_kappa):
+        # every written bin, the 80 kHz one included, against the same rule with
+        # every point density four times higher
+        cfg = config_variant(tmp_path, n_c, delta_over_kappa)
+        outs = []
+        for refine in (1, 4):
+            for name in ("H_COARSE", "H_LINE", "H_LOG"):
+                monkeypatch.setattr(instrument, name, getattr(instrument, name) / refine)
+            out = tmp_path / f"refine-{refine}"
+            for command in ("spectrum", "densitymap"):
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out)
+            monkeypatch.undo()
+        for command in ("spectrum", "densitymap"):
+            coarse, fine = (written_values(out, command) for out in outs)
+            np.testing.assert_allclose(coarse, fine, rtol=1e-7, atol=0, err_msg=command)
+
+    def test_map_matches_uniform_reference(self, config_path, tmp_path):
+        # an independent reference: the model on a uniform 50 Hz grid (827k
+        # points), shaped by a +-10 sigma Gaussian, for every bin whose kernel
+        # stays above f_min
+        out = tmp_path / "o"
+        assert main(["densitymap", "--config", str(config_path), "--out", str(out)]) == 0
+        cfg = load_config(config_path)
+        grid, scenario = cfg.grid, cfg.scenario
+        sigma = grid.rbw_hz * instrument.FWHM_TO_SIGMA
+        out_freqs = grid.out_freqs()
+        step = 50.0
+        freqs = step * np.arange(1, int((out_freqs[-1] + 10 * sigma) / step) + 2)
+        abc = np.concatenate(
+            [np.array(instrument.total_harmonics(TWO_PI * f, scenario))
+             for f in np.array_split(freqs, 8)],
+            axis=1,
+        )
+        half = int(np.ceil(10 * sigma / step))
+        kernel = np.exp(-0.5 * (step * np.arange(-half, half + 1) / sigma) ** 2)
+        kernel /= kernel.sum()
+        keep = out_freqs >= grid.f_min_hz + 10 * sigma
+        centre = np.rint(out_freqs[keep] / step).astype(int) - 1
+        assert np.array_equal(freqs[centre], out_freqs[keep])
+        shaped = np.array([abc[:, c - half : c + half + 1] @ kernel for c in centre]).T
+        optical, delta = scenario.system.optical, scenario.system.drive.delta
+        theta = instrument.lock_to_quadrature(grid.theta_locks(), optical, delta).theta
+        two_theta = 2 * theta[:, np.newaxis]
+        eta = scenario.eta_tot
+        ref = eta * (shaped[0] + np.cos(two_theta) * shaped[1] + np.sin(two_theta) * shaped[2]) + 1 - eta
+        written = written_values(out, "densitymap")[:, 2].reshape(len(theta), -1)[:, keep]
+        np.testing.assert_allclose(written, ref, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("row", [0, 30, 47])
+    def test_map_row_equals_spectrum(self, config_path, tmp_path, row):
+        # the densitymap row at a lock angle is the spectrum taken at that angle,
+        # within one unit in the 9th significant digit
+        out = tmp_path / "o"
+        assert main(["densitymap", "--config", str(config_path), "--out", str(out)]) == 0
+        theta = load_config(config_path).grid.theta_locks()[row]
+        assert main([
+            "spectrum", "--config", str(config_path), "--out", str(out),
+            "--theta-lock", repr(float(theta)),
+        ]) == 0
+        values = written_values(out, "densitymap")[:, 2].reshape(-1, 501)[row]
+        s_norm = written_values(out, "spectrum")[:, 1]
+        np.testing.assert_allclose(values, s_norm, rtol=2e-8, atol=0)

@@ -24,7 +24,7 @@ from omsqueeze import (
     rbw_resample,
     reflection_coefficient,
 )
-from omsqueeze.instrument import total_harmonics
+from omsqueeze.instrument import quadrature_rule, rbw_shape_rows, total_harmonics
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 
@@ -135,21 +135,37 @@ class TestRbwResample:
         assert p_out == pytest.approx(p_in, rel=1e-3)
 
     def test_matches_full_convolution(self):
-        # reference: convolve the whole padded trace, then interpolate
+        # reference: the uncut Gaussian over the whole trace with trapezoid
+        # weights, normalized over the trace's span, one output bin at a time
         rng = np.random.default_rng(3)
         freqs = np.linspace(1e3, 40e6, 50000)
         values = 1.0 + rng.random(50000) + 50.0 * np.exp(-0.5 * ((freqs - 28e6) / 1e5) ** 2)
         out_freqs = np.concatenate([[freqs[0]], np.linspace(80e3, 39.9e6, 499), [freqs[-1]]])
         rbw = 300e3
         sigma = rbw / (2 * np.sqrt(2 * np.log(2)))
-        df = freqs[1] - freqs[0]
-        half = int(np.ceil(5 * sigma / df))
-        kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * df / sigma) ** 2)
-        kernel /= kernel.sum()
-        padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
-        ref = np.interp(out_freqs, freqs, np.convolve(padded, kernel, mode="valid"))
+        weights = np.full_like(freqs, freqs[1] - freqs[0])
+        weights[[0, -1]] /= 2
+        ref = []
+        for f in out_freqs:
+            kernel = weights * np.exp(-0.5 * ((freqs - f) / sigma) ** 2)
+            ref.append(kernel @ values / kernel.sum())
         out = rbw_resample(SpectrumTrace(freqs=freqs, values=values), rbw, out_freqs)
         np.testing.assert_allclose(out.values, ref, rtol=1e-13, atol=0)
+
+    def test_lorentzian_matches_voigt_profile(self):
+        # a Lorentzian seen through the Gaussian RBW is a Voigt profile, out
+        # to the bins 5-9 sigma from the line that a kernel cut at 5 sigma misses
+        from scipy.special import voigt_profile
+
+        rbw, hwhm, f0 = 300e3, 10e3, 28e6
+        sigma = rbw / (2 * np.sqrt(2 * np.log(2)))
+        freqs = f0 + 200.0 * np.arange(-12500, 12501)
+        values = hwhm / (np.pi * ((freqs - f0) ** 2 + hwhm**2))
+        out_freqs = f0 + sigma * np.linspace(-9.0, 9.0, 73)
+        out = rbw_resample(SpectrumTrace(freqs=freqs, values=values), rbw, out_freqs)
+        np.testing.assert_allclose(
+            out.values, voigt_profile(out_freqs - f0, sigma, hwhm), rtol=1e-9, atol=0
+        )
 
     def test_rejects_out_of_span(self):
         freqs = np.linspace(1e6, 30e6, 30000)
@@ -185,7 +201,7 @@ class TestDensityMap:
         scenario = Scenario(system=params, bath=BathModel(t_b0=16.0))
         sqmap = assemble_density_map(
             np.linspace(-1.0, 1.0, 5), np.linspace(20e6, 36e6, 41), scenario,
-            fine_freqs=np.linspace(1e5, 40e6, 20000), rbw=300e3,
+            rbw=300e3, f_min=1e3,
         )
         assert np.all(np.abs(sqmap.values - 1.0) < 1e-9)
 
@@ -198,10 +214,7 @@ class TestDensityMap:
         f_m = resonant_bad_cavity.omega_m / TWO_PI
         theta_locks = np.linspace(-np.pi / 2, np.pi / 2, 41)
         freqs = np.linspace(0.6 * f_m, 1.4 * f_m, 161)
-        sqmap = assemble_density_map(
-            theta_locks, freqs, scenario,
-            fine_freqs=np.linspace(f_m / 100, 1.6 * f_m, 30000), rbw=100e3,
-        )
+        sqmap = assemble_density_map(theta_locks, freqs, scenario, rbw=100e3, f_min=1e3)
         sub = sqmap.values < 1.0 - 1e-6
         assert sub.any()
         ii, jj = np.nonzero(sub)
@@ -219,26 +232,25 @@ class TestDensityMap:
         chained = Scenario(system=paper_params, bath=base.bath, chain=CHAIN)
         theta_locks = np.linspace(-0.4, 0.4, 3)
         freqs = np.linspace(26e6, 30e6, 21)
-        fine = np.linspace(1e5, 32e6, 20000)
-        m0 = assemble_density_map(theta_locks, freqs, base, fine_freqs=fine, rbw=300e3)
-        m1 = assemble_density_map(theta_locks, freqs, chained, fine_freqs=fine, rbw=300e3)
+        m0 = assemble_density_map(theta_locks, freqs, base, rbw=300e3, f_min=1e3)
+        m1 = assemble_density_map(theta_locks, freqs, chained, rbw=300e3, f_min=1e3)
         eta = chained.eta_tot
         assert np.max(np.abs(m1.values - (eta * m0.values + 1 - eta))) < 1e-12
 
     def test_quadrature_periodicity_pi(self, resonant_bad_cavity):
         scenario = Scenario(system=resonant_bad_cavity, bath=BathModel(t_b0=16.0))
         freqs = np.linspace(20e6, 36e6, 31)
-        fine = np.linspace(1e5, 40e6, 20000)
         locks = np.array([-0.7, 0.2, 1.1])
-        m1 = assemble_density_map(locks, freqs, scenario, fine_freqs=fine, rbw=300e3)
-        m2 = assemble_density_map(locks + np.pi, freqs, scenario, fine_freqs=fine, rbw=300e3)
-        assert np.max(np.abs(m1.values - m2.values)) < 1e-10
+        m1 = assemble_density_map(locks, freqs, scenario, rbw=300e3, f_min=1e3)
+        m2 = assemble_density_map(locks + np.pi, freqs, scenario, rbw=300e3, f_min=1e3)
+        # equal to a few ulps of the map's largest value, the resolved line at 28 MHz
+        assert np.max(np.abs(m1.values - m2.values)) <= 4 * np.spacing(np.max(m1.values))
 
     def test_detected_floor(self, paper_params):
         scenario = full_scenario(paper_params)
         sqmap = assemble_density_map(
             np.linspace(-np.pi / 2, np.pi / 2, 21), np.linspace(24e6, 32e6, 41),
-            scenario, fine_freqs=np.linspace(1e5, 34e6, 20000), rbw=300e3,
+            scenario, rbw=300e3, f_min=1e3,
         )
         assert np.all(sqmap.values >= 1.0 - scenario.eta_tot - 1e-12)
 
@@ -248,14 +260,14 @@ class TestDensityMap:
         full = full_scenario(paper_params)
         locks = np.linspace(-1.5, 1.5, 7)
         freqs = np.linspace(2e6, 30e6, 57)
-        fine = np.linspace(1e5, 32e6, 20000)
         for off in (None, "bath", "lump", "laser", "absorptive", "chain"):
             scenario = full if off is None else dataclasses.replace(full, **{off: None})
-            sqmap = assemble_density_map(locks, freqs, scenario, fine_freqs=fine, rbw=300e3)
+            sqmap = assemble_density_map(locks, freqs, scenario, rbw=300e3, f_min=1e3)
+            nodes, weights = quadrature_rule(scenario, freqs, 300e3, 1e3)
             for lock, row in zip(locks, sqmap.values):
                 theta = lock_to_quadrature(lock, paper_params.optical, DELTA).theta
-                s = output_spectrum(TWO_PI * fine, theta, scenario)["s_norm"]
-                direct = rbw_resample(SpectrumTrace(freqs=fine, values=s), 300e3, freqs).values
+                s = output_spectrum(TWO_PI * nodes, theta, scenario)["s_norm"]
+                direct = rbw_shape_rows(nodes, weights, s[np.newaxis], 300e3, freqs)[0]
                 np.testing.assert_allclose(row, direct, rtol=1e-12, atol=0, err_msg=str(off))
 
 
@@ -264,16 +276,16 @@ class TestScenarioComponents:
         # one stacked RBW pass against shaping each detected column alone
         scenario = full_scenario(paper_params)
         freqs = np.linspace(2e6, 30e6, 57)
-        fine = np.linspace(1e5, 32e6, 20000)
-        trace, columns = detected_components(0.4, freqs, scenario, fine, 300e3)
+        trace, columns = detected_components(0.4, freqs, scenario, 300e3, 1e3)
+        nodes, weights = quadrature_rule(scenario, freqs, 300e3, 1e3)
         theta = lock_to_quadrature(0.4, paper_params.optical, DELTA).theta
-        comp = output_spectrum(TWO_PI * fine, theta, scenario, detected=False)
+        comp = output_spectrum(TWO_PI * nodes, theta, scenario, detected=False)
         eta = scenario.eta_tot
         assert list(columns) == ["s_vac", "s_thermal", "s_phase", "s_extra", "s_absorptive"]
         for name, column in columns.items():
             detected = eta * comp[name] + (1 - eta if name == "s_vac" else 0.0)
-            direct = rbw_resample(SpectrumTrace(freqs=fine, values=detected), 300e3, freqs)
-            assert np.array_equal(column, direct.values), name
+            direct = rbw_shape_rows(nodes, weights, detected[np.newaxis], 300e3, freqs)[0]
+            assert np.array_equal(column, direct), name
         assert np.array_equal(trace.values, sum(columns.values()))
         assert trace.meta == {"theta_lock_rad": 0.4}
 
