@@ -47,6 +47,7 @@ from .oracle import (
     matrix_solve_spectrum,
     plan_sde,
     sde_time_domain_psd,
+    solve_scalars,
 )
 
 FMT = "%.9g"
@@ -137,7 +138,7 @@ def read_locksweep_csv(path):
 def cmd_spectrum(cfg: ScenarioConfig, outdir: Path):
     grid = cfg.grid
     trace, columns = detected_components(
-        cfg.theta_lock_rad, grid.out_freqs(), cfg.scenario, grid.rbw_hz, grid.f_min_hz
+        cfg.theta_lock_rad, grid.out_freqs(), cfg.scenario, grid.rbw_hz
     )
     write_spectrum_csv(outdir / "spectrum.csv", trace, components=columns)
     return 0
@@ -146,7 +147,7 @@ def cmd_spectrum(cfg: ScenarioConfig, outdir: Path):
 def cmd_densitymap(cfg: ScenarioConfig, outdir: Path):
     grid = cfg.grid
     sqmap = assemble_density_map(
-        grid.theta_locks(), grid.out_freqs(), cfg.scenario, grid.rbw_hz, grid.f_min_hz
+        grid.theta_locks(), grid.out_freqs(), cfg.scenario, grid.rbw_hz
     )
     write_map_csv(outdir / "densitymap.csv", sqmap)
     return 0
@@ -211,6 +212,40 @@ def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data=None):
     return 0
 
 
+def _oracle_draws(params, seed, n_draws):
+    """The ``oracle_check.csv`` rows of ``n_draws`` seeded random operating
+    points, closed form against stacked matrix solves, and the largest
+    relative error.  Only scalars and 4x4 correlation matrices are kept
+    per draw, and all of them are freed before an SDE trace runs."""
+    rng = np.random.default_rng(seed)
+    omegas, thetas, s_ref = np.empty((3, n_draws))
+    scalars = np.empty((n_draws, 8))
+    corrs = np.empty((n_draws, 4, 4), dtype=complex)
+    for i in range(n_draws):
+        p = params.with_drive(
+            delta=params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * rng.choice((-1.0, 1.0)),
+            n_c=params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5),
+        )
+        omegas[i] = omega = 2 * np.pi * 10 ** rng.uniform(5.5, 7.6)
+        thetas[i] = theta = rng.uniform(-np.pi, np.pi)
+        nbar = bath_occupation(omega, 16.0)
+        s_ref[i] = core.spectrum_full(omega, theta, p, nbar)[0]
+        scalars[i] = solve_scalars(p)
+        corrs[i] = InputCorrelationMatrix.vacuum_thermal(nbar).matrix
+    # stacked solves of 125 draws (250 systems): every temporary stays below
+    # 128 kB; one stack of all draws, once freed, left about 1 MB of heap
+    # resident under glibc malloc, which raised the peak of an SDE run after it
+    blocks = [slice(k, k + 125) for k in range(0, n_draws, 125)]
+    s_orc = np.concatenate(
+        [matrix_solve_spectrum(omegas[b], thetas[b], scalars[b], corrs[b]) for b in blocks]
+    )
+    errs = np.abs(s_orc - s_ref) / np.abs(s_ref)
+    max_err = float(errs.max())
+    rows = [[_fmt(w / (2 * np.pi)), _fmt(t), _fmt(e)] for w, t, e in zip(omegas, thetas, errs)]
+    rows.append(["max_rel_err", "", _fmt(max_err)])
+    return rows, max_err
+
+
 def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
     params = cfg.system
     if (cfg.sde_duration_s > 0) != (cfg.sde_dt_s > 0):
@@ -229,27 +264,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
         except ValueError as exc:
             print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
             return 1
-    rng = np.random.default_rng(cfg.seed)
-    systems, omegas, thetas, s_ref, corrs = [], [], [], [], []
-    for _ in range(n_draws):
-        p = params.with_drive(
-            delta=params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * rng.choice((-1.0, 1.0)),
-            n_c=params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5),
-        )
-        omega = 2 * np.pi * 10 ** rng.uniform(5.5, 7.6)
-        theta = rng.uniform(-np.pi, np.pi)
-        nbar = bath_occupation(omega, 16.0)
-        systems.append(p)
-        omegas.append(omega)
-        thetas.append(theta)
-        s_ref.append(float(core.spectrum_full(omega, theta, p, nbar)[0]))
-        corrs.append(InputCorrelationMatrix.vacuum_thermal(nbar))
-    # every draw's matrix solve, at both signs of omega, in one stacked call
-    s_orc = matrix_solve_spectrum(np.array(omegas), np.array(thetas), systems, corrs)
-    errs = np.abs(s_orc - s_ref) / np.abs(s_ref)
-    max_err = float(errs.max())
-    rows = [[_fmt(w / (2 * np.pi)), _fmt(t), _fmt(e)] for w, t, e in zip(omegas, thetas, errs)]
-    rows.append(["max_rel_err", "", _fmt(max_err)])
+    rows, max_err = _oracle_draws(params, cfg.seed, n_draws)
     _write_rows(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], rows)
     if sde:
         trace = sde_time_domain_psd(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MechanicalMode, OpticalMode, SystemParams
-from .instrument import Scenario
+from .instrument import F_MIN_HZ, Scenario
 from .noise import (
     AbsorptiveNoiseModel,
     BathModel,
@@ -61,7 +61,6 @@ _SCHEMA = {
         "dark_ratio_db": (False, math.inf),
     },
     "grid": {
-        "f_min_hz": (False, 1e3),
         "out_f_start_hz": (False, 80e3),
         "out_f_step_hz": (False, 80e3),
         "out_n_points": (False, 501),
@@ -87,20 +86,15 @@ _STR_KEYS = {"thermometry_csv", "locksweep_csv"}
 
 
 class ConfigError(ValueError):
-    """Carries the full list of violations found while loading; a single
-    violation reads as one line."""
+    """Carries the full list of violations found while loading."""
 
     def __init__(self, problems):
         self.problems = list(problems)
-        if len(self.problems) == 1:
-            super().__init__(f"config invalid: {self.problems[0]}")
-        else:
-            super().__init__("config invalid:\n" + "\n".join(f"  - {p}" for p in self.problems))
+        super().__init__("config invalid:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    f_min_hz: float
     out_f_start_hz: float
     out_f_step_hz: float
     out_n_points: int
@@ -234,12 +228,10 @@ def _build(values, problems):
             grid = GridSpec(**grid_v)
             if grid.out_f_start_hz <= 0 or grid.out_f_step_hz <= 0 or grid.rbw_hz <= 0:
                 problems.append("grid: output grid and rbw must be positive")
-            if not grid.f_min_hz > 0:
-                problems.append(f"grid.f_min_hz must be > 0 (got {grid.f_min_hz!r})")
-            elif grid.out_f_start_hz <= grid.f_min_hz:
+            elif grid.out_f_start_hz <= F_MIN_HZ:
                 problems.append(
-                    "grid.out_f_start_hz must exceed grid.f_min_hz "
-                    f"(got {grid.out_f_start_hz!r} <= {grid.f_min_hz!r})"
+                    f"grid.out_f_start_hz must exceed the {F_MIN_HZ:g} Hz cutoff of the "
+                    f"frequency rule (got {grid.out_f_start_hz!r})"
                 )
         except (TypeError, ValueError) as exc:
             problems.append(f"grid: {exc}")
@@ -338,7 +330,6 @@ eta_hd = 0.66
 dark_ratio_db = 10.4
 
 [grid]
-f_min_hz = 1e3
 out_f_start_hz = 80e3
 out_f_step_hz = 80e3
 out_n_points = 501

@@ -50,6 +50,7 @@ __all__ = [
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 RBW_SUPPORT = 10.0  # kernel half-width in sigma; the Gaussian is below 2e-22 beyond it
 RBW_BLOCK = 1 << 16  # kernel entries evaluated at once (512 kB of float64)
+F_MIN_HZ = 1e3  # low-frequency cutoff of the quadrature rule; no output bin may lie below it
 # Node spacing of the frequency quadrature rule, each term of its point density:
 H_COARSE = 0.5  # node spacing far from every feature, in units of the RBW sigma
 H_LINE = 0.25  # step in asinh((f - f_k) / a_k) per node at each resonance
@@ -218,9 +219,10 @@ def _resonances(scenario):
     return np.array(features).T / (2 * np.pi)
 
 
-def quadrature_rule(scenario, out_freqs, rbw, f_min):
+def quadrature_rule(scenario, out_freqs, rbw):
     """Nodes (Hz) and weights of the frequency quadrature rule that RBW-shapes
-    the model at ``out_freqs``; it spans [f_min, max(out_freqs) + RBW_SUPPORT sigma].
+    the model at ``out_freqs``; it spans [f_min, max(out_freqs) + RBW_SUPPORT sigma]
+    with f_min = F_MIN_HZ.
 
     The nodes are equally spaced in u(f), the integral of the point density
 
@@ -239,8 +241,9 @@ def quadrature_rule(scenario, out_freqs, rbw, f_min):
     params = scenario.system
     if not params.gamma > 0:
         raise ValueError("no stationary spectrum: total mechanical damping gamma <= 0")
-    if not 0 < f_min < np.min(out_freqs):
-        raise ValueError("f_min must be positive and below every output frequency")
+    f_min = F_MIN_HZ
+    if not f_min < np.min(out_freqs):
+        raise ValueError(f"every output frequency must exceed the {f_min:g} Hz cutoff")
     f_k, a_k = _resonances(scenario)
     h_c = H_COARSE * rbw * FWHM_TO_SIGMA
     f_max = np.max(out_freqs) + RBW_SUPPORT * rbw * FWHM_TO_SIGMA
@@ -373,7 +376,7 @@ def output_spectrum(omega, theta, scenario: Scenario, detected=True):
     return {"s_norm": total, **comp}
 
 
-def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw, f_min) -> SqueezingMap:
+def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw) -> SqueezingMap:
     """Detected, RBW-shaped noise PSD over (lock angle, frequency).
 
     The analyzer kernel is linear and the detection chain affine, so the
@@ -385,7 +388,7 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw, f_min)
     """
     theta_locks = np.asarray(theta_locks, dtype=float)
     out_freqs = np.asarray(out_freqs, dtype=float)
-    nodes, weights = quadrature_rule(scenario, out_freqs, rbw, f_min)
+    nodes, weights = quadrature_rule(scenario, out_freqs, rbw)
     abc = np.array(total_harmonics(2 * np.pi * nodes, scenario))
     if not np.all(abc[0] - np.hypot(abc[1], abc[2]) >= -1e-12 * abc[0]):
         raise ValueError("model PSD is negative or not finite at some quadrature")
@@ -398,7 +401,7 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw, f_min)
     return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=values)
 
 
-def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw, f_min):
+def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw):
     """Detected, RBW-shaped spectrum at one lock angle, with its components.
 
     Returns ``(trace, columns)``, where ``columns`` maps each
@@ -409,7 +412,7 @@ def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw, f_min):
     ``quadrature_rule``, the one ``assemble_density_map`` uses.
     """
     out_freqs = np.asarray(out_freqs, dtype=float)
-    nodes, weights = quadrature_rule(scenario, out_freqs, rbw, f_min)
+    nodes, weights = quadrature_rule(scenario, out_freqs, rbw)
     optical, delta = scenario.system.optical, scenario.system.drive.delta
     theta = lock_to_quadrature(theta_lock, optical, delta).theta
     eta = scenario.eta_tot

@@ -31,6 +31,7 @@ __all__ = [
     "OracleError",
     "matrix_solve_spectrum",
     "plan_sde",
+    "solve_scalars",
     "sde_time_domain_psd",
 ]
 
@@ -76,24 +77,26 @@ class InputCorrelationMatrix:
             raise ValueError("thermal block must be (nbar+1, nbar)")
 
 
-def _output_quadrature_rows(omega, theta, systems):
+def solve_scalars(params: SystemParams):
+    """The scalars of ``params`` the frequency-domain solve reads:
+    (delta, kappa, kappa_e, kappa_i, g, omega_m, gamma, gamma_i).  Rows of
+    these stack systems for one ``matrix_solve_spectrum`` call."""
+    optical, drive = params.optical, params.drive
+    return (
+        drive.delta, optical.kappa, optical.kappa_e, optical.kappa_i,
+        drive.g, params.omega_m, params.gamma, params.mech.gamma_i,
+    )
+
+
+def _output_quadrature_rows(omega, theta, scalars):
     """Coefficients of X_out(omega) on the six inputs
     (a_in, a_in^dag, b_in, b_in^dag, a_in_i, a_in_i^dag), obtained by one
-    stacked numerical solve of the frequency-domain systems.  ``systems`` is
-    a sequence; ``omega`` and ``theta`` are arrays whose last axis runs over
-    it, and the rows come back with the shape of ``omega`` plus one axis."""
-
-    def field(get):
-        return np.array([get(p) for p in systems])
-
-    delta = field(lambda p: p.drive.delta)
-    kappa = field(lambda p: p.optical.kappa)
-    g = field(lambda p: p.drive.g)
-    omega_m = field(lambda p: p.omega_m)
-    gamma = field(lambda p: p.gamma)
-    se = np.sqrt(field(lambda p: p.optical.kappa_e))
-    si = np.sqrt(field(lambda p: p.optical.kappa_i))
-    sg = np.sqrt(field(lambda p: p.mech.gamma_i))
+    stacked numerical solve of the frequency-domain systems.  ``scalars`` is
+    an (n, 8) array of ``solve_scalars`` rows; ``omega`` and ``theta`` are
+    arrays whose last axis runs over it, and the rows come back with the
+    shape of ``omega`` plus one axis."""
+    delta, kappa, kappa_e, kappa_i, g, omega_m, gamma, gamma_i = np.transpose(scalars)
+    se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(gamma_i)
 
     d_c = 1j * (delta - omega) + kappa / 2
     d_cbar = -1j * (delta + omega) + kappa / 2
@@ -123,6 +126,14 @@ def _output_quadrature_rows(omega, theta, systems):
     try:
         trans = np.linalg.solve(m, load)
     except np.linalg.LinAlgError as exc:
+        # name the first singular system
+        for i in np.ndindex(d_c.shape):
+            try:
+                np.linalg.solve(m[i], load[i])
+            except np.linalg.LinAlgError:
+                raise OracleError(
+                    f"singular frequency-domain system at omega={omega[i]}"
+                ) from exc
         raise OracleError("singular frequency-domain system") from exc
     a_out = se[:, np.newaxis] * trans[..., 0, :]
     a_out[..., 0] += 1.0
@@ -139,18 +150,18 @@ def matrix_solve_spectrum(omega, theta, params: SystemParams, corr: InputCorrela
     +-omega, forms the output quadrature coefficients on all input
     channels (including the intrinsic-port vacuum), and contracts with
     ``corr``.  Must agree with the closed-form spectrum to near machine
-    precision.  ``omega`` and ``theta`` may also be 1-d arrays, with
-    ``params`` and ``corr`` sequences of the same length: every system, at
-    both signs of omega, is then solved in one stacked call and an array
-    is returned.
+    precision.  ``omega`` and ``theta`` may also be 1-d arrays of length n,
+    with ``params`` an (n, 8) array of ``solve_scalars`` rows and ``corr``
+    an (n, 4, 4) array of correlation matrices: every system, at both signs
+    of omega, is then solved in one stacked call and an array is returned.
     """
     scalar = np.ndim(omega) == 0
     if scalar:
-        params, corr = [params], [corr]
+        params, corr = [solve_scalars(params)], corr.matrix[np.newaxis]
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     c_plus, c_minus = _output_quadrature_rows(np.stack([omega, -omega]), theta, params)
     full = np.zeros((len(omega), 6, 6), dtype=complex)
-    full[:, :4, :4] = [c.matrix for c in corr]
+    full[:, :4, :4] = corr
     full[:, 4, 5] = 1.0  # intrinsic loss port is always vacuum
     s = np.einsum("ni,ni->n", np.einsum("ni,nij->nj", c_plus, full), c_minus)
     if np.any(np.abs(s.imag) > 1e-9 * np.maximum(np.abs(s.real), 1.0)):

@@ -134,7 +134,7 @@ def _fig3a_map():
     f_m = p.omega_m / TWO_PI
     theta_locks = np.linspace(-np.pi / 2, np.pi / 2, 41)
     freqs = np.linspace(0.6 * f_m, 1.4 * f_m, 161)
-    sqmap = assemble_density_map(theta_locks, freqs, scenario, rbw=100e3, f_min=1e3)
+    sqmap = assemble_density_map(theta_locks, freqs, scenario, rbw=100e3)
     return sqmap, scenario, f_m
 
 

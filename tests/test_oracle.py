@@ -14,6 +14,7 @@ from omsqueeze import (
     matrix_solve_spectrum,
     spectrum_full,
 )
+from omsqueeze.oracle import solve_scalars
 from omsqueeze.noise import bath_occupation
 from omsqueeze.oracle import sde_time_domain_psd
 
@@ -73,6 +74,33 @@ class TestMatrixSolve:
             InputCorrelationMatrix(matrix=bad).validate()
         with pytest.raises(ValueError):
             InputCorrelationMatrix(matrix=np.zeros((3, 3)))
+
+    def test_stacked_solve_matches_scalar_calls(self, paper_optical, paper_mech):
+        rng = np.random.default_rng(7)
+        systems = [
+            SystemParams.build(paper_optical, paper_mech, delta=DELTA * d, n_c=N_C * n)
+            for d, n in zip(rng.uniform(-2, 2, 20), rng.uniform(0.1, 3, 20))
+        ]
+        w = TWO_PI * rng.uniform(1e6, 39e6, 20)
+        theta = rng.uniform(-np.pi, np.pi, 20)
+        nbar = bath_occupation(w, 16.0)
+        corrs = [InputCorrelationMatrix.vacuum_thermal(n) for n in nbar]
+        stacked = matrix_solve_spectrum(
+            w, theta, np.array([solve_scalars(p) for p in systems]),
+            np.array([c.matrix for c in corrs]),
+        )
+        one_by_one = [matrix_solve_spectrum(*args) for args in zip(w, theta, systems, corrs)]
+        np.testing.assert_allclose(stacked, one_by_one, rtol=1e-12, atol=0)
+
+    def test_singular_system_names_its_omega(self, paper_params):
+        # an undamped mechanical mode probed exactly at its frequency
+        rows = np.array([solve_scalars(paper_params)] * 2)
+        rows[1, 6] = 0.0  # gamma
+        w = np.array([TWO_PI * 3e6, rows[1, 5]])
+        corr = np.array([InputCorrelationMatrix.vacuum_thermal(1.0).matrix] * 2)
+        with pytest.raises(OracleError) as err:
+            matrix_solve_spectrum(w, np.zeros(2), rows, corr)
+        assert str(err.value).endswith(f"at omega={float(w[1])!r}")
 
 
 class TestSdePreconditions:
