@@ -13,6 +13,7 @@ from .core import (
     SystemParams,
     mech_susceptibility,
     quasi_static_spectrum,
+    reflection_coefficient,
     spectrum_full,
     spring_and_damping,
     squeezing_cross_term,
@@ -28,7 +29,6 @@ from .estimate import (
     infer_detuning,
 )
 from .instrument import (
-    QuadratureSetting,
     Scenario,
     SpectrumTrace,
     SqueezingMap,
@@ -38,7 +38,6 @@ from .instrument import (
     output_spectrum,
     quadrature_to_lock,
     rbw_resample,
-    reflection_coefficient,
 )
 from .noise import (
     AbsorptiveNoiseModel,

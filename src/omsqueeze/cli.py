@@ -157,9 +157,7 @@ def cmd_quasistatic(cfg: ScenarioConfig, outdir: Path):
     scenario = cfg.scenario
     params = scenario.system
     freqs = cfg.grid.out_freqs()
-    theta = lock_to_quadrature(
-        cfg.theta_lock_rad, params.optical, params.drive.delta
-    ).theta
+    theta = lock_to_quadrature(cfg.theta_lock_rad, params.optical, params.drive.delta)
     t_eff = (
         effective_temperature(scenario.bath, params.drive.n_c)
         if scenario.bath is not None

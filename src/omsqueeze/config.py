@@ -233,6 +233,9 @@ def _build(values, problems):
                     f"grid.out_f_start_hz must exceed the {F_MIN_HZ:g} Hz cutoff of the "
                     f"frequency rule (got {grid.out_f_start_hz!r})"
                 )
+            for key in ("out_n_points", "n_theta_lock"):
+                if getattr(grid, key) < 1:
+                    problems.append(f"grid.{key} must be at least 1 (got {getattr(grid, key)!r})")
         except (TypeError, ValueError) as exc:
             problems.append(f"grid: {exc}")
         if not problems and system is not None:

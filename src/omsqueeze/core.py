@@ -36,6 +36,8 @@ __all__ = [
     "squeezing_cross_term",
     "transduction_phasors",
     "zero_transduction_angle",
+    "reflection_coefficient",
+    "reflection_phase",
 ]
 
 _REL_TOL = 1e-12
@@ -105,7 +107,11 @@ class DriveCondition:
         if n_c < 0:
             raise ValueError("n_c must be nonnegative")
         g = mech.g0 * math.sqrt(n_c)
-        return cls(delta=delta, n_c=n_c, g=g, gamma_meas=4.0 * g**2 / optical.kappa)
+        try:
+            gamma_meas = 4.0 * g**2 / optical.kappa
+        except OverflowError:
+            raise ValueError(f"g = g0 sqrt(n_c) = {g:.6g} rad/s: g^2 overflows") from None
+        return cls(delta=delta, n_c=n_c, g=g, gamma_meas=gamma_meas)
 
     def validate_against(self, mech: MechanicalMode, optical: OpticalMode):
         g_ref = mech.g0 * math.sqrt(self.n_c)
@@ -174,12 +180,18 @@ def mech_susceptibility(omega, mech: MechanicalMode):
     return wm**2 / (wm**2 - np.asarray(omega, dtype=float) ** 2 - 1j * mech.gamma_i * wm)
 
 
+def _cavity_denominators(delta, kappa, omega):
+    """D(omega) = i(delta - omega) + kappa/2 and conj D(-omega) = -i(delta + omega) + kappa/2:
+    every cavity factor is built from the response 1/D; vectorized over all arguments."""
+    return 1j * (delta - omega) + kappa / 2, -1j * (delta + omega) + kappa / 2
+
+
 def spring_damping_rates(delta, g2, kappa, omega_m0):
     """Optical spring shift and optomechanical damping rate (rad/s) for
-    coupling rate squared ``g2``; vectorized over ``delta`` and ``g2``."""
-    bracket = 1.0 / (1j * (delta - omega_m0) + kappa / 2) - 1.0 / (
-        -1j * (delta + omega_m0) + kappa / 2
-    )
+    coupling rate squared ``g2``; vectorized over ``delta`` and ``g2``.
+    Both come from the bracket u - v of the transduction phasors."""
+    u, v = transduction_phasors(delta, kappa, omega_m0)
+    bracket = u - v
     return g2 * bracket.imag, 2.0 * g2 * bracket.real
 
 
@@ -196,11 +208,8 @@ def spring_and_damping(params: SystemParams):
 
 
 def _denominators(omega, params: SystemParams):
-    delta = params.drive.delta
-    kappa = params.optical.kappa
     w = np.asarray(omega, dtype=float)
-    d_c = 1j * (delta - w) + kappa / 2
-    d_cbar = -1j * (delta + w) + kappa / 2
+    d_c, d_cbar = _cavity_denominators(params.drive.delta, params.optical.kappa, w)
     d_m = 1j * (params.omega_m - w) + params.gamma / 2
     d_mbar = -1j * (params.omega_m + w) + params.gamma / 2
     return d_c, d_cbar, d_m, d_mbar
@@ -345,16 +354,17 @@ def squeezing_cross_term(omega, theta, params: SystemParams):
 
 
 def transduction_phasors(delta, kappa, omega_probe):
-    """Resonant transduction phasors u = 1/D_c(omega_probe) and
-    v = conj(1/D_c(-omega_probe)); vectorized over ``delta``."""
-    u = 1.0 / (1j * (delta - omega_probe) + kappa / 2)
-    v = np.conj(1.0 / (1j * (delta + omega_probe) + kappa / 2))
-    return u, v
+    """Resonant transduction phasors u = 1/D(omega_probe) and
+    v = conj(1/D(-omega_probe)) of the cavity response; vectorized over ``delta``."""
+    d_c, d_cbar = _cavity_denominators(delta, kappa, omega_probe)
+    # 1/conj(D), not np.conj(1/D): the same bits, and scalars stay Python
+    # numbers, so SystemParams caches omega_m and gamma as Python floats
+    return 1.0 / d_c, 1.0 / d_cbar
 
 
-def zero_transduction_angle(omega_probe, params: SystemParams):
+def zero_transduction_angle(omega_probe, optical: OpticalMode, delta):
     """Input-referenced quadrature angle where the mechanical peak at
-    ``omega_probe`` transduces minimally.
+    ``omega_probe`` transduces minimally; vectorized over ``delta``.
 
     From the resonant part of the thermal transfer, the transduced
     amplitude is proportional to |e^{-i theta} u - e^{i theta} v| with
@@ -362,5 +372,27 @@ def zero_transduction_angle(omega_probe, params: SystemParams):
     theta = (arg u - arg v)/2, which tends to -arctan(2 delta/kappa) in
     the quasi-static bad-cavity limit.
     """
-    u, v = transduction_phasors(params.drive.delta, params.optical.kappa, omega_probe)
+    u, v = transduction_phasors(delta, optical.kappa, omega_probe)
     return 0.5 * (np.angle(u) - np.angle(v))
+
+
+def reflection_coefficient(omega, optical: OpticalMode, delta):
+    """Cavity reflection amplitude r(omega) = 1 - kappa_e / D(omega).
+
+    Reduces to the single-port expression for kappa_e = kappa; far off
+    resonance the device acts as a near-perfect mirror (r -> 1).  A scalar
+    ``delta`` takes the same numpy arithmetic as an array (a complex dtype,
+    since 1j * np.float64 would be a Python complex), so both round alike.
+    """
+    delta = np.asarray(delta, dtype=complex)
+    d_c, _ = _cavity_denominators(delta, optical.kappa, np.asarray(omega, dtype=float))
+    return 1.0 - optical.kappa_e / d_c
+
+
+def reflection_phase(optical: OpticalMode, delta):
+    """Phase phi(delta) imparted on the carrier upon reflection, which links
+    the input-referenced quadrature theta to the lock angle measured
+    against the reflected carrier: theta = theta_lock + phi.  A float for
+    scalar ``delta``, an array of the same shape otherwise."""
+    phi = np.angle(reflection_coefficient(0.0, optical, delta))
+    return float(phi) if np.ndim(phi) == 0 else phi

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MechanicalMode, OpticalMode, SystemParams, spring_damping_rates, transduction_phasors
-from .instrument import reflection_phase
+from .core import (
+    MechanicalMode, OpticalMode, SystemParams, reflection_phase, spring_damping_rates,
+    transduction_phasors, zero_transduction_angle,
+)
 from .noise import DetectionChain
 
 __all__ = [
@@ -110,8 +112,7 @@ def lock_sweep_area_model(theta_lock, params: SystemParams, n_b):
     theta_lock = np.asarray(theta_lock, dtype=float)
     optical = params.optical
     delta = params.drive.delta
-    phi = reflection_phase(optical, delta)
-    theta = theta_lock + phi
+    theta = theta_lock + reflection_phase(optical, delta)
     u, v = transduction_phasors(delta, optical.kappa, params.mech.omega_m0)
     c2 = params.drive.g ** 2 * np.abs(np.exp(-1j * theta) * u - np.exp(1j * theta) * v) ** 2
     return (n_b + 1.0) * optical.kappa_e * params.mech.gamma_i * c2 / params.gamma
@@ -250,8 +251,7 @@ def _wrap_half_pi(angle):
 def model_zero_transduction_lock(delta, optical: OpticalMode, omega_probe=0.0):
     """theta*_lock(delta) = theta*(delta) - phi(delta), wrapped mod pi;
     elementwise over an array ``delta``."""
-    u, v = transduction_phasors(delta, optical.kappa, omega_probe)
-    theta_star = 0.5 * (np.angle(u) - np.angle(v))
+    theta_star = zero_transduction_angle(omega_probe, optical, delta)
     return _wrap_half_pi(theta_star - reflection_phase(optical, delta))
 
 

@@ -1,10 +1,9 @@
 """From cavity output to a normalized, instrument-shaped spectrum.
 
-Cavity reflection response, lock-angle <-> quadrature mapping, the
-frequency quadrature rule the model is evaluated on, Gaussian
-resolution-bandwidth emulation of the spectrum analyzer, and assembly of
-spectra and density maps for a complete scenario (system + noise stack +
-detection chain).
+Lock-angle <-> quadrature mapping, the frequency quadrature rule the
+model is evaluated on, Gaussian resolution-bandwidth emulation of the
+spectrum analyzer, and assembly of spectra and density maps for a complete
+scenario (system + noise stack + detection chain).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OpticalMode, SystemParams
+from .core import OpticalMode, SystemParams, at_quadrature, reflection_phase, spectrum_harmonics
 from .noise import (
     AbsorptiveNoiseModel,
     BathModel,
@@ -27,14 +26,11 @@ from .noise import (
     extra_mode_harmonics,
     phase_noise_harmonics,
 )
-from . import core
 
 __all__ = [
-    "QuadratureSetting",
     "SpectrumTrace",
     "SqueezingMap",
     "Scenario",
-    "reflection_coefficient",
     "lock_to_quadrature",
     "quadrature_to_lock",
     "rbw_resample",
@@ -57,17 +53,6 @@ H_LINE = 0.25  # step in asinh((f - f_k) / a_k) per node at each resonance
 H_LOG = 0.1  # step in ln(f) per node toward the low-frequency cutoff
 # Gregory's endpoint weights (trapezoid plus differences up to fourth order)
 GREGORY = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
-
-
-@dataclass(frozen=True)
-class QuadratureSetting:
-    """Quadrature bookkeeping: input-referenced angle theta, lock angle
-    referenced to the reflected carrier, and the reflection phase phi
-    linking them via theta_lock = theta - phi."""
-
-    theta: float
-    theta_lock: float
-    phi: float
 
 
 @dataclass(frozen=True)
@@ -116,34 +101,15 @@ class SqueezingMap:
             raise ValueError("map values must be finite")
 
 
-def reflection_coefficient(omega, optical: OpticalMode, delta):
-    """Cavity reflection amplitude r(omega) = 1 - kappa_e / (i(delta - omega) + kappa/2).
-
-    Reduces to the single-port expression for kappa_e = kappa; far off
-    resonance the device acts as a near-perfect mirror (r -> 1).
-    """
-    omega = np.asarray(omega, dtype=float)
-    return 1.0 - optical.kappa_e / (1j * (delta - omega) + optical.kappa / 2)
+def lock_to_quadrature(theta_lock, optical: OpticalMode, delta):
+    """Input-referenced quadrature angle theta = theta_lock + phi(delta) of a
+    lock angle (reflected signal vs LO), with phi = ``core.reflection_phase``."""
+    return theta_lock + reflection_phase(optical, delta)
 
 
-def reflection_phase(optical: OpticalMode, delta):
-    """Phase imparted on the carrier upon reflection, phi(delta); a float
-    for scalar ``delta``, an array of the same shape otherwise."""
-    phi = np.angle(reflection_coefficient(0.0, optical, delta))
-    return float(phi) if np.ndim(phi) == 0 else phi
-
-
-def lock_to_quadrature(theta_lock, optical: OpticalMode, delta) -> QuadratureSetting:
-    """Convert a lock angle (reflected signal vs LO) to the input-referenced
-    quadrature angle: theta = theta_lock + phi(delta)."""
-    phi = reflection_phase(optical, delta)
-    return QuadratureSetting(theta=theta_lock + phi, theta_lock=theta_lock, phi=phi)
-
-
-def quadrature_to_lock(theta, optical: OpticalMode, delta) -> QuadratureSetting:
+def quadrature_to_lock(theta, optical: OpticalMode, delta):
     """Inverse of lock_to_quadrature: theta_lock = theta - phi(delta)."""
-    phi = reflection_phase(optical, delta)
-    return QuadratureSetting(theta=theta, theta_lock=theta - phi, phi=phi)
+    return theta - reflection_phase(optical, delta)
 
 
 def rbw_resample(fine: SpectrumTrace, rbw, out_freqs) -> SpectrumTrace:
@@ -308,16 +274,6 @@ class Scenario:
             return 1.0
         return self.chain.eta_setup * self.system.optical.eta_kappa
 
-    def with_drive(self, delta=None, n_c=None):
-        return Scenario(
-            system=self.system.with_drive(delta=delta, n_c=n_c),
-            bath=self.bath,
-            lump=self.lump,
-            laser=self.laser,
-            absorptive=self.absorptive,
-            chain=self.chain,
-        )
-
 
 def output_harmonics(omega, scenario: Scenario):
     """Yield ``(name, (P, Q))`` for every noise component, undetected and
@@ -331,7 +287,7 @@ def output_harmonics(omega, scenario: Scenario):
     nbar = zero[0] if bath is None else bath_occupation(
         np.abs(omega), effective_temperature(bath, params.drive.n_c)
     )
-    vac, thermal = core.spectrum_harmonics(omega, params, nbar)
+    vac, thermal = spectrum_harmonics(omega, params, nbar)
     yield "s_vac", vac
     yield "s_thermal", thermal
     del vac, thermal
@@ -364,7 +320,7 @@ def output_spectrum(omega, theta, scenario: Scenario, detected=True):
     ``s_thermal``, ``s_extra``, ``s_phase``, ``s_absorptive`` and their
     sum ``s_norm`` (after the detection chain when ``detected``).
     """
-    comp = {name: core.at_quadrature(pq, theta) for name, pq in output_harmonics(omega, scenario)}
+    comp = {name: at_quadrature(pq, theta) for name, pq in output_harmonics(omega, scenario)}
     total = (
         comp["s_vac"] + comp["s_thermal"] + comp["s_extra"] + comp["s_phase"]
         + comp["s_absorptive"]
@@ -394,7 +350,7 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw) -> Squ
         raise ValueError("model PSD is negative or not finite at some quadrature")
     abc = rbw_shape_rows(nodes, weights, abc, rbw, out_freqs)
     optical, delta = scenario.system.optical, scenario.system.drive.delta
-    two_theta = 2.0 * lock_to_quadrature(theta_locks, optical, delta).theta[:, np.newaxis]
+    two_theta = 2.0 * lock_to_quadrature(theta_locks, optical, delta)[:, np.newaxis]
     values = abc[0] + np.cos(two_theta) * abc[1] + np.sin(two_theta) * abc[2]
     eta = scenario.eta_tot
     values = eta * values + (1.0 - eta)
@@ -414,10 +370,10 @@ def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw):
     out_freqs = np.asarray(out_freqs, dtype=float)
     nodes, weights = quadrature_rule(scenario, out_freqs, rbw)
     optical, delta = scenario.system.optical, scenario.system.drive.delta
-    theta = lock_to_quadrature(theta_lock, optical, delta).theta
+    theta = lock_to_quadrature(theta_lock, optical, delta)
     eta = scenario.eta_tot
     names, rows = zip(*(
-        (name, eta * core.at_quadrature(pq, theta))
+        (name, eta * at_quadrature(pq, theta))
         for name, pq in output_harmonics(2 * np.pi * nodes, scenario)
     ))
     rows = np.array(rows)

@@ -22,6 +22,7 @@ from .core import (
     MechanicalMode,
     SystemParams,
     at_quadrature,
+    reflection_coefficient,
     spectrum_full,
     thermal_harmonics,
     zero_transduction_angle,
@@ -174,9 +175,6 @@ def _zeros(omega):
 
 
 def _phase_noise_terms(omega, params: SystemParams, laser: LaserNoiseModel):
-    # local import; instrument depends on this module for the noise stack
-    from .instrument import reflection_coefficient
-
     omega = np.asarray(omega, dtype=float)
     delta = params.drive.delta
     r0 = reflection_coefficient(0.0, params.optical, delta)
@@ -227,7 +225,9 @@ def absorptive_harmonics(omega, n_c, model: AbsorptiveNoiseModel, params: System
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ValueError("omega must be positive")
-    theta_perp = 0.0 if params is None else zero_transduction_angle(params.mech.omega_m0, params)
+    theta_perp = 0.0 if params is None else zero_transduction_angle(
+        params.mech.omega_m0, params.optical, params.drive.delta
+    )
     w = model.amp_coeff * n_c * np.sqrt(ABSORPTIVE_REF_OMEGA / omega)
     return 0.5 * w, 0.25 * w * np.exp(2j * theta_perp)
 

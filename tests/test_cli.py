@@ -117,6 +117,16 @@ class TestConfig:
             load_config_text(text)
         assert any("grid.out_f_start_hz" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("key, old", [
+        ("out_n_points", "out_n_points = 501"), ("n_theta_lock", "n_theta_lock = 61"),
+    ])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_grid_rejected(self, config_path, key, old, value):
+        text = config_path.read_text().replace(old, f"{key} = {value}")
+        with pytest.raises(ConfigError) as err:
+            load_config_text(text)
+        assert err.value.problems == [f"grid.{key} must be at least 1 (got {value})"]
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
@@ -412,6 +422,31 @@ class TestCliExitCodes:
         assert not (out / "oracle_check.csv").exists()
         assert not (out / "sde_trace.csv").exists()
 
+    @pytest.mark.parametrize("override, old, new", [
+        (["--n-c", "1e300"], "", ""),
+        ([], "g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 1e200"),
+    ])
+    def test_overflowing_coupling_exit_1(self, config_path, tmp_path, capsys, override, old, new):
+        # g^2 = g0^2 n_c overflows a float: a config problem, not a traceback
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(config_path.read_text().replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out), *override]) == 1
+        err = capsys.readouterr().err
+        assert "system: g = g0 sqrt(n_c)" in err and "overflows" in err
+        assert not (out / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "densitymap", "quasistatic"])
+    def test_empty_grid_exit_1(self, config_path, tmp_path, capsys, command):
+        text = config_path.read_text().replace("out_n_points = 501", "out_n_points = 0")
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(text.replace("n_theta_lock = 61", "n_theta_lock = 0"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "grid.out_n_points" in err and "grid.n_theta_lock" in err
+        assert not (out / f"{command}.csv").exists()
+
     def test_fit_without_data_exit_1(self, config_path, tmp_path):
         rc = main([
             "thermometry-fit", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -533,7 +568,7 @@ class TestFrequencyRule:
         assert np.array_equal(freqs[centre], out_freqs[keep])
         shaped = np.array([abc[:, c - half : c + half + 1] @ kernel for c in centre]).T
         optical, delta = scenario.system.optical, scenario.system.drive.delta
-        theta = instrument.lock_to_quadrature(grid.theta_locks(), optical, delta).theta
+        theta = instrument.lock_to_quadrature(grid.theta_locks(), optical, delta)
         two_theta = 2 * theta[:, np.newaxis]
         eta = scenario.eta_tot
         ref = eta * (shaped[0] + np.cos(two_theta) * shaped[1] + np.sin(two_theta) * shaped[2]) + 1 - eta

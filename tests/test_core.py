@@ -14,9 +14,13 @@ from omsqueeze import (
     squeezing_cross_term,
     transfer_coefficients,
 )
-from omsqueeze.core import spring_damping_rates, transduction_phasors, zero_transduction_angle
+from omsqueeze.core import (
+    reflection_phase,
+    spring_damping_rates,
+    transduction_phasors,
+    zero_transduction_angle,
+)
 from omsqueeze.estimate import model_zero_transduction_lock, thermometry_model
-from omsqueeze.instrument import reflection_phase
 
 from conftest import DELTA, ETA_KAPPA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 
@@ -217,7 +221,7 @@ class TestSharedFormulas:
         delta = paper_params.drive.delta
         optical = paper_params.optical
         u, v = transduction_phasors(delta, KAPPA, OMEGA_M0)
-        theta = zero_transduction_angle(OMEGA_M0, paper_params)
+        theta = zero_transduction_angle(OMEGA_M0, optical, delta)
         assert theta == 0.5 * (np.angle(u) - np.angle(v))
         lock = model_zero_transduction_lock(delta, optical, OMEGA_M0)
         wrapped = theta - reflection_phase(optical, delta)
@@ -299,10 +303,13 @@ class TestSqueezingCrossTerm:
 
 class TestZeroTransductionAngle:
     def test_zero_at_zero_detuning(self, resonant_bad_cavity):
-        assert zero_transduction_angle(OMEGA_M0, resonant_bad_cavity) == pytest.approx(0.0, abs=1e-12)
+        p = resonant_bad_cavity
+        assert zero_transduction_angle(OMEGA_M0, p.optical, p.drive.delta) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_quasi_static_limit(self, paper_params):
-        ts = zero_transduction_angle(0.0, paper_params)
+        ts = zero_transduction_angle(0.0, paper_params.optical, DELTA)
         assert ts == pytest.approx(-np.arctan(2 * DELTA / KAPPA), abs=1e-12)
 
 
@@ -321,6 +328,13 @@ class TestParamTypes:
             MechanicalMode(omega_m0=1e8, gamma_i=0.0, g0=1e5)
         m = MechanicalMode(omega_m0=1e8, gamma_i=1e3, g0=1e5)
         assert m.q_m == pytest.approx(1e5, rel=1e-9)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_cached_rates_are_python_floats(self, paper_optical, paper_mech, scalar):
+        # a numpy scalar's repr is "np.float64(...)", which a config file rejects
+        for delta in (DELTA, -DELTA, 0.0):
+            p = SystemParams.build(paper_optical, paper_mech, delta=scalar(delta), n_c=scalar(N_C))
+            assert type(p.omega_m) is float and type(p.gamma) is float
 
     def test_drive_relations(self, paper_params):
         d = paper_params.drive

@@ -15,7 +15,12 @@ from omsqueeze import (
     infer_detuning,
 )
 from omsqueeze import estimate
-from omsqueeze.core import spring_damping_rates, transduction_phasors
+from omsqueeze.core import (
+    reflection_coefficient,
+    reflection_phase,
+    spring_damping_rates,
+    transduction_phasors,
+)
 from omsqueeze.estimate import (
     ThermometryCurve,
     _cavity_photon_number,
@@ -28,13 +33,7 @@ from omsqueeze.estimate import (
     thermometry_model,
 )
 from omsqueeze.noise import bath_occupation
-from omsqueeze.instrument import (
-    Scenario,
-    lock_to_quadrature,
-    output_spectrum,
-    reflection_coefficient,
-    reflection_phase,
-)
+from omsqueeze.instrument import Scenario, lock_to_quadrature, output_spectrum
 from omsqueeze.noise import BathModel
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
@@ -146,7 +145,7 @@ class TestAreaModel:
 
         p = paper_params
         theta_lock = 0.35
-        theta = lock_to_quadrature(theta_lock, p.optical, DELTA).theta
+        theta = lock_to_quadrature(theta_lock, p.optical, DELTA)
         f_m = p.omega_m / TWO_PI
         span = 400 * p.gamma / TWO_PI  # Lorentzian tails: ~0.08% outside
         freqs = np.linspace(f_m - span, f_m + span, 400001)
@@ -344,11 +343,11 @@ class TestReflectionPhase:
         phi = reflection_phase(optical, deltas)
         assert isinstance(phi, np.ndarray) and phi.shape == deltas.shape
         scalar = np.vectorize(lambda d: reflection_phase(optical, float(d)))(deltas)
-        # scalar calls divide in Python complex arithmetic, arrays in numpy's:
-        # the two round differently in the last bit of r, so the phases agree
-        # to a few ulp of |r| (the angle's conditioning is 1/|r|)
-        r = np.abs(reflection_coefficient(0.0, optical, deltas))
-        assert np.all(np.abs(phi - scalar) * r <= 4 * np.finfo(float).eps)
+        # a scalar delta takes the same numpy arithmetic as an array
+        assert np.array_equal(phi, scalar)
+        r = reflection_coefficient(0.0, optical, deltas)
+        r_scalar = np.vectorize(lambda d: reflection_coefficient(0.0, optical, float(d)))(deltas)
+        assert np.array_equal(r, r_scalar)
 
 
 class TestOneFitPath:

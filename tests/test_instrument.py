@@ -22,8 +22,8 @@ from omsqueeze import (
     output_spectrum,
     quadrature_to_lock,
     rbw_resample,
-    reflection_coefficient,
 )
+from omsqueeze.core import reflection_coefficient, reflection_phase
 from omsqueeze.instrument import quadrature_rule, rbw_shape_rows, total_harmonics
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
@@ -62,27 +62,26 @@ class TestReflection:
 class TestLockAngle:
     def test_resonant_overcoupled_offset_pi(self):
         optical = OpticalMode(omega_o=1e15, kappa=1e9, kappa_e=0.54e9)
-        q = lock_to_quadrature(0.37, optical, 0.0)
-        assert q.theta == pytest.approx(0.37 + np.pi, abs=1e-12)
+        theta = lock_to_quadrature(0.37, optical, 0.0)
+        assert theta == pytest.approx(0.37 + np.pi, abs=1e-12)
 
     def test_weak_coupling_no_phase(self):
         optical = OpticalMode(omega_o=1e15, kappa=1e9, kappa_e=1e-9 * 1e9)
-        q = lock_to_quadrature(0.37, optical, 0.0)
-        assert q.phi == pytest.approx(0.0, abs=1e-8)
-        assert q.theta == pytest.approx(0.37, abs=1e-8)
+        assert reflection_phase(optical, 0.0) == pytest.approx(0.0, abs=1e-8)
+        assert lock_to_quadrature(0.37, optical, 0.0) == pytest.approx(0.37, abs=1e-8)
 
     def test_round_trip(self):
         optical = OpticalMode(omega_o=1e15, kappa=KAPPA, kappa_e=0.55 * KAPPA)
         for theta_lock in np.linspace(-np.pi, np.pi, 17):
-            q = lock_to_quadrature(theta_lock, optical, DELTA)
-            back = quadrature_to_lock(q.theta, optical, DELTA)
-            assert back.theta_lock == pytest.approx(theta_lock, abs=1e-12)
-            assert q.theta_lock == pytest.approx(q.theta - q.phi, abs=1e-12)
+            theta = lock_to_quadrature(theta_lock, optical, DELTA)
+            back = quadrature_to_lock(theta, optical, DELTA)
+            assert back == pytest.approx(theta_lock, abs=1e-12)
+            assert theta_lock == pytest.approx(theta - reflection_phase(optical, DELTA), abs=1e-12)
 
     def test_bijection_strictly_monotone(self):
         optical = OpticalMode(omega_o=1e15, kappa=KAPPA, kappa_e=0.55 * KAPPA)
         locks = np.linspace(0.0, 2 * np.pi, 100, endpoint=False)
-        thetas = [lock_to_quadrature(t, optical, DELTA).theta for t in locks]
+        thetas = [lock_to_quadrature(t, optical, DELTA) for t in locks]
         assert np.all(np.diff(thetas) > 0)
 
 
@@ -183,7 +182,7 @@ class TestRbwResample:
         # analyzer smoothing must not disturb the broad sub-shot-noise bands
         scenario = full_scenario(paper_params)
         fine = np.linspace(1e4, 40e6, 50000)
-        theta = lock_to_quadrature(0.0, paper_params.optical, DELTA).theta - 0.12
+        theta = lock_to_quadrature(0.0, paper_params.optical, DELTA) - 0.12
         comp = output_spectrum(TWO_PI * fine, theta, scenario, detected=True)
         trace = SpectrumTrace(freqs=fine, values=comp["s_norm"])
         out_freqs = np.linspace(2e6, 38e6, 451)
@@ -266,7 +265,7 @@ class TestDensityMap:
             sqmap = assemble_density_map(locks, freqs, scenario, rbw=300e3)
             nodes, weights = quadrature_rule(scenario, freqs, 300e3)
             for lock, row in zip(locks, sqmap.values):
-                theta = lock_to_quadrature(lock, paper_params.optical, DELTA).theta
+                theta = lock_to_quadrature(lock, paper_params.optical, DELTA)
                 s = output_spectrum(TWO_PI * nodes, theta, scenario)["s_norm"]
                 direct = rbw_shape_rows(nodes, weights, s[np.newaxis], 300e3, freqs)[0]
                 np.testing.assert_allclose(row, direct, rtol=1e-12, atol=0, err_msg=str(off))
@@ -279,7 +278,7 @@ class TestScenarioComponents:
         freqs = np.linspace(2e6, 30e6, 57)
         trace, columns = detected_components(0.4, freqs, scenario, 300e3)
         nodes, weights = quadrature_rule(scenario, freqs, 300e3)
-        theta = lock_to_quadrature(0.4, paper_params.optical, DELTA).theta
+        theta = lock_to_quadrature(0.4, paper_params.optical, DELTA)
         comp = output_spectrum(TWO_PI * nodes, theta, scenario, detected=False)
         eta = scenario.eta_tot
         assert list(columns) == ["s_vac", "s_thermal", "s_phase", "s_extra", "s_absorptive"]

@@ -136,7 +136,7 @@ class TestAbsorptive:
         from omsqueeze.core import zero_transduction_angle
 
         m = AbsorptiveNoiseModel(1.5e-4)
-        ts = zero_transduction_angle(OMEGA_M0, paper_params)
+        ts = zero_transduction_angle(OMEGA_M0, paper_params.optical, paper_params.drive.delta)
         at_star = absorptive_psd(TWO_PI * 1e6, ts, N_C, m, paper_params)
         at_perp = absorptive_psd(TWO_PI * 1e6, ts + np.pi / 2, N_C, m, paper_params)
         assert at_star > 0 and abs(at_perp) < 1e-30 * at_star
