@@ -256,7 +256,8 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
         return 1
     sde = cfg.sde_duration_s > 0
     if sde:
-        # reject bad SDE settings before the draws run (gamma <= 0 raises OracleError)
+        # reject bad SDE settings before the draws run (an unstable operating
+        # point raises OracleError)
         try:
             plan_sde(params, cfg.sde_duration_s, cfg.sde_dt_s)
         except ValueError as exc:
@@ -349,12 +350,9 @@ def main(argv=None):
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "resolved_config.ini").write_text(serialize_config(cfg), encoding="utf-8")
-        if args.command in NEEDS_STABLE and not cfg.system.gamma > 0:
-            print(
-                "numerical failure: unstable operating point, total mechanical damping "
-                f"gamma/2pi = {cfg.system.gamma / (2 * np.pi):.6g} Hz <= 0",
-                file=sys.stderr,
-            )
+        problem = core.instability(cfg.system) if args.command in NEEDS_STABLE else None
+        if problem:
+            print(f"numerical failure: {problem}", file=sys.stderr)
             return 2
         if args.command in ("thermometry-fit", "infer-detuning"):
             return _COMMANDS[args.command](cfg, outdir, data=args.data)

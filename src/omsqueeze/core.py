@@ -23,6 +23,7 @@ __all__ = [
     "MechanicalMode",
     "DriveCondition",
     "SystemParams",
+    "instability",
     "CoefficientSet",
     "mech_susceptibility",
     "spring_damping_rates",
@@ -150,6 +151,20 @@ class SystemParams:
             self.drive.delta if delta is None else delta,
             self.drive.n_c if n_c is None else n_c,
         )
+
+
+def instability(params: SystemParams):
+    """One line naming why ``params`` is no stable operating point of the
+    linearized model, or None: the renormalized frequency omega_m must be
+    positive and finite (a spring shift below -omega_m0 leaves no mechanical
+    resonance), and the total damping gamma positive and finite."""
+    for name, rate in (
+        ("renormalized mechanical frequency omega_m", params.omega_m),
+        ("total mechanical damping gamma", params.gamma),
+    ):
+        if not 0 < rate < math.inf:
+            return f"unstable operating point: {name}/2pi = {rate / (2 * math.pi):.6g} Hz is not positive and finite"
+    return None
 
 
 @dataclass(frozen=True)

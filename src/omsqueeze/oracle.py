@@ -19,11 +19,13 @@ here; sideband asymmetries are out of scope.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemParams
+from .core import SystemParams, instability
 from .instrument import SpectrumTrace
 
 __all__ = [
@@ -175,15 +177,23 @@ def _adiabatic(params: SystemParams):
 
 def plan_sde(params: SystemParams, duration, dt, freq_bins=None, segment_samples=None):
     """Check every precondition of ``sde_time_domain_psd`` before any noise is
-    drawn and return its empty PSD accumulator.  Raises OracleError when
-    gamma <= 0 and ValueError for a step, duration or bin grid out of range."""
+    drawn and return its empty PSD accumulator.  Raises OracleError for an
+    unstable operating point (``core.instability``) or an adiabatic step with
+    |1 - gamma dt/2| >= 1, and ValueError for a step, duration or bin grid out
+    of range."""
+    problem = instability(params)
+    if problem:
+        raise OracleError(problem)
     omega_m, gamma = params.omega_m, params.gamma
-    if not gamma > 0:
-        raise OracleError(f"unstable operating point: total mechanical damping gamma = {gamma:.6g} <= 0")
     adiabatic = _adiabatic(params)
     if dt > 0.01 / (omega_m if adiabatic else params.optical.kappa):
         raise ValueError(
             f"dt={dt:g} violates the step-size precondition dt <= 0.01/{'omega_m' if adiabatic else 'kappa'}"
+        )
+    if adiabatic and not abs(1.0 - gamma * dt / 2.0) < 1:
+        raise OracleError(
+            f"unstable integration: |1 - gamma dt/2| = {abs(1.0 - gamma * dt / 2.0):.6g} >= 1, "
+            "the step is too long for the mechanical damping"
         )
     if duration < 100.0 / gamma:
         raise ValueError("duration must cover at least 100 mechanical decay times")
@@ -223,14 +233,18 @@ def sde_time_domain_psd(
     error from inter-segment variance.
 
     The cavity is eliminated adiabatically when kappa > 50 omega_m
-    (explicit Euler on the co-rotating mechanical envelope, drive-port
-    filters frozen at +-omega_m); otherwise the full two-oscillator
-    system is integrated.  Step-size preconditions:
-    dt <= 0.01/omega_m (adiabatic) or dt <= 0.01/kappa (full), checked
-    with the others by ``plan_sde``.  The record is never held: the
-    adiabatic branch needs two ``_CHUNK`` noise buffers, one block and
-    one segment whatever the duration; the full branch draws its noise
-    for the whole record.
+    (explicit Euler on the mechanical amplitude in the lab frame, a
+    one-pole recurrence with pole (1 - gamma dt/2) e^{-i omega_m dt}
+    integrated by the ``_one_pole`` scan, drive-port filters frozen at
+    +-omega_m); otherwise the full two-oscillator system is integrated.
+    Step-size preconditions: dt <= 0.01/omega_m (adiabatic) or
+    dt <= 0.01/kappa (full), checked with the others by ``plan_sde``.  The
+    record is never held: per ``_CHUNK`` samples the adiabatic branch
+    draws the cavity-port, loss-port and bath noise in turn, block by
+    block into one ``(_BLOCK, 2)`` buffer, and sums each stream's part of
+    the current into one real ``_CHUNK`` buffer (8 B per sample) before
+    the Welch estimate takes it; the full branch draws its noise for the
+    whole record.
     """
     welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
     integrate = _integrate_adiabatic if _adiabatic(params) else _integrate_full
@@ -238,17 +252,7 @@ def sde_time_domain_psd(
     return welch.result(params)
 
 
-def _normals(rng, buf, scale):
-    """Fill the float buffer with scaled standard normals, viewed as complex."""
-    rng.standard_normal(out=buf)
-    buf *= scale
-    return buf.view(np.complex128)
-
-
 def _integrate_adiabatic(params, nbar, theta, dt, welch, rng):
-    # scipy.signal takes ~0.6 s to import and only this integrator uses it
-    from scipy.signal import lfilter
-
     kappa, kappa_e, kappa_i = params.optical.kappa, params.optical.kappa_e, params.optical.kappa_i
     delta, g, omega_m, gamma = params.drive.delta, params.drive.g, params.omega_m, params.gamma
 
@@ -256,44 +260,93 @@ def _integrate_adiabatic(params, nbar, theta, dt, welch, rng):
     d_cbar = -1j * (delta + omega_m) + kappa / 2
     se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(params.mech.gamma_i)
     c1, c2 = 1j * g / d_c, 1j * g / d_cbar
-    # homodyne current = Re(p_e z_a + p_i z_i) + q Re(env conj(rot))
+    # Euler step of the lab-frame mechanical amplitude, v_n = a v_{n-1} + x_n with
+    # x = dt e^{-i omega_m dt} (c1 w + c2 conj(w) - sg z_b) and w = se z_a + si z_i;
+    # homodyne current = Re(p_e z_a + p_i z_i) + q Re(v_{n-1})
     phase_out = 2.0 * np.exp(-1j * theta)
     p_e = phase_out * (1.0 - kappa_e / d_c)
     p_i = phase_out * -np.sqrt(kappa_e * kappa_i) / d_c
     q = 2.0 * np.real(phase_out * -1j * g * se / d_c)
-
-    decay = 1.0 - gamma * dt / 2.0
+    a = (1.0 - gamma * dt / 2.0) * np.exp(-1j * omega_m * dt)
+    kick = dt * np.exp(-1j * omega_m * dt)
     s_vac = np.sqrt(0.5 / dt) / np.sqrt(2.0)
     s_bath = np.sqrt((nbar + 0.5) / dt) / np.sqrt(2.0)
+    # the current is linear in the three noise streams, so each is integrated on
+    # its own.  A stream z = scale (n_re + i n_im) enters x as
+    # kick (alpha z + beta conj(z)) and the current as Re(p z): a real map from
+    # (n_re, n_im) to the columns (Re x, Im x, direct current)
+    streams = []
+    for alpha, beta, p, scale in (
+        (c1 * se, c2 * se, p_e, s_vac), (c1 * si, c2 * si, p_i, s_vac), (-sg, 0.0, 0.0, s_bath)
+    ):
+        x, direct = scale * np.array([[kick * (alpha + beta), p], [1j * kick * (alpha - beta), 1j * p]]).T
+        streams.append(np.column_stack([x.real, x.imag, direct.real]))
+    states = [0j] * len(streams)
     amp_bound = 1e6 * (1.0 + np.sqrt(nbar + params.drive.gamma_meas / gamma + 1.0))
 
     n_total = welch.n_total
-    buf_a, buf_i = np.empty((2, 2 * min(_CHUNK, n_total)))
-    buf_b = np.empty(2 * min(_BLOCK, _CHUNK, n_total))
-    w_dt = omega_m * dt
-    steps = np.exp(1j * (w_dt * np.arange(len(buf_b) // 2)))
-    state, zi = 0.0j, np.zeros(1, dtype=complex)
-    # each chunk draws its a, then its i, then its bath normals; drawing the
-    # bath part block by block leaves that stream unchanged
+    current = np.empty(min(_CHUNK, n_total))
+    normals = np.empty((min(_BLOCK, _CHUNK, n_total), 2))
+    # each chunk draws all its cavity-port, then loss-port, then bath normals;
+    # drawing them block by block leaves the stream unchanged
     for chunk in range(0, n_total, _CHUNK):
-        n = min(_CHUNK, n_total - chunk)
-        za_chunk = _normals(rng, buf_a[: 2 * n], s_vac)
-        zirr_chunk = _normals(rng, buf_i[: 2 * n], s_vac)
-        for k in range(0, n, len(steps)):
-            m = min(len(steps), n - k)
-            za, zirr = za_chunk[k : k + m], zirr_chunk[k : k + m]
-            zb = _normals(rng, buf_b[: 2 * m], s_bath)
-            rot = np.exp(1j * (w_dt * (chunk + k))) * steps[:m]
-            w = se * za + si * zirr
-            y, zi = lfilter([dt], [1.0, -decay], (c1 * w + c2 * np.conj(w) - sg * zb) * rot, zi=zi)
-            env = np.concatenate(([state], y[:-1]))
-            state = y[-1]
-            if not np.isfinite(state) or abs(state) > amp_bound:
-                raise OracleError(
-                    "unstable integration (energy growth beyond bound); "
-                    "the dt <= 0.01/omega_m step-size precondition is too loose for this system"
-                )
-            welch.add(np.real(p_e * za + p_i * zirr + q * (env * np.conj(rot))))
+        record = current[: min(_CHUNK, n_total - chunk)]
+        record[:] = 0.0
+        for s, mapping in enumerate(streams):
+            for k in range(0, len(record), len(normals)):
+                block = record[k : k + len(normals)]
+                y = rng.standard_normal(out=normals[: len(block)]) @ mapping
+                v = _one_pole(y[:, :2].view(np.complex128)[:, 0], a, states[s])
+                block += y[:, 2]
+                block[0] += q * states[s].real
+                block[1:] += q * v.real[:-1]
+                states[s] = v[-1]
+                if not np.isfinite(states[s]) or abs(states[s]) > amp_bound:
+                    raise OracleError(
+                        "unstable integration (energy growth beyond bound); "
+                        "the dt <= 0.01/omega_m step-size precondition is too loose for this system"
+                    )
+        welch.add(record)
+
+
+@functools.lru_cache(maxsize=4)
+def _pole_powers(a, length):
+    """``a**j`` and ``a**-j`` for ``j < length``, read-only: callers share them.
+    Repeated products, as a sample loop forms them: ``a ** np.arange`` takes
+    ``exp(j log a)``, whose phase error grows as ``j |arg a|`` ulp."""
+    up = np.full(length, a)
+    up[0] = 1.0
+    np.cumprod(up, out=up)
+    down = 1.0 / up
+    up.flags.writeable = down.flags.writeable = False
+    return up, down
+
+
+def _one_pole(x, a, v0=0.0):
+    """``v[n] = a v[n-1] + x[n]`` with ``v[-1] = v0``, for ``|a| < 1``.
+
+    A prefix scan (Blelloch 1990): in sub-blocks of ``L = 2**k`` samples, the
+    longest with ``|a|**-L <= 2`` so that no term outgrows ``v`` by more than
+    a factor 2, ``v[j] = a**j (a c + sum_{i <= j} a**-i x[i])`` with ``c`` the
+    value before the sub-block; the sub-blocks are chained by their end values.
+    """
+    r = abs(a)
+    if not r < 1:
+        raise OracleError(f"unstable one-pole recurrence: |a| = {r:.6g} >= 1")
+    n = len(x)
+    span = math.log(0.5) / math.log(r) if r > 0 else 0.0  # |a|**-span = 2
+    up, down = _pole_powers(a, 1 << min(max(int(span).bit_length() - 1, 0), (n - 1).bit_length()))
+    sums = np.zeros((-(-n // len(up)), len(up)), dtype=np.result_type(x, up))
+    sums.reshape(-1)[:n] = x
+    sums *= down
+    np.cumsum(sums, axis=1, out=sums)
+    carry, a_l, c = np.empty(len(sums), dtype=sums.dtype), a * up[-1], v0
+    for b, end in enumerate((sums[:, -1] * up[-1]).tolist()):
+        carry[b] = c
+        c = a_l * c + end
+    sums += a * carry[:, np.newaxis]
+    sums *= up
+    return sums.reshape(-1)[:n]
 
 
 def _integrate_full(params, nbar, theta, dt, welch, rng):

@@ -436,6 +436,22 @@ class TestCliExitCodes:
         assert "system: g = g0 sqrt(n_c)" in err and "overflows" in err
         assert not (out / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "densitymap", "quasistatic", "oracle-check"])
+    def test_negative_renormalized_frequency_exit_2(self, config_path, tmp_path, capsys, command):
+        # a finite coupling whose optical spring drives omega_m far below zero
+        if command == "oracle-check":  # with an SDE trace, rejected before the draws
+            cfg = small_sde_config(tmp_path, duration=1.2e-3, dt=1.5e-9)
+            old = "g0_over_2pi_hz = 1e3"
+        else:
+            cfg, old = config_path, "g0_over_2pi_hz = 750e3"
+        cfg.write_text(cfg.read_text().replace(old, "g0_over_2pi_hz = 1e150"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "omega_m/2pi" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
+
     @pytest.mark.parametrize("command", ["spectrum", "densitymap", "quasistatic"])
     def test_empty_grid_exit_1(self, config_path, tmp_path, capsys, command):
         text = config_path.read_text().replace("out_n_points = 501", "out_n_points = 0")
@@ -455,8 +471,8 @@ class TestCliExitCodes:
 
 
 class TestColdStart:
-    """scipy subpackages load only inside the functions that call them, so
-    every command except an SDE-tracing oracle-check starts without them."""
+    """No module of the package imports scipy, so no command loads it, an
+    oracle-check that writes an SDE trace included."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -504,6 +520,12 @@ class TestColdStart:
             assert main(["synth", *common, "--n-c", "50"]) == 0
             argv += ["--n-c", "50", "--data", str(out / self.FIT_DATA[command])]
         assert self.scipy_modules_after(argv) == set()
+
+    def test_sde_trace_loads_no_scipy(self, tmp_path):
+        cfg = small_sde_config(tmp_path, duration=1.2e-3, dt=1.5e-9)
+        out = tmp_path / "o"
+        assert self.scipy_modules_after(["oracle-check", "--config", str(cfg), "--out", str(out)]) == set()
+        assert (out / "sde_trace.csv").exists()
 
 
 def config_variant(tmp_path, n_c, delta_over_kappa):

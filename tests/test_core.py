@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from omsqueeze import (
     transfer_coefficients,
 )
 from omsqueeze.core import (
+    instability,
     reflection_phase,
     spring_damping_rates,
     transduction_phasors,
@@ -70,6 +73,28 @@ class TestSpringAndDamping:
         bracket = 1 / (1j * (delta - wm) + kap / 2) - 1 / (-1j * (delta + wm) + kap / 2)
         assert gamma_om == pytest.approx(float(2 * g**2 * mpmath.re(bracket)), rel=1e-12)
         assert d_omega == pytest.approx(float(g**2 * mpmath.im(bracket)), rel=1e-12)
+
+
+class TestInstability:
+    def test_paper_operating_point_is_stable(self, paper_params):
+        assert instability(paper_params) is None
+
+    def test_spring_beyond_the_bare_frequency(self, paper_optical):
+        # a finite coupling whose optical spring pulls omega_m below zero
+        mech = MechanicalMode(omega_m0=OMEGA_M0, gamma_i=GAMMA_I, g0=TWO_PI * 1e150)
+        p = SystemParams.build(paper_optical, mech, delta=DELTA, n_c=N_C)
+        assert p.omega_m < 0 < p.gamma < np.inf
+        assert "omega_m/2pi" in instability(p)
+
+    @pytest.mark.parametrize("omega_m, gamma, name", [
+        (0.0, 1.0, "omega_m"), (-1.0, 1.0, "omega_m"), (np.inf, 1.0, "omega_m"),
+        (np.nan, 1.0, "omega_m"), (1.0, 0.0, "gamma"), (1.0, -1.0, "gamma"),
+        (1.0, np.inf, "gamma"), (1.0, np.nan, "gamma"),
+    ])
+    def test_rejects_each_bad_rate(self, omega_m, gamma, name):
+        problem = instability(SimpleNamespace(omega_m=omega_m, gamma=gamma))
+        assert problem.startswith("unstable operating point") and f"{name}/2pi" in problem
+        assert "\n" not in problem
 
 
 class TestTransferCoefficients:

@@ -4,8 +4,8 @@ imported and no process is started.
 The modules form the layers core -> noise -> instrument -> {estimate, oracle}
 -> config -> cli; each may import only modules of a lower layer, so the
 import graph has no cycle.  Package modules are imported at module level
-only (a function-local import is how a cycle hides), and scipy only inside
-the functions that call it, so ``import omsqueeze`` loads no scipy module.
+only (a function-local import is how a cycle hides), and no module imports
+scipy, anywhere: the package depends on numpy alone.
 """
 
 import ast
@@ -69,14 +69,14 @@ def test_no_function_local_package_import():
     assert local == []
 
 
-def test_scipy_imported_only_inside_functions():
-    top_level = [
+def test_no_module_imports_scipy():
+    scipy_imports = [
         (module, name)
         for module, imports in MODULES.items()
-        for name, in_function in imports
-        if not in_function and name.split(".")[0] == "scipy"
+        for name, _ in imports
+        if name.split(".")[0] == "scipy"
     ]
-    assert top_level == []
+    assert scipy_imports == []
 
 
 def test_imports_point_to_lower_layers():

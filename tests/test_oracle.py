@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from omsqueeze import oracle
@@ -356,6 +358,21 @@ class TestSdeStreaming:
         np.testing.assert_allclose(tr.values, mean, rtol=1e-12)
         np.testing.assert_allclose(tr.stderr, stderr, rtol=1e-12)
 
+    def test_peak_memory_grows_8_bytes_per_chunk_sample(self, monkeypatch):
+        # one real current buffer of _CHUNK samples; everything else is per block
+        p, dt, bins = streaming_adiabatic_case()
+        seg = 1 << 14
+        chunks, peaks = (1 << 16, 1 << 18), []
+        for chunk in chunks:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                sde_time_domain_psd(p, 3.0, 0.4, 17.5 * seg * dt, dt, seed=1, freq_bins=bins, segment_samples=seg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (chunks[1] - chunks[0]) <= 10.0
+
     def test_peak_memory_independent_of_duration(self, monkeypatch):
         monkeypatch.setattr(oracle, "_CHUNK", 1 << 12)
         p, dt, bins = streaming_adiabatic_case()
@@ -390,9 +407,53 @@ class TestSdeChecksBeforeWork:
             sde_time_domain_psd(p, 0.0, 0.4, 8.5 * 50_000 * dt, dt, seed=0, freq_bins=bins,
                                 segment_samples=50_000)
 
+    def test_step_beyond_the_damping_raises_first(self):
+        # gamma dt / 2 = 2.25: the Euler factor 1 - gamma dt/2 = -1.25 grows
+        optical, mech = small_adiabatic(q_m=2e-3)
+        p = SystemParams.build(optical, mech, delta=0.0, n_c=1.0)
+        with pytest.raises(OracleError, match=r"\|1 - gamma dt/2\| = 1\.25"):
+            sde_time_domain_psd(p, 0.0, 0.4, duration=1.0, dt=0.009 / p.omega_m, seed=0)
+
     def test_anti_damped_operating_point_raises_first(self):
         optical, mech = small_adiabatic(g0_frac=3e-2)
         p = SystemParams.build(optical, mech, delta=-0.1 * optical.kappa, n_c=1e6)
         assert p.gamma <= 0
         with pytest.raises(OracleError, match="unstable operating point"):
             sde_time_domain_psd(p, 0.0, 0.4, duration=1.0, dt=0.01 / mech.omega_m0, seed=0)
+
+
+def one_pole_loop(x, a, v0):
+    v, out = v0, []
+    for xn in x.tolist():
+        v = a * v + xn
+        out.append(v)
+    return np.array(out)
+
+
+class TestOnePole:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radius=st.floats(0.5, 1 - 1e-6),
+        angle=st.floats(-np.pi, np.pi),
+        n=st.one_of(st.integers(1, 3 << 14), st.sampled_from([(1 << 14) - 1, (1 << 14) + 1, 3 << 14])),
+        cuts=st.lists(st.integers(1, (3 << 14) - 1), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_python_loop(self, radius, angle, n, cuts, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(2 * n).view(np.complex128)
+        a, v0 = radius * np.exp(1j * angle), complex(*rng.standard_normal(2))
+        # 1-4 calls, the state carried from each to the next
+        pieces, v = [], v0
+        for part in np.split(x, sorted({c for c in cuts if c < n})):
+            pieces.append(oracle._one_pole(part, a, v).copy())
+            v = pieces[-1][-1]
+        ref = one_pole_loop(x, a, v0)
+        assert np.max(np.abs(np.concatenate(pieces) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("a", [1.0, -1.0, 1j, 1.5 * np.exp(0.3j), np.nan])
+    def test_unstable_pole_raises_before_any_work(self, a):
+        # a 2**40-sample input that is never materialized: any per-sample work would show
+        x = np.broadcast_to(np.complex128(1.0), (1 << 40,))
+        with pytest.raises(OracleError, match="one-pole"):
+            oracle._one_pole(x, a, 0j)
