@@ -51,7 +51,7 @@ from .oracle import (
 )
 
 FMT = "%.9g"
-NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic")
+NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic", "synth")
 
 
 class DataError(ValueError):
@@ -220,10 +220,12 @@ def _oracle_draws(params, seed, n_draws):
     scalars = np.empty((n_draws, 8))
     corrs = np.empty((n_draws, 4, 4), dtype=complex)
     for i in range(n_draws):
-        p = params.with_drive(
-            delta=params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * rng.choice((-1.0, 1.0)),
-            n_c=params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5),
-        )
+        delta = params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * rng.choice((-1.0, 1.0))
+        n_c = params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5)
+        try:
+            p = params.with_drive(delta=delta, n_c=n_c)
+        except ValueError as exc:
+            raise OracleError(f"oracle draw {i} (n_c = {n_c:.6g}): {exc}") from None
         omegas[i] = omega = 2 * np.pi * 10 ** rng.uniform(5.5, 7.6)
         thetas[i] = theta = rng.uniform(-np.pi, np.pi)
         nbar = bath_occupation(omega, 16.0)

@@ -111,7 +111,9 @@ class DriveCondition:
         try:
             gamma_meas = 4.0 * g**2 / optical.kappa
         except OverflowError:
-            raise ValueError(f"g = g0 sqrt(n_c) = {g:.6g} rad/s: g^2 overflows") from None
+            gamma_meas = math.inf
+        if not math.isfinite(gamma_meas):
+            raise ValueError(f"g = g0 sqrt(n_c) = {g:.6g} rad/s: gamma_meas = 4 g^2/kappa overflows")
         return cls(delta=delta, n_c=n_c, g=g, gamma_meas=gamma_meas)
 
     def validate_against(self, mech: MechanicalMode, optical: OpticalMode):

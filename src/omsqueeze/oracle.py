@@ -241,10 +241,11 @@ def sde_time_domain_psd(
     dt <= 0.01/kappa (full), checked with the others by ``plan_sde``.  The
     record is never held: per ``_CHUNK`` samples the adiabatic branch
     draws the cavity-port, loss-port and bath noise in turn, block by
-    block into one ``(_BLOCK, 2)`` buffer, and sums each stream's part of
-    the current into one real ``_CHUNK`` buffer (8 B per sample) before
-    the Welch estimate takes it; the full branch draws its noise for the
-    whole record.
+    block into one ``(_BLOCK, 2)`` buffer, integrates each stream's part of
+    the current one segment piece at a time into one real buffer of at most
+    a segment, and folds each piece into that segment's band spectrum
+    (``_Welch.fold``), so memory grows with neither ``_CHUNK`` nor the
+    duration; the full branch draws its noise for the whole record.
     """
     welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
     integrate = _integrate_adiabatic if _adiabatic(params) else _integrate_full
@@ -284,29 +285,37 @@ def _integrate_adiabatic(params, nbar, theta, dt, welch, rng):
     states = [0j] * len(streams)
     amp_bound = 1e6 * (1.0 + np.sqrt(nbar + params.drive.gamma_meas / gamma + 1.0))
 
-    n_total = welch.n_total
-    current = np.empty(min(_CHUNK, n_total))
-    normals = np.empty((min(_BLOCK, _CHUNK, n_total), 2))
+    n_total, n_seg = welch.n_total, len(welch.window)
+    piece = np.empty(min(n_seg, _CHUNK, n_total))
+    normals = np.empty((min(_BLOCK, len(piece)), 2))
     # each chunk draws all its cavity-port, then loss-port, then bath normals;
-    # drawing them block by block leaves the stream unchanged
+    # drawing them block by block leaves the stream unchanged.  Each stream's
+    # current is integrated one piece (a chunk's overlap with a segment) at a
+    # time and folded into that segment's band DFT: the DFT is linear in the
+    # current, so the three streams' folds sum to the DFT of the whole current
     for chunk in range(0, n_total, _CHUNK):
-        record = current[: min(_CHUNK, n_total - chunk)]
-        record[:] = 0.0
+        chunk_end = min(chunk + _CHUNK, n_total)
         for s, mapping in enumerate(streams):
-            for k in range(0, len(record), len(normals)):
-                block = record[k : k + len(normals)]
-                y = rng.standard_normal(out=normals[: len(block)]) @ mapping
-                v = _one_pole(y[:, :2].view(np.complex128)[:, 0], a, states[s])
-                block += y[:, 2]
-                block[0] += q * states[s].real
-                block[1:] += q * v.real[:-1]
-                states[s] = v[-1]
-                if not np.isfinite(states[s]) or abs(states[s]) > amp_bound:
-                    raise OracleError(
-                        "unstable integration (energy growth beyond bound); "
-                        "the dt <= 0.01/omega_m step-size precondition is too loose for this system"
-                    )
-        welch.add(record)
+            start = chunk
+            while start < chunk_end:
+                seg, offset = divmod(start, n_seg)
+                record = piece[: min(chunk_end - start, n_seg - offset)]
+                for k in range(0, len(record), len(normals)):
+                    block = record[k : k + len(normals)]
+                    y = rng.standard_normal(out=normals[: len(block)]) @ mapping
+                    v = _one_pole(y[:, :2].view(np.complex128)[:, 0], a, states[s])
+                    block[:] = y[:, 2]
+                    block[0] += q * states[s].real
+                    block[1:] += q * v.real[:-1]
+                    states[s] = v[-1]
+                    if not np.isfinite(states[s]) or abs(states[s]) > amp_bound:
+                        raise OracleError(
+                            "unstable integration (energy growth beyond bound); "
+                            "the dt <= 0.01/omega_m step-size precondition is too loose for this system"
+                        )
+                welch.fold(seg, offset, record)
+                start += len(record)
+        welch.close_through(chunk_end)
 
 
 @functools.lru_cache(maxsize=4)
@@ -336,9 +345,12 @@ def _one_pole(x, a, v0=0.0):
     n = len(x)
     span = math.log(0.5) / math.log(r) if r > 0 else 0.0  # |a|**-span = 2
     up, down = _pole_powers(a, 1 << min(max(int(span).bit_length() - 1, 0), (n - 1).bit_length()))
-    sums = np.zeros((-(-n // len(up)), len(up)), dtype=np.result_type(x, up))
-    sums.reshape(-1)[:n] = x
-    sums *= down
+    if n % len(up):
+        sums = np.zeros((-(-n // len(up)), len(up)), dtype=np.result_type(x, up))
+        sums.reshape(-1)[:n] = x
+        sums *= down
+    else:
+        sums = x.reshape(-1, len(up)) * down
     np.cumsum(sums, axis=1, out=sums)
     carry, a_l, c = np.empty(len(sums), dtype=sums.dtype), a * up[-1], v0
     for b, end in enumerate((sums[:, -1] * up[-1]).tolist()):
@@ -390,8 +402,14 @@ def _integrate_full(params, nbar, theta, dt, welch, rng):
 class _Welch:
     """Welch (1967) estimate fed as samples arrive: Hann-windowed periodograms
     of consecutive non-overlapping segments, averaged into frequency bins,
-    with the per-bin standard error from the inter-segment variance.  It
-    holds one segment, whatever the record length."""
+    with the per-bin standard error from the inter-segment variance.
+
+    Each open segment is held only as its windowed DFT on the contiguous band
+    of FFT bins that ``freq_bins`` selects, so pieces of a segment may be
+    folded in any order and summed.  The band DFT is a pruned FFT (Sorensen &
+    Burrus 1993): with ``N = M D`` and ``M`` the smallest divisor of ``N`` with
+    ``M >= 2K`` for ``K`` band bins, an ``rfft`` of length ``M`` down the ``D``
+    polyphase columns ``x[d::D]``, then one twiddle sum over ``d`` per bin."""
 
     def __init__(self, dt, segment_samples, n_segments, freq_bins):
         self.dt, self.n_segments, self.freq_bins = dt, n_segments, freq_bins
@@ -400,14 +418,53 @@ class _Welch:
         self.norm = dt / (segment_samples * np.mean(self.window**2))
         idx = np.digitize(np.fft.rfftfreq(segment_samples, dt), freq_bins) - 1
         self.n_bins = n_bins = len(freq_bins) - 1
-        self.sel = (idx >= 0) & (idx < n_bins)
-        self.idx = idx[self.sel]
+        band = np.flatnonzero((idx >= 0) & (idx < n_bins))
+        self.idx = idx[band]
         self.counts = np.bincount(self.idx, minlength=n_bins)
         if np.any(self.counts == 0):
             raise ValueError("freq_bins too fine for the segment resolution")
         self.sums, self.sumsq = np.zeros((2, n_bins))
-        self.seg = np.empty(segment_samples)
-        self.fill = 0
+
+        n = segment_samples
+        m = next((m for m in range(2 * len(band), n) if n % m == 0), n)
+        self.polyphase_window = self.window.reshape(m, n // m)
+        # bin k is row k mod m of the length-m rfft, or past its Nyquist row the
+        # conjugate of row m - (k mod m): there conj(F) t = conj(F conj(t)), and
+        # the bin is held conjugated, which |.|^2 does not see
+        r = band % m
+        flip = r > m // 2
+        self.rows = np.where(flip, m - r, r)
+        twiddle = np.exp(-2j * np.pi / n * np.outer(band, np.arange(n // m)))
+        self.twiddle = np.where(flip[:, np.newaxis], twiddle.conj(), twiddle)
+        self.open = {}  # segment index -> band DFT folded so far, in index order
+        self.seg = np.empty(n)
+        self.fill = self.n_filled = 0
+
+    def fold(self, seg, offset, samples):
+        """Add the band DFT of ``samples``, which start ``offset`` samples into segment ``seg``."""
+        n = len(self.window)
+        if len(samples) < n:
+            padded = np.zeros(n)
+            padded[offset : offset + len(samples)] = samples
+            samples = padded
+        m = len(self.polyphase_window)
+        spectrum = np.fft.rfft(samples.reshape(m, -1) * self.polyphase_window, axis=0)
+        band = np.einsum("kd,kd->k", spectrum[self.rows], self.twiddle)
+        if seg in self.open:
+            self.open[seg] += band
+        else:
+            self.open[seg] = band
+
+    def close_through(self, sample):
+        """Fold every open segment that ends at or before ``sample`` into the bin sums."""
+        while self.open:
+            seg = next(iter(self.open))
+            if (seg + 1) * len(self.window) > sample:
+                break
+            pxx = np.abs(self.open.pop(seg)) ** 2 * self.norm
+            binned = np.bincount(self.idx, weights=pxx, minlength=self.n_bins) / self.counts
+            self.sums += binned
+            self.sumsq += binned**2
 
     def add(self, samples):
         """Append the next samples of the record; fold each full segment into the bin sums."""
@@ -417,17 +474,16 @@ class _Welch:
             self.fill += take
             samples = samples[take:]
             if self.fill == len(self.seg):
-                pxx = np.abs(np.fft.rfft(self.window * self.seg)) ** 2 * self.norm
-                binned = np.bincount(self.idx, weights=pxx[self.sel], minlength=self.n_bins) / self.counts
-                self.sums += binned
-                self.sumsq += binned**2
+                self.fold(self.n_filled, 0, self.seg)
+                self.n_filled += 1
+                self.close_through(self.n_filled * len(self.seg))
                 self.fill = 0
 
     def result(self, params) -> SpectrumTrace:
         n = self.n_segments
         mean = self.sums / n
         stderr = np.sqrt(np.maximum(self.sumsq / n - mean**2, 0.0) / n)
-        resolution = 1.0 / (len(self.seg) * self.dt)
+        resolution = 1.0 / (len(self.window) * self.dt)
         return SpectrumTrace(
             freqs=0.5 * (self.freq_bins[:-1] + self.freq_bins[1:]), values=mean, rbw=resolution, stderr=stderr,
             meta={"segments": int(n), "dt_s": float(self.dt), "resolution_hz": float(resolution),

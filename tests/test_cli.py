@@ -436,7 +436,37 @@ class TestCliExitCodes:
         assert "system: g = g0 sqrt(n_c)" in err and "overflows" in err
         assert not (out / "spectrum.csv").exists()
 
-    @pytest.mark.parametrize("command", ["spectrum", "densitymap", "quasistatic", "oracle-check"])
+    def test_overflowing_measurement_rate_exit_1(self, config_path, tmp_path, capsys):
+        # g^2 fits a float but gamma_meas = 4 g^2/kappa does not
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(
+            config_path.read_text().replace("g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 5e151"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "system: g = g0 sqrt(n_c)" in err and "4 g^2/kappa overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_oracle_draw_exit_2(self, config_path, tmp_path, capsys):
+        # the configured coupling fits a float, but a draw at up to 10**1.5 n_c does not
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(
+            config_path.read_text().replace("g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 2.5e151"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "oracle draw" in err and "overflows" in err
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
+
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "densitymap", "quasistatic", "oracle-check", "synth"]
+    )
     def test_negative_renormalized_frequency_exit_2(self, config_path, tmp_path, capsys, command):
         # a finite coupling whose optical spring drives omega_m far below zero
         if command == "oracle-check":  # with an SDE trace, rejected before the draws

@@ -358,12 +358,25 @@ class TestSdeStreaming:
         np.testing.assert_allclose(tr.values, mean, rtol=1e-12)
         np.testing.assert_allclose(tr.stderr, stderr, rtol=1e-12)
 
-    def test_peak_memory_grows_8_bytes_per_chunk_sample(self, monkeypatch):
-        # one real current buffer of _CHUNK samples; everything else is per block
+    def test_segment_spanning_several_chunks_matches_whole_record_reference(self, monkeypatch):
+        # each 50000-sample segment is folded from pieces of two or three
+        # 2**15-sample chunks, each piece integrated in one or two 2**14-sample blocks
+        chunk, seg = 1 << 15, 50_000
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        p, dt, bins = streaming_adiabatic_case()
+        duration = 8.5 * seg * dt
+        tr = sde_time_domain_psd(p, 3.0, 0.4, duration, dt, seed=6, freq_bins=bins, segment_samples=seg)
+        mean, stderr = _ref_psd(p, 3.0, 0.4, duration, dt, 6, bins, seg, chunk)
+        assert tr.meta["segments"] == 8
+        np.testing.assert_allclose(tr.values, mean, rtol=1e-12)
+        np.testing.assert_allclose(tr.stderr, stderr, rtol=1e-12)
+
+    def test_peak_memory_independent_of_chunk(self, monkeypatch):
+        # each stream is folded segment by segment: no buffer grows with _CHUNK
         p, dt, bins = streaming_adiabatic_case()
         seg = 1 << 14
-        chunks, peaks = (1 << 16, 1 << 18), []
-        for chunk in chunks:
+        peaks = []
+        for chunk in (1 << 16, 1 << 18):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             tracemalloc.start()
             try:
@@ -371,7 +384,7 @@ class TestSdeStreaming:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (chunks[1] - chunks[0]) <= 10.0
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.02)
 
     def test_peak_memory_independent_of_duration(self, monkeypatch):
         monkeypatch.setattr(oracle, "_CHUNK", 1 << 12)
