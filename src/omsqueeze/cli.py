@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from .oracle import (
 )
 
 FMT = "%.9g"
-NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic", "synth")
+NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic", "synth", "oracle-check")
 
 
 class DataError(ValueError):
@@ -60,6 +61,95 @@ class DataError(ValueError):
 
 def _fmt(x):
     return FMT % x
+
+
+@functools.cache
+def _digit_tables():
+    """10**0 .. 10**22 (each exact in float64), the three ASCII digits of
+    each of 0..999 as a (3, 1000) table, and how many of those three digits
+    are left once trailing zeros are stripped (0 for 0)."""
+    g = np.arange(1000)
+    digits = (np.stack([g // 100, g // 10 % 10, g % 10]) + ord("0")).astype(np.uint8)
+    kept = np.where(g % 10, 3, np.where(g % 100, 2, np.where(g, 1, 0))).astype(np.int8)
+    return np.array([float(10**k) for k in range(23)]), digits, kept
+
+
+def _format_table(x):
+    """``FMT % v`` for each v of ``x`` (flattened), as a column-major (W, n)
+    uint8 table: column i with its zero bytes removed is ``FMT % x[i]``.
+
+    With e = floor(log10|v|), y = |v| 10**(8 - e) is one correctly rounded
+    product (10**(8 - e) is exact), so |y - t| <= 6e-8 for the exact
+    t = |v| 10**(8 - e) in [1e8, 1e9).  The nine digits are then rint(y),
+    which equals the correctly rounded (half-even) round(t) that dtoa
+    prints, unless frac(y) lies within 1e-6 of 1/2 or y within 1e-6 of 1e8
+    or at or above 1e9 - 1 (where the exponent may differ).  Those values,
+    |v| outside [1e-13, 1e9), zeros and non-finite values are formatted by
+    ``FMT %`` instead.  The digits come from a table of 0..999; the sign,
+    the point, the "0.000" prefix and the "e-XX" suffix follow %g."""
+    x = np.asarray(x, dtype=float).ravel()
+    pow10, digits, kept = _digit_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-13) & (a < 1e9)
+    a[~fast] = 1.0
+    # log10 can be one off only within ~1e-14 of a power of ten, where y
+    # lands within 1e-6 of 1e8 or 1e9 and the value goes to the fallback
+    e = np.floor(np.log10(a)).astype(np.int16)
+    y = a * pow10.take(8 - e, mode="clip")
+    fast &= (y >= 1e8 + 1e-6) & (y < 1e9 - 1) & (np.abs(y - np.floor(y) - 0.5) >= 1e-6)
+    y[~fast], e[~fast] = 1e8, 0  # placeholders, overwritten below
+    m = np.rint(y).astype(np.int32)
+    hi, mid = m // 1000000, m // 1000
+    groups = (hi, mid - 1000 * hi, m - 1000 * mid)
+    n_sig = np.where(
+        groups[2] > 0, 6 + kept[groups[2]],
+        np.where(groups[1] > 0, 3 + kept[groups[1]], kept[groups[0]]),
+    )
+    fixed = e >= -4  # %g: fixed point for exponents -4..8, else d.ddde-XX
+    keep = np.where(fixed, np.maximum(n_sig, e + 1), n_sig)  # integer digits stay
+    d9 = np.empty((9, len(x)), np.uint8)
+    for i, group in enumerate(groups):
+        digits.take(group, axis=1, out=d9[3 * i : 3 * i + 3])
+    for j in range(keep.min(initial=9), 9):
+        d9[j] *= keep > j
+    point = np.where(e >= 0, e, np.where(fixed, -1, 0))  # '.' after this digit
+    point[n_sig <= point + 1] = -1
+    lead = np.where(fixed & (e < 0), 1 - e, 0)  # bytes of the "0.000" prefix
+    negative = x < 0
+    rows = [negative * np.uint8(ord("-"))] if negative.any() else []
+    rows += [(lead > r) * np.uint8(c) for r, c in enumerate(b"0.000"[: lead.max(initial=0)])]
+    for j in range(keep.max(initial=0)):
+        rows.append(d9[j])
+        if (point == j).any():
+            rows.append((point == j) * np.uint8(ord(".")))
+    sci = ~fixed
+    if sci.any():
+        rows += [sci * np.uint8(c) for c in b"e-"]
+        rows += [sci * (ord("0") + d).astype(np.uint8) for d in divmod(-e, 10)]
+    slow = np.flatnonzero(~fast)
+    text = np.array([(FMT % v).encode() for v in x[slow].tolist()], dtype=bytes)
+    width = text.dtype.itemsize
+    table = np.zeros((max(len(rows), width), len(x)), np.uint8)
+    table[: len(rows)] = rows
+    table[:, slow] = 0
+    table[:width, slow] = text.view(np.uint8).reshape(-1, width).T
+    return table
+
+
+def _csv_bytes(fields, shape):
+    """CSV lines of ``shape`` records, ended by CRLF, from one byte table per
+    column of shape (W, *shape) or broadcastable to it, as ``_format_table``
+    returns them; the zero bytes are removed."""
+    width = sum(len(f) for f in fields) + len(fields) + 1
+    table = np.empty((width, *shape), np.uint8)
+    at = 0
+    for f in fields:
+        table[at : at + len(f)] = f
+        at += len(f) + 1
+        table[at - 1] = ord(",")
+    table[at - 1] = ord("\r")
+    table[at] = ord("\n")
+    return table.reshape(width, -1).T.tobytes().translate(None, b"\0")
 
 
 def _write_rows(path, header, rows):
@@ -80,22 +170,31 @@ def write_spectrum_csv(path, trace: SpectrumTrace, components=None):
     if trace.stderr is not None:
         header.append("stderr")
         cols.append(trace.stderr)
-    # the same bytes ``csv.writer`` produces, one formatted string per row
-    row_fmt = ",".join([FMT] * len(cols)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join([row_fmt % tuple(row) for row in np.column_stack(cols).tolist()]))
+    # the same bytes ``csv.writer`` produces; all columns formatted in one call
+    table = _format_table(np.column_stack(cols))
+    table = table.reshape(len(table), len(trace.freqs), len(cols))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.write(_csv_bytes([table[..., j] for j in range(len(cols))], table.shape[1:2]))
+
+
+MAP_BLOCK = 1 << 13  # map values formatted and written at once (64 kB of float64)
 
 
 def write_map_csv(path, sqmap):
     """Long form theta_lock_rad,freq_hz,s_norm; the same bytes ``csv.writer``
-    produces, one map row per write from one prebuilt ``%`` template."""
-    # "\0" stands for the row's lock angle; formatted numbers hold no "%"
-    template = "".join([f"\0,{_fmt(f)},{FMT}\r\n" for f in sqmap.freqs])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("theta_lock_rad,freq_hz,s_norm\r\n")
-        for theta, row in zip(sqmap.theta_locks, sqmap.values.tolist()):
-            fh.write(template.replace("\0", _fmt(theta)) % tuple(row))
+    produces.  Angles and frequencies are formatted once, the values in
+    blocks of whole map rows of about MAP_BLOCK values."""
+    thetas = _format_table(sqmap.theta_locks)[:, :, np.newaxis]
+    freqs = _format_table(sqmap.freqs)[:, np.newaxis, :]
+    step = max(1, MAP_BLOCK // len(sqmap.freqs))
+    with open(path, "wb") as fh:
+        fh.write(b"theta_lock_rad,freq_hz,s_norm\r\n")
+        for r in range(0, len(sqmap.theta_locks), step):
+            values = sqmap.values[r : r + step]
+            table = _format_table(values)
+            table = table.reshape(len(table), *values.shape)
+            fh.write(_csv_bytes([thetas[:, r : r + step], freqs, table], values.shape))
 
 
 def write_fit_csv(path, pairs, residual_norm):
@@ -258,8 +357,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
         return 1
     sde = cfg.sde_duration_s > 0
     if sde:
-        # reject bad SDE settings before the draws run (an unstable operating
-        # point raises OracleError)
+        # reject bad SDE settings before the draws run
         try:
             plan_sde(params, cfg.sde_duration_s, cfg.sde_dt_s)
         except ValueError as exc:
@@ -328,7 +426,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="omsqueeze", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
@@ -337,7 +437,11 @@ def main(argv=None):
     parser.add_argument("--n-c", type=float, default=None)
     parser.add_argument("--theta-lock", type=float, default=None)
     parser.add_argument("--data", default=None, help="input CSV for the fit commands")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     overrides = {}
     if args.seed is not None:

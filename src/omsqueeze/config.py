@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MechanicalMode, OpticalMode, SystemParams
-from .instrument import F_MIN_HZ, Scenario
+from .instrument import F_MIN_HZ, MAX_COARSE_NODES, Scenario, coarse_node_count
 from .noise import (
     AbsorptiveNoiseModel,
     BathModel,
@@ -233,6 +233,15 @@ def _build(values, problems):
                     f"grid.out_f_start_hz must exceed the {F_MIN_HZ:g} Hz cutoff of the "
                     f"frequency rule (got {grid.out_f_start_hz!r})"
                 )
+            else:
+                out_max = grid.out_f_start_hz + grid.out_f_step_hz * max(grid.out_n_points - 1, 0)
+                nodes = coarse_node_count(out_max, grid.rbw_hz)
+                if not nodes <= MAX_COARSE_NODES:
+                    problems.append(
+                        f"grid.rbw_hz = {grid.rbw_hz!r} is too narrow for the output span: "
+                        f"the frequency rule would need {nodes:.3g} nodes (at most "
+                        f"{MAX_COARSE_NODES}); widen it or shorten the grid"
+                    )
             for key in ("out_n_points", "n_theta_lock"):
                 if getattr(grid, key) < 1:
                     problems.append(f"grid.{key} must be at least 1 (got {getattr(grid, key)!r})")

@@ -36,6 +36,7 @@ __all__ = [
     "rbw_resample",
     "rbw_shape_rows",
     "quadrature_rule",
+    "coarse_node_count",
     "output_harmonics",
     "total_harmonics",
     "output_spectrum",
@@ -51,6 +52,9 @@ F_MIN_HZ = 1e3  # low-frequency cutoff of the quadrature rule; no output bin may
 H_COARSE = 0.5  # node spacing far from every feature, in units of the RBW sigma
 H_LINE = 0.25  # step in asinh((f - f_k) / a_k) per node at each resonance
 H_LOG = 0.1  # step in ln(f) per node toward the low-frequency cutoff
+# A config whose coarse node count exceeds this is rejected: the rule costs
+# about 400 B per node to build, so 2**18 nodes stay near 100 MB
+MAX_COARSE_NODES = 1 << 18
 # Gregory's endpoint weights (trapezoid plus differences up to fourth order)
 GREGORY = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 
@@ -254,6 +258,13 @@ def quadrature_rule(scenario, out_freqs, rbw):
     weights[: len(GREGORY)] *= GREGORY
     weights[-len(GREGORY) :] *= GREGORY[::-1]
     return f, weights
+
+
+def coarse_node_count(out_max, rbw):
+    """Nodes the coarse term of ``quadrature_rule`` alone puts on its span
+    [F_MIN_HZ, out_max + RBW_SUPPORT sigma], a lower bound on the rule's size."""
+    sigma = rbw * FWHM_TO_SIGMA
+    return (out_max + RBW_SUPPORT * sigma - F_MIN_HZ) / (H_COARSE * sigma)
 
 
 @dataclass(frozen=True)

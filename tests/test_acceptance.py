@@ -178,6 +178,7 @@ def test_criterion_07_oracle_equivalence():
     report(7, ok, f"closed form vs matrix solve over 1000 draws: max rel err = {worst:.2e}")
 
 
+@pytest.mark.sde
 def test_criterion_08_monte_carlo_equivalence():
     p = paper_system()
     f_m = p.omega_m / TWO_PI

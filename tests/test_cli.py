@@ -1,8 +1,11 @@
 import csv
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omsqueeze import SpectrumTrace, SqueezingMap
 from omsqueeze import cli, instrument
@@ -316,6 +319,80 @@ class TestCliCommands:
         assert (out / "quasistatic.csv").exists()
 
 
+def formatted(table):
+    """The strings held by the columns of a ``cli._format_table`` table."""
+    return [bytes(column).replace(b"\0", b"").decode() for column in table.T]
+
+
+class CountingFormat(str):
+    """``cli.FMT`` that counts the values formatted by ``%``."""
+
+    calls = 0
+
+    def __mod__(self, value):
+        CountingFormat.calls += 1
+        return str.__mod__(self, value)
+
+
+class TestFormatTable:
+    EDGES = [
+        0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+        2.2250738585072014e-308, 1e-4, 1e-5, 9.999999999999999e-5, 1.5e-5, -0.00012345,
+        99999999.95, 123456789.5, 999999999.5, 0.9999999999999999, 1e-13, 1e8, 1e9,
+        0.1, 0.5, 1.0, 2.5, 100.0, 12345.678, 1e-300, 1e300,
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+            st.floats(-2e9, 2e9),
+            # ten significant digits ending in 5: next to a rounding tie of "%.9g"
+            st.builds("{}5e{}".format, st.integers(10**8, 10**9 - 1), st.integers(-23, 0)).map(float),
+        ),
+        min_size=1, max_size=64,
+    ))
+    def test_matches_percent_format(self, values):
+        assert formatted(cli._format_table(np.array(values))) == ["%.9g" % v for v in values]
+
+    def test_edge_values(self):
+        powers = 10.0 ** np.arange(-20, 20)
+        values = np.concatenate([
+            self.EDGES, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        ])
+        assert formatted(cli._format_table(values)) == ["%.9g" % v for v in values.tolist()]
+
+    def test_default_map_csv_matches_csv_writer(self, config_path, tmp_path):
+        # 61 x 501 values: several row blocks of write_map_csv
+        out = tmp_path / "o"
+        assert main(["densitymap", "--config", str(config_path), "--out", str(out)]) == 0
+        cfg = load_config(config_path)
+        grid = cfg.grid
+        sqmap = instrument.assemble_density_map(
+            grid.theta_locks(), grid.out_freqs(), cfg.scenario, grid.rbw_hz
+        )
+        assert sqmap.values.size > 2 * cli.MAP_BLOCK
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["theta_lock_rad", "freq_hz", "s_norm"])
+            w.writerows(
+                ["%.9g" % t, "%.9g" % f, "%.9g" % sqmap.values[i, j]]
+                for i, t in enumerate(sqmap.theta_locks)
+                for j, f in enumerate(sqmap.freqs)
+            )
+        assert (out / "densitymap.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_fallback_is_rare_on_default_map(self, config_path, tmp_path, monkeypatch):
+        # a broken fast path must not hide behind the exact "%" fallback
+        monkeypatch.setattr(cli, "FMT", CountingFormat(cli.FMT))
+        CountingFormat.calls = 0
+        out = tmp_path / "o"
+        assert main(["densitymap", "--config", str(config_path), "--out", str(out)]) == 0
+        n_values = 61 * 501
+        assert len((out / "densitymap.csv").read_bytes().splitlines()) == n_values + 1
+        assert CountingFormat.calls < 0.01 * n_values
+
+
 class TestCliExitCodes:
     def test_config_error_exit_1(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -451,10 +528,13 @@ class TestCliExitCodes:
         assert not out.exists()
 
     def test_overflowing_oracle_draw_exit_2(self, config_path, tmp_path, capsys):
-        # the configured coupling fits a float, but a draw at up to 10**1.5 n_c does not
+        # the configured coupling fits a float, but a draw at up to 10**1.5 n_c does not;
+        # at zero detuning there is no optical spring, so the configured point is stable
         cfg = tmp_path / "big.ini"
         cfg.write_text(
-            config_path.read_text().replace("g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 2.5e151"),
+            config_path.read_text()
+            .replace("g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 2.5e151")
+            .replace("delta_over_kappa = 0.044", "delta_over_kappa = 0"),
             encoding="utf-8",
         )
         out = tmp_path / "o"
@@ -464,12 +544,19 @@ class TestCliExitCodes:
         assert "oracle draw" in err and "overflows" in err
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
 
-    @pytest.mark.parametrize(
-        "command", ["spectrum", "densitymap", "quasistatic", "oracle-check", "synth"]
-    )
-    def test_negative_renormalized_frequency_exit_2(self, config_path, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, sde", [
+        ("spectrum", False), ("densitymap", False), ("quasistatic", False),
+        ("oracle-check", True), ("oracle-check", False), ("synth", False),
+    ], ids=["spectrum", "densitymap", "quasistatic", "oracle-check", "oracle-check-no-sde", "synth"])
+    def test_negative_renormalized_frequency_exit_2(
+        self, config_path, tmp_path, capsys, monkeypatch, command, sde
+    ):
         # a finite coupling whose optical spring drives omega_m far below zero
-        if command == "oracle-check":  # with an SDE trace, rejected before the draws
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the oracle draws ran")
+
+        monkeypatch.setattr(cli, "matrix_solve_spectrum", no_draws)
+        if sde:
             cfg = small_sde_config(tmp_path, duration=1.2e-3, dt=1.5e-9)
             old = "g0_over_2pi_hz = 1e3"
         else:
@@ -492,6 +579,29 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "grid.out_n_points" in err and "grid.n_theta_lock" in err
         assert not (out / f"{command}.csv").exists()
+
+    def test_too_narrow_rbw_exit_1(self, config_path, tmp_path, capsys):
+        # 300 Hz over the default 40 MHz span asks for 6.3e5 quadrature nodes
+        cfg = tmp_path / "narrow.ini"
+        cfg.write_text(
+            config_path.read_text().replace("rbw_hz = 300e3", "rbw_hz = 300"), encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+        problems = [line for line in capsys.readouterr().err.splitlines() if "  - " in line]
+        assert len(problems) == 1 and "grid.rbw_hz" in problems[0]
+        assert not (out / "spectrum.csv").exists()
+
+    def test_usage_error_exit_2_on_every_call(self, config_path, tmp_path, capsys):
+        # the parser is built once per process and reused
+        common = ["--config", str(config_path), "--out", str(tmp_path / "o")]
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["bogus", *common])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+        assert main(["quasistatic", *common, "--theta-lock", "0.2"]) == 0
+        assert cli._parser() is cli._parser()
 
     def test_fit_without_data_exit_1(self, config_path, tmp_path):
         rc = main([

@@ -105,6 +105,7 @@ class TestMatrixSolve:
         assert str(err.value).endswith(f"at omega={float(w[1])!r}")
 
 
+@pytest.mark.sde
 class TestSdePreconditions:
     def test_rejects_large_dt(self):
         optical, mech = small_adiabatic()
@@ -121,6 +122,7 @@ class TestSdePreconditions:
             )
 
 
+@pytest.mark.sde
 class TestSdeWhiteFloor:
     def test_no_drive_gives_shot_noise(self):
         optical, mech = small_adiabatic()
@@ -169,6 +171,7 @@ class TestSdeWhiteFloor:
         assert slope == pytest.approx(-0.5, abs=0.1)
 
 
+@pytest.mark.sde
 class TestSdeThermalArea:
     def test_lorentzian_area_equipartition(self):
         # weak transduction of a hot mode: transduced peak area matches the
@@ -196,6 +199,7 @@ class TestSdeThermalArea:
         assert sim_area == pytest.approx(analytic_area, rel=0.05)
 
 
+@pytest.mark.sde
 class TestSdeFullCavityBranch:
     def test_two_oscillator_integration_matches_analytic(self):
         # kappa = 10 omega_m: no adiabatic elimination
@@ -333,6 +337,7 @@ def streaming_full_case():
     return p, 0.01 / kappa, np.linspace(1e5, 1e6, 5)
 
 
+@pytest.mark.sde
 class TestSdeStreaming:
     # 3000-sample segments divide neither the 2**14-sample integration block
     # nor the patched RNG chunk, so segments straddle both boundaries
@@ -404,6 +409,7 @@ class TestSdeStreaming:
         assert peaks[1] <= 1.1 * peaks[0]
 
 
+@pytest.mark.sde
 class TestSdeChecksBeforeWork:
     @pytest.fixture(autouse=True)
     def no_integration(self, monkeypatch):
