@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MechanicalMode, OpticalMode, SystemParams
-from .instrument import F_MIN_HZ, MAX_COARSE_NODES, Scenario, coarse_node_count
+from .instrument import F_MIN_HZ, MAX_COARSE_NODES, MAX_MAP_CELLS, Scenario, coarse_node_count
 from .noise import (
     AbsorptiveNoiseModel,
     BathModel,
@@ -245,6 +245,11 @@ def _build(values, problems):
             for key in ("out_n_points", "n_theta_lock"):
                 if getattr(grid, key) < 1:
                     problems.append(f"grid.{key} must be at least 1 (got {getattr(grid, key)!r})")
+            if not grid.n_theta_lock * grid.out_n_points <= MAX_MAP_CELLS:
+                problems.append(
+                    f"grid.n_theta_lock * grid.out_n_points = {grid.n_theta_lock * grid.out_n_points} map "
+                    f"cells is too many to hold (at most {MAX_MAP_CELLS}); shorten either"
+                )
         except (TypeError, ValueError) as exc:
             problems.append(f"grid: {exc}")
         if not problems and system is not None:

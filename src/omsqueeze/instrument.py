@@ -55,6 +55,9 @@ H_LOG = 0.1  # step in ln(f) per node toward the low-frequency cutoff
 # A config whose coarse node count exceeds this is rejected: the rule costs
 # about 400 B per node to build, so 2**18 nodes stay near 100 MB
 MAX_COARSE_NODES = 1 << 18
+# A config whose lock-angle x frequency map exceeds this many cells is rejected
+# (32 MiB per float64 map)
+MAX_MAP_CELLS = 1 << 22
 # Gregory's endpoint weights (trapezoid plus differences up to fourth order)
 GREGORY = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 

@@ -178,9 +178,9 @@ def _adiabatic(params: SystemParams):
 def plan_sde(params: SystemParams, duration, dt, freq_bins=None, segment_samples=None):
     """Check every precondition of ``sde_time_domain_psd`` before any noise is
     drawn and return its empty PSD accumulator.  Raises OracleError for an
-    unstable operating point (``core.instability``) or an adiabatic step with
-    |1 - gamma dt/2| >= 1, and ValueError for a step, duration or bin grid out
-    of range."""
+    unstable operating point (``core.instability``) or a growing Euler step
+    (|1 - gamma dt/2| or a full-branch Schur mode's |lambda| >= 1), and
+    ValueError for a step, duration or bin grid out of range."""
     problem = instability(params)
     if problem:
         raise OracleError(problem)
@@ -190,10 +190,13 @@ def plan_sde(params: SystemParams, duration, dt, freq_bins=None, segment_samples
         raise ValueError(
             f"dt={dt:g} violates the step-size precondition dt <= 0.01/{'omega_m' if adiabatic else 'kappa'}"
         )
-    if adiabatic and not abs(1.0 - gamma * dt / 2.0) < 1:
+    if adiabatic:
+        growth, label = abs(1.0 - gamma * dt / 2.0), "|1 - gamma dt/2|"
+    else:
+        growth, label = np.max(np.abs(np.diag(_full_modes(params, dt)[0]))), "the largest Euler mode |lambda|"
+    if not growth < 1:
         raise OracleError(
-            f"unstable integration: |1 - gamma dt/2| = {abs(1.0 - gamma * dt / 2.0):.6g} >= 1, "
-            "the step is too long for the mechanical damping"
+            f"unstable integration: {label} = {growth:.6g} >= 1, the step is too long for this system"
         )
     if duration < 100.0 / gamma:
         raise ValueError("duration must cover at least 100 mechanical decay times")
@@ -212,14 +215,7 @@ def plan_sde(params: SystemParams, duration, dt, freq_bins=None, segment_samples
 
 
 def sde_time_domain_psd(
-    params: SystemParams,
-    nbar,
-    theta,
-    duration,
-    dt,
-    seed,
-    freq_bins=None,
-    segment_samples=None,
+    params: SystemParams, nbar, theta, duration, dt, seed, freq_bins=None, segment_samples=None
 ) -> SpectrumTrace:
     """Monte-Carlo homodyne spectrum from a seeded stochastic integration.
 
@@ -232,31 +228,30 @@ def sde_time_domain_psd(
     unity at the shot-noise floor; stderr holds the per-bin standard
     error from inter-segment variance.
 
-    The cavity is eliminated adiabatically when kappa > 50 omega_m
-    (explicit Euler on the mechanical amplitude in the lab frame, a
-    one-pole recurrence with pole (1 - gamma dt/2) e^{-i omega_m dt}
-    integrated by the ``_one_pole`` scan, drive-port filters frozen at
-    +-omega_m); otherwise the full two-oscillator system is integrated.
-    Step-size preconditions: dt <= 0.01/omega_m (adiabatic) or
-    dt <= 0.01/kappa (full), checked with the others by ``plan_sde``.  The
-    record is never held: per ``_CHUNK`` samples the adiabatic branch
-    draws the cavity-port, loss-port and bath noise in turn, block by
-    block into one ``(_BLOCK, 2)`` buffer, integrates each stream's part of
-    the current one segment piece at a time into one real buffer of at most
-    a segment, and folds each piece into that segment's band spectrum
-    (``_Welch.fold``), so memory grows with neither ``_CHUNK`` nor the
-    duration; the full branch draws its noise for the whole record.
+    Both branches are explicit Euler in the lab frame, run by
+    ``_scan_streams``.  The cavity is eliminated adiabatically when kappa >
+    50 omega_m (one mode, the mechanical amplitude, pole (1 - gamma dt/2)
+    e^{-i omega_m dt}, drive-port filters frozen at +-omega_m; dt <=
+    0.01/omega_m); otherwise the four Schur modes of the two-oscillator step
+    are integrated (dt <= 0.01/kappa).  ``plan_sde`` checks both.  The record
+    is never held: each noise stream is drawn block by block (per ``_CHUNK``
+    samples when adiabatic, else over the whole record, the order of
+    whole-record draws) and folded segment piece by piece into the band
+    spectra of ``_Welch``, so memory grows only by one band spectrum per
+    segment still open.
     """
     welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
-    integrate = _integrate_adiabatic if _adiabatic(params) else _integrate_full
-    integrate(params, nbar, theta, dt, welch, np.random.default_rng(seed))
+    build = _integrate_adiabatic if _adiabatic(params) else _integrate_full
+    amp_bound = 1e6 * (1.0 + np.sqrt(nbar + params.drive.gamma_meas / params.gamma + 1.0))
+    _scan_streams(*build(params, nbar, theta, dt), welch, np.random.default_rng(seed), amp_bound)
     return welch.result(params)
 
 
-def _integrate_adiabatic(params, nbar, theta, dt, welch, rng):
+def _integrate_adiabatic(params, nbar, theta, dt):
+    """``_scan_streams`` arguments of the adiabatic branch: one mode, the
+    lab-frame mechanical amplitude, drawn in ``_CHUNK``-sample chunks."""
     kappa, kappa_e, kappa_i = params.optical.kappa, params.optical.kappa_e, params.optical.kappa_i
     delta, g, omega_m, gamma = params.drive.delta, params.drive.g, params.omega_m, params.gamma
-
     d_c = 1j * (delta - omega_m) + kappa / 2
     d_cbar = -1j * (delta + omega_m) + kappa / 2
     se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(params.mech.gamma_i)
@@ -270,49 +265,105 @@ def _integrate_adiabatic(params, nbar, theta, dt, welch, rng):
     q = 2.0 * np.real(phase_out * -1j * g * se / d_c)
     a = (1.0 - gamma * dt / 2.0) * np.exp(-1j * omega_m * dt)
     kick = dt * np.exp(-1j * omega_m * dt)
-    s_vac = np.sqrt(0.5 / dt) / np.sqrt(2.0)
-    s_bath = np.sqrt((nbar + 0.5) / dt) / np.sqrt(2.0)
-    # the current is linear in the three noise streams, so each is integrated on
-    # its own.  A stream z = scale (n_re + i n_im) enters x as
-    # kick (alpha z + beta conj(z)) and the current as Re(p z): a real map from
-    # (n_re, n_im) to the columns (Re x, Im x, direct current)
+    s_vac, s_bath = np.sqrt(0.5 / dt) / np.sqrt(2.0), np.sqrt((nbar + 0.5) / dt) / np.sqrt(2.0)
+    # a stream z enters x as kick (alpha z + beta conj(z)) and the current as Re(p z)
     streams = []
     for alpha, beta, p, scale in (
         (c1 * se, c2 * se, p_e, s_vac), (c1 * si, c2 * si, p_i, s_vac), (-sg, 0.0, 0.0, s_bath)
     ):
         x, direct = scale * np.array([[kick * (alpha + beta), p], [1j * kick * (alpha - beta), 1j * p]]).T
         streams.append(np.column_stack([x.real, x.imag, direct.real]))
-    states = [0j] * len(streams)
-    amp_bound = 1e6 * (1.0 + np.sqrt(nbar + params.drive.gamma_meas / gamma + 1.0))
+    return np.array([[a]]), streams, np.array([q]), _CHUNK
 
-    n_total, n_seg = welch.n_total, len(welch.window)
-    piece = np.empty(min(n_seg, _CHUNK, n_total))
+
+def _full_modes(params, dt):
+    """Complex Schur form ``(t, q)`` of the full branch's Euler step: a real
+    4x4 matrix on s = (Re a, Im a, Re b, Im b), with b the lab-frame
+    mechanical amplitude, so the exact rotation of each step is in it.  Each
+    deflation takes one eigenvector of the trailing block and completes it
+    to a unitary basis by QR.  Unlike an eigenvector basis this stays well
+    conditioned where the step is (nearly) defective, as at zero detuning."""
+    kappa, delta, g, gamma_i = params.optical.kappa, params.drive.delta, params.drive.g, params.mech.gamma_i
+    rot = np.exp(-1j * params.mech.omega_m0 * dt)
+    def step(a, b):  # one noiseless Euler step of (a, b)
+        a_next = a - dt * ((1j * delta + kappa / 2) * a + 2j * g * b.real)
+        return a_next, rot * (b - dt * (gamma_i / 2 * b + 2j * g * a.real))
+    t = np.array([np.array(step(*u)).view(float) for u in ((1, 0), (1j, 0), (0, 1), (0, 1j))], dtype=complex).T
+    q = np.eye(4, dtype=complex)
+    for k in range(3):
+        vec = np.linalg.eig(t[k:, k:])[1][:, :1]
+        h = np.linalg.qr(np.hstack([vec, np.eye(4 - k)]))[0]
+        t[k:] = h.conj().T @ t[k:]
+        t[:, k:] = t[:, k:] @ h
+        q[:, k:] = q[:, k:] @ h
+        t[k + 1 :, k] = 0.0
+    return t, q
+
+
+def _integrate_full(params, nbar, theta, dt):
+    """``_scan_streams`` arguments of the full branch: the Euler step's four
+    Schur modes, each stream drawn over the whole record."""
+    se, si, sg = np.sqrt(params.optical.kappa_e), np.sqrt(params.optical.kappa_i), np.sqrt(params.mech.gamma_i)
+    t, q = _full_modes(params, dt)
+    # current 2 Re(e^{-i theta} (z_a + se a)); each Schur vector's phase is
+    # turned so that the current reads the real part of its mode
+    phase_out = np.exp(-1j * theta)
+    row = 2.0 * se * np.array([phase_out.real, -phase_out.imag, 0.0, 0.0]) @ q
+    turn = np.exp(-1j * np.angle(row))
+    q, t = q * turn, t * turn / turn[:, np.newaxis]
+    s_vac, s_bath = np.sqrt(0.5 / dt) / np.sqrt(2.0), np.sqrt((nbar + 0.5) / dt) / np.sqrt(2.0)
+    # a stream z moves (a, b) by kick z, the modes by q^H of that, and the current by Re(p z)
+    streams = []
+    for kick, p, scale in (
+        ([-dt * se, 0.0], 2.0 * phase_out, s_vac),
+        ([-dt * si, 0.0], 0.0, s_vac),
+        ([0.0, -dt * sg * np.exp(-1j * params.mech.omega_m0 * dt)], 0.0, s_bath),
+    ):
+        x = (scale * np.array([kick, 1j * np.array(kick)])).view(float) @ q.conj()
+        streams.append(np.column_stack([x.view(float), scale * np.real([p, 1j * p])]))
+    return t, streams, np.abs(row), None
+
+
+def _scan_streams(tri, streams, out_row, chunk, welch, rng, amp_bound):
+    """Integrate ``y_n = tri y_{n-1} + x_n``, ``tri`` upper triangular, and
+    fold the current ``direct_n + out_row . Re(y_{n-1})`` into ``welch``.
+
+    The current is linear in the noise streams, so per chunk of ``chunk``
+    samples (None: the whole record) each stream in turn, from its own zero
+    state, draws its normals block by block, maps each pair (n_re, n_im) of a
+    stream z = scale (n_re + i n_im) by its real matrix to the modes' inputs
+    (Re, Im pairs) and the direct current, and scans the modes bottom-up by
+    ``_one_pole``, each also driven by the modes below it one step late.  Each
+    piece (a chunk's overlap with a segment) is folded into that segment's
+    band DFT; the streams' folds sum to the whole one."""
+    n_modes, n_total, n_seg = len(tri), welch.n_total, len(welch.window)
+    chunk = chunk or n_total
+    states = np.zeros((len(streams), n_modes), dtype=complex)
+    piece = np.empty(min(n_seg, chunk, n_total))
     normals = np.empty((min(_BLOCK, len(piece)), 2))
-    # each chunk draws all its cavity-port, then loss-port, then bath normals;
-    # drawing them block by block leaves the stream unchanged.  Each stream's
-    # current is integrated one piece (a chunk's overlap with a segment) at a
-    # time and folded into that segment's band DFT: the DFT is linear in the
-    # current, so the three streams' folds sum to the DFT of the whole current
-    for chunk in range(0, n_total, _CHUNK):
-        chunk_end = min(chunk + _CHUNK, n_total)
-        for s, mapping in enumerate(streams):
-            start = chunk
+    for chunk_start in range(0, n_total, chunk):
+        chunk_end = min(chunk_start + chunk, n_total)
+        for mapping, state in zip(streams, states):
+            start = chunk_start
             while start < chunk_end:
                 seg, offset = divmod(start, n_seg)
                 record = piece[: min(chunk_end - start, n_seg - offset)]
                 for k in range(0, len(record), len(normals)):
                     block = record[k : k + len(normals)]
                     y = rng.standard_normal(out=normals[: len(block)]) @ mapping
-                    v = _one_pole(y[:, :2].view(np.complex128)[:, 0], a, states[s])
-                    block[:] = y[:, 2]
-                    block[0] += q * states[s].real
-                    block[1:] += q * v.real[:-1]
-                    states[s] = v[-1]
-                    if not np.isfinite(states[s]) or abs(states[s]) > amp_bound:
-                        raise OracleError(
-                            "unstable integration (energy growth beyond bound); "
-                            "the dt <= 0.01/omega_m step-size precondition is too loose for this system"
-                        )
+                    block[:] = y[:, -1]
+                    v = [None] * n_modes
+                    for m in reversed(range(n_modes)):
+                        x = y[:, 2 * m : 2 * m + 2].view(np.complex128)[:, 0]
+                        for j in range(m + 1, n_modes):  # the modes below, one step late
+                            x = x + tri[m, j] * np.append(state[j], v[j][:-1])
+                        v[m] = _one_pole(x, tri[m, m], state[m])
+                        block[0] += out_row[m] * state[m].real
+                        block[1:] += out_row[m] * v[m].real[:-1]
+                    state[:] = [vm[-1] for vm in v]
+                    if not np.all(np.abs(state) <= amp_bound):
+                        raise OracleError("unstable integration (energy growth beyond bound); "
+                                          "the step-size precondition is too loose for this system")
                 welch.fold(seg, offset, record)
                 start += len(record)
         welch.close_through(chunk_end)
@@ -361,44 +412,6 @@ def _one_pole(x, a, v0=0.0):
     return sums.reshape(-1)[:n]
 
 
-def _integrate_full(params, nbar, theta, dt, welch, rng):
-    kappa, kappa_e, kappa_i = params.optical.kappa, params.optical.kappa_e, params.optical.kappa_i
-    delta, g, gamma_i, omega_m0 = params.drive.delta, params.drive.g, params.mech.gamma_i, params.mech.omega_m0
-
-    se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(gamma_i)
-    sigma_vac = np.sqrt(0.5 / dt)
-    sigma_bath = np.sqrt((nbar + 0.5) / dt)
-
-    n_total = welch.n_total
-    za = rng.standard_normal(2 * n_total).view(np.complex128) * (sigma_vac / np.sqrt(2.0))
-    zirr = rng.standard_normal(2 * n_total).view(np.complex128) * (sigma_vac / np.sqrt(2.0))
-    zb = rng.standard_normal(2 * n_total).view(np.complex128) * (sigma_bath / np.sqrt(2.0))
-
-    cav_drift = -(1j * delta + kappa / 2)
-    rot = np.exp(1j * omega_m0 * dt)
-    a = env = 0.0 + 0.0j
-    phase = 1.0 + 0.0j  # e^{i omega_m0 t}
-    phase_out = np.exp(-1j * theta)
-    out = np.empty(min(_BLOCK, n_total))
-    amp_bound = 1e6 * (1.0 + np.sqrt(nbar + params.drive.gamma_meas / params.gamma + 1.0))
-    for start in range(0, n_total, len(out)):
-        block = out[: min(len(out), n_total - start)]
-        for n in range(start, start + len(block)):
-            x = 2.0 * np.real(env * np.conj(phase))
-            a_out = za[n] + se * a
-            block[n - start] = 2.0 * np.real(phase_out * a_out)
-            a_new = a + dt * (cav_drift * a - 1j * g * x - se * za[n] - si * zirr[n])
-            env_new = env + dt * (-gamma_i / 2 * env + phase * (-1j * g * 2.0 * np.real(a) - sg * zb[n]))
-            a, env = a_new, env_new
-            phase *= rot
-            if n % 65536 == 0 and (not np.isfinite(abs(env)) or abs(env) > amp_bound):
-                raise OracleError(
-                    "unstable integration (energy growth beyond bound); "
-                    "the dt <= 0.01/kappa step-size precondition is too loose for this system"
-                )
-        welch.add(block)
-
-
 class _Welch:
     """Welch (1967) estimate fed as samples arrive: Hann-windowed periodograms
     of consecutive non-overlapping segments, averaged into frequency bins,
@@ -437,8 +450,6 @@ class _Welch:
         twiddle = np.exp(-2j * np.pi / n * np.outer(band, np.arange(n // m)))
         self.twiddle = np.where(flip[:, np.newaxis], twiddle.conj(), twiddle)
         self.open = {}  # segment index -> band DFT folded so far, in index order
-        self.seg = np.empty(n)
-        self.fill = self.n_filled = 0
 
     def fold(self, seg, offset, samples):
         """Add the band DFT of ``samples``, which start ``offset`` samples into segment ``seg``."""
@@ -465,19 +476,6 @@ class _Welch:
             binned = np.bincount(self.idx, weights=pxx, minlength=self.n_bins) / self.counts
             self.sums += binned
             self.sumsq += binned**2
-
-    def add(self, samples):
-        """Append the next samples of the record; fold each full segment into the bin sums."""
-        while len(samples):
-            take = min(len(samples), len(self.seg) - self.fill)
-            self.seg[self.fill : self.fill + take] = samples[:take]
-            self.fill += take
-            samples = samples[take:]
-            if self.fill == len(self.seg):
-                self.fold(self.n_filled, 0, self.seg)
-                self.n_filled += 1
-                self.close_through(self.n_filled * len(self.seg))
-                self.fill = 0
 
     def result(self, params) -> SpectrumTrace:
         n = self.n_segments

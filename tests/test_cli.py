@@ -120,6 +120,17 @@ class TestConfig:
             load_config_text(text)
         assert any("grid.out_f_start_hz" in p for p in err.value.problems)
 
+    def test_map_too_large_to_hold_rejected(self, config_path):
+        # 61 x 1e8 cells over a 10 MHz span: the rule's node cap passes, the map would be 49 GB
+        text = config_path.read_text().replace("out_n_points = 501", "out_n_points = 100000000")
+        text = text.replace("out_f_step_hz = 80e3", "out_f_step_hz = 0.1")
+        with pytest.raises(ConfigError) as err:
+            load_config_text(text)
+        assert len(err.value.problems) == 1
+        assert "grid.n_theta_lock" in err.value.problems[0] and "grid.out_n_points" in err.value.problems[0]
+        default = load_config_text(config_path.read_text()).grid
+        assert default.n_theta_lock * default.out_n_points == 30_561 <= instrument.MAX_MAP_CELLS
+
     @pytest.mark.parametrize("key, old", [
         ("out_n_points", "out_n_points = 501"), ("n_theta_lock", "n_theta_lock = 61"),
     ])

@@ -328,12 +328,12 @@ def streaming_adiabatic_case():
     return p, 0.01 / omega_m, np.linspace(0.2e6, 3e6, 9)
 
 
-def streaming_full_case():
+def streaming_full_case(delta_over_kappa=0.2):
     omega_m = TWO_PI * 1e5
     kappa = 4 * omega_m
     optical = OpticalMode(omega_o=1e15, kappa=kappa, kappa_e=0.8 * kappa)
     mech = MechanicalMode(omega_m0=omega_m, gamma_i=omega_m, g0=3e-3 * omega_m)
-    p = SystemParams.build(optical, mech, delta=0.2 * kappa, n_c=30.0)
+    p = SystemParams.build(optical, mech, delta=delta_over_kappa * kappa, n_c=30.0)
     return p, 0.01 / kappa, np.linspace(1e5, 1e6, 5)
 
 
@@ -354,8 +354,11 @@ class TestSdeStreaming:
         np.testing.assert_allclose(tr.values, mean, rtol=1e-12)
         np.testing.assert_allclose(tr.stderr, stderr, rtol=1e-12)
 
-    def test_full_branch_matches_whole_record_reference(self):
-        p, dt, bins = streaming_full_case()
+    # at zero detuning the Euler step is numerically defective (its eigenvector
+    # basis has cond 7.5e9): the Schur modes must still match the loop
+    @pytest.mark.parametrize("delta_over_kappa", [0.2, 0.0])
+    def test_full_branch_matches_whole_record_reference(self, delta_over_kappa):
+        p, dt, bins = streaming_full_case(delta_over_kappa)
         duration = 14.5 * self.SEG * dt  # 2.6 blocks of 2**14 samples
         tr = sde_time_domain_psd(p, 5.0, 0.6, duration, dt, seed=5, freq_bins=bins, segment_samples=self.SEG)
         mean, stderr = _ref_psd(p, 5.0, 0.6, duration, dt, 5, bins, self.SEG, None)
@@ -391,9 +394,11 @@ class TestSdeStreaming:
                 tracemalloc.stop()
         assert peaks[1] == pytest.approx(peaks[0], rel=0.02)
 
-    def test_peak_memory_independent_of_duration(self, monkeypatch):
+    @pytest.mark.parametrize("case", [streaming_adiabatic_case, streaming_full_case], ids=["adiabatic", "full"])
+    def test_peak_memory_independent_of_duration(self, monkeypatch, case):
+        # the full branch draws each stream over the whole record, but block by block
         monkeypatch.setattr(oracle, "_CHUNK", 1 << 12)
-        p, dt, bins = streaming_adiabatic_case()
+        p, dt, bins = case()
         seg = 2048
         peaks = []
         for n_seg in (40, 160):
@@ -432,6 +437,18 @@ class TestSdeChecksBeforeWork:
         p = SystemParams.build(optical, mech, delta=0.0, n_c=1.0)
         with pytest.raises(OracleError, match=r"\|1 - gamma dt/2\| = 1\.25"):
             sde_time_domain_psd(p, 0.0, 0.4, duration=1.0, dt=0.009 / p.omega_m, seed=0)
+
+    def test_growing_full_branch_step_raises_first(self):
+        # gamma > 0, but at delta = 12 kappa the cavity's Euler factor
+        # |1 - dt (kappa/2 + i delta)| at dt = 0.01/kappa is 1.0022
+        omega_m = TWO_PI * 1e5
+        optical = OpticalMode(omega_o=1e15, kappa=20 * omega_m, kappa_e=16 * omega_m)
+        mech = MechanicalMode(omega_m0=omega_m, gamma_i=omega_m, g0=3e-3 * omega_m)
+        p = SystemParams.build(optical, mech, delta=12 * optical.kappa, n_c=30.0)
+        assert p.gamma > 0
+        with pytest.raises(OracleError, match=r"\|lambda\| = 1\.0022"):
+            sde_time_domain_psd(p, 0.0, 0.4, duration=2e-4, dt=0.01 / optical.kappa, seed=0,
+                                freq_bins=np.linspace(1e5, 1e6, 5))
 
     def test_anti_damped_operating_point_raises_first(self):
         optical, mech = small_adiabatic(g0_frac=3e-2)
