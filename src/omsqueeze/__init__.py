@@ -25,7 +25,6 @@ from .estimate import (
     FitResult,
     ThermometryCurve,
     fit_thermometry,
-    homodyne_efficiency_from_tone,
     infer_detuning,
 )
 from .instrument import (
@@ -37,7 +36,6 @@ from .instrument import (
     lock_to_quadrature,
     output_spectrum,
     quadrature_to_lock,
-    rbw_resample,
 )
 from .noise import (
     AbsorptiveNoiseModel,
@@ -50,7 +48,6 @@ from .noise import (
     bath_occupation,
     effective_temperature,
     extra_mode_psd,
-    gain_unbalance_correction,
     phase_noise_psd,
 )
 from .oracle import InputCorrelationMatrix, OracleError, matrix_solve_spectrum, sde_time_domain_psd

@@ -18,9 +18,9 @@ All file frequencies are ordinary Hz, all angles radians, floats carry
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +59,6 @@ class DataError(ValueError):
     """An input CSV lacks a column or holds values that do not parse."""
 
 
-def _fmt(x):
-    return FMT % x
-
-
 @functools.cache
 def _digit_tables():
     """10**0 .. 10**22 (each exact in float64), the three ASCII digits of
@@ -75,8 +71,8 @@ def _digit_tables():
 
 
 def _format_table(x):
-    """``FMT % v`` for each v of ``x`` (flattened), as a column-major (W, n)
-    uint8 table: column i with its zero bytes removed is ``FMT % x[i]``.
+    """``FMT % v`` for each v of ``x``, as a uint8 table of shape (W, *x.shape):
+    ``table[:, i]`` with its zero bytes removed is ``FMT % x[i]``.
 
     With e = floor(log10|v|), y = |v| 10**(8 - e) is one correctly rounded
     product (10**(8 - e) is exact), so |y - t| <= 6e-8 for the exact
@@ -87,6 +83,7 @@ def _format_table(x):
     |v| outside [1e-13, 1e9), zeros and non-finite values are formatted by
     ``FMT %`` instead.  The digits come from a table of 0..999; the sign,
     the point, the "0.000" prefix and the "e-XX" suffix follow %g."""
+    shape = np.shape(x)
     x = np.asarray(x, dtype=float).ravel()
     pow10, digits, kept = _digit_tables()
     a = np.abs(x)
@@ -127,19 +124,31 @@ def _format_table(x):
         rows += [sci * np.uint8(c) for c in b"e-"]
         rows += [sci * (ord("0") + d).astype(np.uint8) for d in divmod(-e, 10)]
     slow = np.flatnonzero(~fast)
-    text = np.array([(FMT % v).encode() for v in x[slow].tolist()], dtype=bytes)
-    width = text.dtype.itemsize
-    table = np.zeros((max(len(rows), width), len(x)), np.uint8)
+    text = _text_table([FMT % v for v in x[slow].tolist()])
+    table = np.zeros((max(len(rows), len(text)), len(x)), np.uint8)
     table[: len(rows)] = rows
     table[:, slow] = 0
-    table[:width, slow] = text.view(np.uint8).reshape(-1, width).T
-    return table
+    table[: len(text), slow] = text
+    return table.reshape(len(table), *shape)
 
 
-def _csv_bytes(fields, shape):
-    """CSV lines of ``shape`` records, ended by CRLF, from one byte table per
-    column of shape (W, *shape) or broadcastable to it, as ``_format_table``
+def _text_table(cells):
+    """The ASCII strings ``cells`` as a (W, n) uint8 table in the layout of
+    ``_format_table``: column i with its zero bytes removed is cells[i]."""
+    text = np.array([c.encode() for c in cells], dtype=bytes)
+    return text.view(np.uint8).reshape(-1, text.itemsize).T
+
+
+def _number_columns(cols):
+    """The (W, n) tables of equal-length float columns, formatted in one call."""
+    return list(np.moveaxis(_format_table(np.column_stack(cols)), -1, 0))
+
+
+def _csv_bytes(fields):
+    """CSV lines, ended by CRLF, from one byte table per column of shape
+    (W, *shape), the shapes broadcasting together, as ``_format_table``
     returns them; the zero bytes are removed."""
+    shape = np.broadcast_shapes(*(f.shape[1:] for f in fields))
     width = sum(len(f) for f in fields) + len(fields) + 1
     table = np.empty((width, *shape), np.uint8)
     at = 0
@@ -152,60 +161,56 @@ def _csv_bytes(fields, shape):
     return table.reshape(width, -1).T.tobytes().translate(None, b"\0")
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path, header, blocks):
+    """The ``header`` line, then the ``_csv_bytes`` lines of each block of fields:
+    the bytes ``csv.writer`` writes for cells with no comma, quote or line break."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for fields in blocks:
+            fh.write(_csv_bytes(fields))
 
 
 def write_spectrum_csv(path, trace: SpectrumTrace, components=None):
     """SpectrumTrace schema: freq_hz,s_norm[,s_vac,s_thermal,s_phase,s_extra,s_absorptive][,stderr]."""
-    header = ["freq_hz", "s_norm"]
-    cols = [trace.freqs, trace.values]
+    cols = {"freq_hz": trace.freqs, "s_norm": trace.values}
     for name in ("s_vac", "s_thermal", "s_phase", "s_extra", "s_absorptive"):
         if components and name in components:
-            header.append(name)
-            cols.append(components[name])
+            cols[name] = components[name]
     if trace.stderr is not None:
-        header.append("stderr")
-        cols.append(trace.stderr)
-    # the same bytes ``csv.writer`` produces; all columns formatted in one call
-    table = _format_table(np.column_stack(cols))
-    table = table.reshape(len(table), len(trace.freqs), len(cols))
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        fh.write(_csv_bytes([table[..., j] for j in range(len(cols))], table.shape[1:2]))
+        cols["stderr"] = trace.stderr
+    _write_csv(path, list(cols), [_number_columns(list(cols.values()))])
 
 
 MAP_BLOCK = 1 << 13  # map values formatted and written at once (64 kB of float64)
 
 
 def write_map_csv(path, sqmap):
-    """Long form theta_lock_rad,freq_hz,s_norm; the same bytes ``csv.writer``
-    produces.  Angles and frequencies are formatted once, the values in
-    blocks of whole map rows of about MAP_BLOCK values."""
-    thetas = _format_table(sqmap.theta_locks)[:, :, np.newaxis]
-    freqs = _format_table(sqmap.freqs)[:, np.newaxis, :]
+    """Long form theta_lock_rad,freq_hz,s_norm.  Angles and frequencies are formatted
+    once, the values in blocks of whole map rows of about MAP_BLOCK values."""
+    thetas = _format_table(sqmap.theta_locks[:, np.newaxis])
+    freqs = _format_table(sqmap.freqs[np.newaxis])
     step = max(1, MAP_BLOCK // len(sqmap.freqs))
-    with open(path, "wb") as fh:
-        fh.write(b"theta_lock_rad,freq_hz,s_norm\r\n")
-        for r in range(0, len(sqmap.theta_locks), step):
-            values = sqmap.values[r : r + step]
-            table = _format_table(values)
-            table = table.reshape(len(table), *values.shape)
-            fh.write(_csv_bytes([thetas[:, r : r + step], freqs, table], values.shape))
+    _write_csv(path, ["theta_lock_rad", "freq_hz", "s_norm"], (
+        [thetas[:, r : r + step], freqs, _format_table(sqmap.values[r : r + step])]
+        for r in range(0, len(sqmap.theta_locks), step)
+    ))
 
 
 def write_fit_csv(path, pairs, residual_norm):
-    rows = [[name, _fmt(est), _fmt(err)] for name, est, err in pairs]
-    rows.append(["residual_norm", _fmt(residual_norm), _fmt(0.0)])
-    _write_rows(path, ["param", "estimate", "stderr"], rows)
+    """param,estimate,stderr: the (name, estimate, stderr) ``pairs``, then residual_norm."""
+    names, estimates, errs = zip(*pairs, ("residual_norm", residual_norm, 0.0))
+    fields = [_text_table(names), *_number_columns([estimates, errs])]
+    _write_csv(path, ["param", "estimate", "stderr"], [fields])
 
 
 def _read_columns(path, names):
     """Named columns of a CSV with a header row, as float arrays."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # genfromtxt only warns on an empty file
+            data = np.genfromtxt(path, delimiter=",", names=True)
+    except (ValueError, UserWarning) as exc:  # also ragged rows and bad UTF-8
+        raise DataError(f"{path}: unreadable CSV: {' '.join(str(exc).split())}") from None
     missing = [n for n in names if n not in (data.dtype.names or ())]
     if missing:
         raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -310,10 +315,10 @@ def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data=None):
 
 
 def _oracle_draws(params, seed, n_draws):
-    """The ``oracle_check.csv`` rows of ``n_draws`` seeded random operating
-    points, closed form against stacked matrix solves, and the largest
-    relative error.  Only scalars and 4x4 correlation matrices are kept
-    per draw, and all of them are freed before an SDE trace runs."""
+    """Frequency (Hz), quadrature and relative error of ``n_draws`` seeded
+    random operating points, closed form against stacked matrix solves.
+    Only scalars and 4x4 correlation matrices are kept per draw, and all
+    of them are freed before an SDE trace runs."""
     rng = np.random.default_rng(seed)
     omegas, thetas, s_ref = np.empty((3, n_draws))
     scalars = np.empty((n_draws, 8))
@@ -338,11 +343,7 @@ def _oracle_draws(params, seed, n_draws):
     s_orc = np.concatenate(
         [matrix_solve_spectrum(omegas[b], thetas[b], scalars[b], corrs[b]) for b in blocks]
     )
-    errs = np.abs(s_orc - s_ref) / np.abs(s_ref)
-    max_err = float(errs.max())
-    rows = [[_fmt(w / (2 * np.pi)), _fmt(t), _fmt(e)] for w, t, e in zip(omegas, thetas, errs)]
-    rows.append(["max_rel_err", "", _fmt(max_err)])
-    return rows, max_err
+    return omegas / (2 * np.pi), thetas, np.abs(s_orc - s_ref) / np.abs(s_ref)
 
 
 def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
@@ -363,8 +364,12 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
         except ValueError as exc:
             print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
             return 1
-    rows, max_err = _oracle_draws(params, cfg.seed, n_draws)
-    _write_rows(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], rows)
+    freqs, thetas, errs = _oracle_draws(params, cfg.seed, n_draws)
+    max_err = float(errs.max())
+    _write_csv(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], [
+        _number_columns([freqs, thetas, errs]),
+        [_text_table(["max_rel_err"]), _text_table([""]), _format_table([max_err])],
+    ])
     if sde:
         trace = sde_time_domain_psd(
             params, nbar=0.0, theta=cfg.theta_lock_rad, duration=cfg.sde_duration_s,
@@ -394,24 +399,14 @@ def cmd_synth(cfg: ScenarioConfig, outdir: Path):
         optical, mech, params.drive.n_c, deltas, n_b, noise_frac=0.01, rng=rng
     )
     two_pi = 2 * np.pi
-    _write_rows(
-        outdir / "thermometry.csv",
-        ["delta_hz", "eff_freq_hz", "eff_linewidth_hz", "area_sn_hz"],
-        (
-            [_fmt(d / two_pi), _fmt(f / two_pi), _fmt(lw / two_pi), _fmt(a)]
-            for d, f, lw, a in zip(
-                curve.detunings, curve.eff_freqs, curve.eff_linewidths, curve.areas
-            )
-        ),
-    )
+    header = ["delta_hz", "eff_freq_hz", "eff_linewidth_hz", "area_sn_hz"]
+    columns = [curve.detunings / two_pi, curve.eff_freqs / two_pi, curve.eff_linewidths / two_pi]
+    _write_csv(outdir / "thermometry.csv", header, [_number_columns([*columns, curve.areas])])
     sweep = generate_lock_sweep(
         params, np.linspace(-1.2, 1.2, 41), n_b, noise_frac=0.01, rng=rng
     )
-    _write_rows(
-        outdir / "locksweep.csv",
-        ["theta_lock_rad", "area_sn_hz"],
-        ([_fmt(t), _fmt(a)] for t, a in sweep),
-    )
+    header = ["theta_lock_rad", "area_sn_hz"]
+    _write_csv(outdir / "locksweep.csv", header, [_number_columns(sweep.T)])
     return 0
 
 

@@ -58,7 +58,6 @@ _SCHEMA = {
         "eta_23": (True, None),
         "eta_3h": (True, None),
         "eta_hd": (True, None),
-        "dark_ratio_db": (False, math.inf),
     },
     "grid": {
         "out_f_start_hz": (False, 80e3),
@@ -135,11 +134,10 @@ def _parse_sections(text):
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def _number(section, key, raw):
-    """``raw`` as the key's int or float; NaN and infinities are rejected
-    unless the key's default is that same value."""
+def _number(key, raw):
+    """``raw`` as the key's int or float; NaN and infinities are rejected."""
     value = int(raw) if key in _INT_KEYS else float(raw)
-    if not (math.isfinite(value) or value == _SCHEMA[section][key][1]):
+    if not math.isfinite(value):
         raise ValueError(f"{value!r} is not finite")
     return value
 
@@ -162,7 +160,7 @@ def _collect_values(sections):
                     out[key] = got[key]
                     continue
                 try:
-                    out[key] = _number(section, key, got[key])
+                    out[key] = _number(key, got[key])
                 except ValueError:
                     problems.append(f"{section}.{key}: not a finite number ({got[key]!r})")
             elif required:
@@ -220,7 +218,6 @@ def _build(values, problems):
             chain = DetectionChain(
                 eta_cp=det_v["eta_cp"], eta_12=det_v["eta_12"], eta_23=det_v["eta_23"],
                 eta_3h=det_v["eta_3h"], eta_hd=det_v["eta_hd"],
-                dark_ratio_db=det_v["dark_ratio_db"],
             )
         except ValueError as exc:
             problems.append(f"detection: {exc}")
@@ -280,7 +277,7 @@ def load_config_text(text, overrides=None) -> ScenarioConfig:
                 values[section][key] = str(val)
                 continue
             try:
-                values[section][key] = _number(section, key, val)
+                values[section][key] = _number(key, val)
             except ValueError:
                 problems.append(f"override {section}.{key}: not a finite number ({val!r})")
         else:
@@ -294,7 +291,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from None
     return load_config_text(text, overrides=overrides)
 
@@ -344,7 +341,6 @@ eta_12 = 0.85
 eta_23 = 0.88
 eta_3h = 0.92
 eta_hd = 0.66
-dark_ratio_db = 10.4
 
 [grid]
 out_f_start_hz = 80e3

@@ -1,8 +1,7 @@
 """Inverse problems: device characterization from measured curves.
 
-Extracts (g0, gamma_i, n_b) from spring/damping/area-vs-detuning data,
-the laser detuning from the lock angle that nulls the mechanical signal,
-and the homodyne efficiency from an injected calibration tone.
+Extracts (g0, gamma_i, n_b) from spring/damping/area-vs-detuning data
+and the laser detuning from the lock angle that nulls the mechanical signal.
 
 The mechanical-peak area model used throughout is the resonant part of
 the thermal spectrum integrated over the line: for a drive at detuning
@@ -28,7 +27,6 @@ from .core import (
     MechanicalMode, OpticalMode, SystemParams, reflection_phase, spring_damping_rates,
     transduction_phasors, zero_transduction_angle,
 )
-from .noise import DetectionChain
 
 __all__ = [
     "ThermometryCurve",
@@ -36,7 +34,6 @@ __all__ = [
     "EstimationError",
     "fit_thermometry",
     "infer_detuning",
-    "homodyne_efficiency_from_tone",
     "generate_thermometry_curve",
     "generate_lock_sweep",
 ]
@@ -85,7 +82,7 @@ class FitResult:
     nb_err: float
     omega_m0_err: float
     residual_norm: float
-    # always "joint": there is one fit path, and benchmarks/tracer.py still reads the field
+    # always "joint" (one fit path); the benchmark tracer's fit_thermometry hook reads it
     method: str = "joint"
 
 
@@ -320,29 +317,6 @@ def infer_detuning(mode_area_vs_lock, optical: OpticalMode, omega_probe=0.0):
         raise EstimationError("no detuning reproduces the observed lock angle")
     delta_hat = min(roots, key=lambda d: (abs(mismatch(d)), abs(d)))
     return float(delta_hat), float(theta_star_lock)
-
-
-def homodyne_efficiency_from_tone(
-    tone_power_optical, tone_psd_detected, chain_upstream: DetectionChain, lo_power
-):
-    """Homodyne efficiency from an injected tone of known optical power.
-
-    The ideal balanced-homodyne beat between a tone of power P_t (after
-    upstream losses eta_cp * eta_23 * eta_3h) and the LO has mean-square
-    power 2 P_LO P_t; ``tone_psd_detected`` is the measured beat power
-    integrated over the tone and referred to a 1 Hz bin.  The ratio of
-    measured to ideal is eta_HD.
-    """
-    if tone_power_optical <= 0 or lo_power <= 0:
-        raise ValueError("powers must be positive")
-    eta_up = chain_upstream.eta_cp * chain_upstream.eta_23 * chain_upstream.eta_3h
-    predicted = 2.0 * lo_power * eta_up * tone_power_optical
-    eta_hd = tone_psd_detected / predicted
-    if not 0 < eta_hd <= 1:
-        raise EstimationError(
-            f"calibration inconsistency: inferred eta_hd={eta_hd:.4g} outside (0, 1]"
-        )
-    return float(eta_hd)
 
 
 def generate_thermometry_curve(

@@ -24,6 +24,7 @@ from .noise import (
     bath_occupation,
     effective_temperature,
     extra_mode_harmonics,
+    mix_vacuum,
     phase_noise_harmonics,
 )
 
@@ -33,7 +34,6 @@ __all__ = [
     "Scenario",
     "lock_to_quadrature",
     "quadrature_to_lock",
-    "rbw_resample",
     "rbw_shape_rows",
     "quadrature_rule",
     "coarse_node_count",
@@ -117,24 +117,6 @@ def lock_to_quadrature(theta_lock, optical: OpticalMode, delta):
 def quadrature_to_lock(theta, optical: OpticalMode, delta):
     """Inverse of lock_to_quadrature: theta_lock = theta - phi(delta)."""
     return theta - reflection_phase(optical, delta)
-
-
-def rbw_resample(fine: SpectrumTrace, rbw, out_freqs) -> SpectrumTrace:
-    """Emulate the analyzer's resolution bandwidth on a finely sampled trace.
-
-    Each output bin is the trace averaged under a Gaussian of FWHM = rbw
-    (sigma = rbw / 2.355) centred on it, integrated with the trapezoid
-    weights of the trace's own grid and normalized over the trace's span.
-    Linear, power preserving for features wider than the kernel, and a
-    no-op on white spectra.
-    """
-    out_freqs = np.asarray(out_freqs, dtype=float)
-    gaps = np.diff(fine.freqs)
-    weights = 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
-    out_values = rbw_shape_rows(fine.freqs, weights, fine.values[np.newaxis], rbw, out_freqs)[0]
-    meta = dict(fine.meta)
-    meta.update(rbw_hz=float(rbw), rbw_kernel="gaussian_fwhm")
-    return SpectrumTrace(freqs=out_freqs, values=out_values, rbw=float(rbw), meta=meta)
 
 
 def rbw_shape_rows(nodes, weights, rows, rbw, out_freqs):
@@ -284,9 +266,7 @@ class Scenario:
 
     @property
     def eta_tot(self):
-        if self.chain is None:
-            return 1.0
-        return self.chain.eta_setup * self.system.optical.eta_kappa
+        return 1.0 if self.chain is None else self.chain.eta_tot(self.system.optical.eta_kappa)
 
 
 def output_harmonics(omega, scenario: Scenario):
@@ -366,8 +346,9 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw) -> Squ
     optical, delta = scenario.system.optical, scenario.system.drive.delta
     two_theta = 2.0 * lock_to_quadrature(theta_locks, optical, delta)[:, np.newaxis]
     values = abc[0] + np.cos(two_theta) * abc[1] + np.sin(two_theta) * abc[2]
-    eta = scenario.eta_tot
-    values = eta * values + (1.0 - eta)
+    # no s_out >= 0 check here, unlike apply_detection_chain: a shaped value
+    # that roundoff leaves slightly below zero is written, not rejected
+    values = mix_vacuum(values, scenario.eta_tot)
     return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=values)
 
 
@@ -387,11 +368,12 @@ def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw):
     theta = lock_to_quadrature(theta_lock, optical, delta)
     eta = scenario.eta_tot
     names, rows = zip(*(
-        (name, eta * at_quadrature(pq, theta))
+        (name, at_quadrature(pq, theta))
         for name, pq in output_harmonics(2 * np.pi * nodes, scenario)
     ))
     rows = np.array(rows)
-    rows[0] += 1 - eta
+    rows[1:] *= eta
+    rows[0] = mix_vacuum(rows[0], eta)
     shaped = rbw_shape_rows(nodes, weights, rows, rbw, out_freqs)
     trace = SpectrumTrace(
         freqs=out_freqs, values=sum(shaped), rbw=rbw,

@@ -2,8 +2,8 @@
 
 Covers the thermal bath (structural damping, optical-absorption heating),
 a lumped background mechanical mode, laser frequency noise, the
-phenomenological kappa-fluctuation ("absorptive") noise, the detection
-chain, and the amplifier gain-unbalance correction.
+phenomenological kappa-fluctuation ("absorptive") noise, and the detection
+chain.
 
 All spectral contributions are shot-noise normalized and nonnegative.
 The physical constants are the exact SI values (2019 redefinition), equal
@@ -45,8 +45,8 @@ __all__ = [
     "absorptive_psd",
     "extra_mode_harmonics",
     "extra_mode_psd",
+    "mix_vacuum",
     "apply_detection_chain",
-    "gain_unbalance_correction",
 ]
 
 ABSORPTIVE_REF_OMEGA = 2 * np.pi * 1e6  # reference frequency of the amp_coeff
@@ -117,9 +117,7 @@ class DetectionChain:
     """Cascade of power efficiencies between cavity output and homodyne record.
 
     eta_12 is the input-side circulator pass and does not attenuate the
-    reflected signal, so it stays out of eta_setup.  Dark noise is quoted
-    in dB below shot noise and can optionally be folded in as an
-    equivalent efficiency.
+    reflected signal, so it stays out of eta_setup.
     """
 
     eta_cp: float
@@ -127,7 +125,6 @@ class DetectionChain:
     eta_23: float
     eta_3h: float
     eta_hd: float
-    dark_ratio_db: float = np.inf
 
     def __post_init__(self):
         for name in ("eta_cp", "eta_12", "eta_23", "eta_3h", "eta_hd"):
@@ -139,13 +136,9 @@ class DetectionChain:
     def eta_setup(self):
         return self.eta_cp * self.eta_23 * self.eta_3h * self.eta_hd
 
-    @property
-    def eta_dark(self):
-        """Equivalent efficiency of the dark-noise floor: white electronic
-        noise a factor 10^(dB/10) below shot acts like 1/(1 + that) loss."""
-        if np.isinf(self.dark_ratio_db):
-            return 1.0
-        return 1.0 / (1.0 + 10.0 ** (-self.dark_ratio_db / 10.0))
+    def eta_tot(self, eta_kappa):
+        """Total detection efficiency eta_setup * eta_kappa, the one place it is formed."""
+        return self.eta_setup * eta_kappa
 
 
 def bath_occupation(omega, t_b):
@@ -258,39 +251,18 @@ def extra_mode_psd(omega, theta, params: SystemParams, lump: ExtraModeNoise, nba
     return spectrum_full(omega, theta, _lump_system(params, lump), nbar_lump)[2]
 
 
-def apply_detection_chain(s_out, chain: DetectionChain, eta_kappa, include_dark=False):
-    """Mix the cavity-output spectrum with uncorrelated vacuum:
+def mix_vacuum(s_out, eta):
+    """The detected spectrum eta * s_out + (1 - eta): the lost share of the cavity
+    output replaced by uncorrelated vacuum, so vacuum (s_out = 1) is a fixed point."""
+    return eta * s_out + (1.0 - eta)
 
-        s_det = eta_tot * s_out + (1 - eta_tot),  eta_tot = eta_setup * eta_kappa
 
-    Vacuum (s_out = 1) is a fixed point for any efficiency.  With
-    ``include_dark`` the dark-noise-equivalent efficiency is folded in
-    multiplicatively; by default it is not, because a tone-calibrated
-    eta_hd already absorbs the dark-noise penalty.
-    """
+def apply_detection_chain(s_out, chain: DetectionChain, eta_kappa):
+    """``mix_vacuum`` of a nonnegative cavity-output spectrum through
+    ``chain`` with eta = ``chain.eta_tot(eta_kappa)``."""
     s_out = np.asarray(s_out, dtype=float)
     if np.any(s_out < 0):
         raise ValueError("s_out must be nonnegative")
     if not 0 < eta_kappa <= 1:
         raise ValueError("eta_kappa must lie in (0, 1]")
-    eta_tot = chain.eta_setup * eta_kappa
-    if include_dark:
-        eta_tot *= chain.eta_dark
-    return eta_tot * s_out + (1.0 - eta_tot)
-
-
-def gain_unbalance_correction(s_meas, v_dc, slope_volt=-0.0096):
-    """Undo the DC-level-dependent amplifier gain: s = s_meas / (1 + slope * V_DC).
-
-    The slope is per volt and small (|slope * V_DC| of order 1% at the
-    +-1.6 V swings encountered); positive V_DC gives a corrected PSD above
-    the measured one, so the correction can only reduce reported
-    squeezing.  Rejects voltages outside the calibrated swing or a
-    non-positive denominator.
-    """
-    if abs(v_dc) > 1.6:
-        raise ValueError("v_dc outside the calibrated +-1.6 V swing")
-    denom = 1.0 + v_dc * slope_volt
-    if denom <= 0:
-        raise ValueError("gain correction denominator must stay positive")
-    return np.asarray(s_meas, dtype=float) / denom
+    return mix_vacuum(s_out, chain.eta_tot(eta_kappa))

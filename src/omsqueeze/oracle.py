@@ -395,7 +395,10 @@ def _one_pole(x, a, v0=0.0):
         raise OracleError(f"unstable one-pole recurrence: |a| = {r:.6g} >= 1")
     n = len(x)
     span = math.log(0.5) / math.log(r) if r > 0 else 0.0  # |a|**-span = 2
-    up, down = _pole_powers(a, 1 << min(max(int(span).bit_length() - 1, 0), (n - 1).bit_length()))
+    k = max(int(span).bit_length() - 1, 0)
+    # one cached table per pole, sized for a whole _BLOCK; a shorter x takes its prefix
+    up, down = _pole_powers(a, 1 << min(k, max(n - 1, _BLOCK - 1).bit_length()))
+    up, down = (p[: 1 << min(k, (n - 1).bit_length())] for p in (up, down))
     if n % len(up):
         sums = np.zeros((-(-n // len(up)), len(up)), dtype=np.result_type(x, up))
         sums.reshape(-1)[:n] = x

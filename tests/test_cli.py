@@ -89,6 +89,12 @@ class TestConfig:
             load_config_text(text)
         assert any("unknown key" in p for p in err.value.problems)
 
+    def test_removed_dark_ratio_key_rejected(self, config_path):
+        text = config_path.read_text().replace("[grid]", "dark_ratio_db = 10.4\n\n[grid]")
+        with pytest.raises(ConfigError) as err:
+            load_config_text(text)
+        assert err.value.problems == ["unknown key detection.dark_ratio_db"]
+
     def test_unknown_section_rejected(self, config_path):
         text = config_path.read_text() + "\n[mystery]\nx = 1\n"
         with pytest.raises(ConfigError):
@@ -108,9 +114,6 @@ class TestConfig:
             assert any("not a finite number" in p for p in err.value.problems)
         with pytest.raises(ConfigError):
             load_config_text(text, overrides={("system", "n_c"): float("nan")})
-        # an infinite default stays expressible
-        cfg = load_config_text(text.replace("dark_ratio_db = 10.4", "dark_ratio_db = inf"))
-        assert cfg.scenario.chain.dark_ratio_db == float("inf")
 
     @pytest.mark.parametrize("start", ["500", "1e3"])
     def test_output_grid_below_cutoff_rejected(self, config_path, start):
@@ -455,6 +458,14 @@ class TestCliExitCodes:
         assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "system.n_c" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_1(self, config_path, tmp_path, capsys):
+        bad = tmp_path / "latin1.ini"
+        bad.write_bytes(config_path.read_bytes().replace(b"[run]", b"# \xe9t\xe9\n[run]"))
+        assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "utf-8" in err
+        assert "Traceback" not in err
+
     def test_nan_override_exit_1(self, config_path, tmp_path, capsys):
         rc = main([
             "spectrum", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -475,6 +486,20 @@ class TestCliExitCodes:
         ])
         assert rc == 3
         assert "eff_linewidth_hz" in capsys.readouterr().err
+        # a ragged row, a zero-byte file and bytes that are not UTF-8: one line, no traceback
+        for command, content in [
+            ("thermometry-fit", b"delta_hz,eff_freq_hz,eff_linewidth_hz,area_sn_hz\r\n1e8,28e6,1e3\r\n"),
+            ("thermometry-fit", b""),
+            ("infer-detuning", b"theta_lock_rad,area_sn_hz\r\n0.1,\xff1e3\r\n"),
+        ]:
+            data.write_bytes(content)
+            rc = main([
+                command, "--config", str(config_path), "--out", str(tmp_path / "o"),
+                "--data", str(data),
+            ])
+            err = capsys.readouterr().err
+            assert rc == 3 and len(err.strip().splitlines()) == 1, (content, err)
+            assert "unreadable CSV" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "duration, dt, message",
@@ -677,6 +702,48 @@ class TestColdStart:
         out = tmp_path / "o"
         assert self.scipy_modules_after(["oracle-check", "--config", str(cfg), "--out", str(out)]) == set()
         assert (out / "sde_trace.csv").exists()
+
+
+class TestBenchmarkContract:
+    """The benchmark's tracer (``benchmarks/tracer.py``) wraps every public
+    function from outside and its hooks read names of the package:
+    ``FitResult.method``, the ``SystemParams.build`` classmethod and the SDE
+    trace's ``meta``.  Every command must still run under it."""
+
+    @staticmethod
+    def tracer():
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.Tracer()
+
+    def test_every_command_exits_0_traced(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        common = ["--config", str(config_path), "--out", str(out)]
+        sde = small_sde_config(tmp_path, duration=1.2e-3, dt=1.5e-9)
+        calls = [
+            ["synth", *common],
+            ["thermometry-fit", *common, "--data", str(out / "thermometry.csv")],
+            ["infer-detuning", *common, "--data", str(out / "locksweep.csv")],
+            ["spectrum", *common],
+            ["densitymap", *common],
+            ["quasistatic", *common],
+            ["oracle-check", "--config", str(sde), "--out", str(tmp_path / "sde")],
+        ]
+        tracer = self.tracer()
+        tracer.install()
+        try:
+            codes = {argv[0]: main(argv) for argv in calls}
+        finally:
+            tracer.remove()
+        assert codes == {argv[0]: 0 for argv in calls}
+        calls_by_name = tracer.totals()[0]
+        assert calls_by_name["estimate.fit_thermometry"] == 1
+        assert calls_by_name["core.SystemParams.build"] > 0
+        assert tracer.counters["oracle.sde_time_domain_psd.samples"] > 0
 
 
 def config_variant(tmp_path, n_c, delta_over_kappa):

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, least_squares
 
 from omsqueeze import (
-    DetectionChain,
     EstimationError,
     MechanicalMode,
     OpticalMode,
     SystemParams,
     fit_thermometry,
-    homodyne_efficiency_from_tone,
     infer_detuning,
 )
 from omsqueeze import estimate
@@ -396,36 +394,6 @@ class TestOneFitPath:
             # a noiseless fit leaves a rounding-level residual, so both error
             # bars are rounding noise: only their size is compared
             assert np.all(got_err <= 1e-9 * got) and np.all(want_err <= 1e-9 * want)
-
-
-class TestHomodyneTone:
-    CHAIN = DetectionChain(eta_cp=0.90, eta_12=0.85, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
-
-    def test_ideal_detector(self):
-        chain = DetectionChain(eta_cp=1.0, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
-        p_tone, p_lo = 1e-9, 3e-3
-        detected = 2.0 * p_lo * p_tone
-        assert homodyne_efficiency_from_tone(p_tone, detected, chain, p_lo) == pytest.approx(1.0)
-
-    def test_linear_in_detected_power(self):
-        p_tone, p_lo = 1e-9, 3e-3
-        eta_up = 0.90 * 0.88 * 0.92
-        detected = 2.0 * p_lo * eta_up * p_tone * 0.66
-        e1 = homodyne_efficiency_from_tone(p_tone, detected, self.CHAIN, p_lo)
-        e2 = homodyne_efficiency_from_tone(p_tone, detected / 2, self.CHAIN, p_lo)
-        assert e2 == pytest.approx(e1 / 2, rel=1e-12)
-
-    def test_paper_configuration(self):
-        p_tone, p_lo = 2e-9, 3e-3
-        eta_up = 0.90 * 0.88 * 0.92
-        detected = 2.0 * p_lo * eta_up * p_tone * 0.66
-        eta_hd = homodyne_efficiency_from_tone(p_tone, detected, self.CHAIN, p_lo)
-        assert eta_hd == pytest.approx(0.66, rel=1e-12)
-
-    def test_inconsistent_calibration_rejected(self):
-        p_tone, p_lo = 1e-9, 3e-3
-        with pytest.raises(EstimationError, match="calibration"):
-            homodyne_efficiency_from_tone(p_tone, 10.0 * p_lo * p_tone, self.CHAIN, p_lo)
 
 
 class TestForwardModelAgainstFullSpectrum:

@@ -14,14 +14,12 @@ from omsqueeze import (
     MechanicalMode,
     OpticalMode,
     Scenario,
-    SpectrumTrace,
     SystemParams,
     assemble_density_map,
     detected_components,
     lock_to_quadrature,
     output_spectrum,
     quadrature_to_lock,
-    rbw_resample,
 )
 from omsqueeze.core import reflection_coefficient, reflection_phase
 from omsqueeze.instrument import quadrature_rule, rbw_shape_rows, total_harmonics
@@ -85,13 +83,22 @@ class TestLockAngle:
         assert np.all(np.diff(thetas) > 0)
 
 
+def trapezoid_shape(freqs, values, rbw, out_freqs):
+    """RBW shaping of one trace sampled at ``freqs`` by ``rbw_shape_rows``,
+    integrated with the trapezoid weights of the trace's own grid."""
+    gaps = np.diff(freqs)
+    weights = 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
+    return rbw_shape_rows(freqs, weights, values[np.newaxis], rbw, out_freqs)[0]
+
+
 class TestRbwResample:
+    """``rbw_shape_rows`` on a sampled trace with trapezoid weights."""
+
     def test_white_is_fixed_point(self):
         freqs = np.linspace(1e3, 40e6, 50000)
-        trace = SpectrumTrace(freqs=freqs, values=np.ones_like(freqs))
         out_freqs = np.linspace(1e6, 39e6, 477)
-        out = rbw_resample(trace, 300e3, out_freqs)
-        assert np.all(np.abs(out.values - 1.0) < 1e-9)
+        out = trapezoid_shape(freqs, np.ones_like(freqs), 300e3, out_freqs)
+        assert np.all(np.abs(out - 1.0) < 1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
@@ -101,7 +108,7 @@ class TestRbwResample:
         out_freqs = np.linspace(1e6, 39e6, 401)
 
         def conv(v):
-            return rbw_resample(SpectrumTrace(freqs=freqs, values=v), 300e3, out_freqs).values
+            return trapezoid_shape(freqs, v, 300e3, out_freqs)
 
         lhs = conv(2.0 * x + 0.3 * y)
         rhs = 2.0 * conv(x) + 0.3 * conv(y)
@@ -114,23 +121,22 @@ class TestRbwResample:
         freqs = 28e6 + np.arange(-90000, 90001) * df
         area = 5.0e4
         values = (area / np.pi) * hwhm / ((freqs - 28e6) ** 2 + hwhm**2)
-        trace = SpectrumTrace(freqs=freqs, values=values)
         rbw = 300e3
         out_freqs = 28e6 + np.arange(-4000, 4001) * 250.0
-        out = rbw_resample(trace, rbw, out_freqs)
+        out = trapezoid_shape(freqs, values, rbw, out_freqs)
         sigma = rbw / (2 * np.sqrt(2 * np.log(2)))
         # delta-like feature: peak ~ area / (sqrt(2 pi) sigma)
-        assert out.values.max() == pytest.approx(area / (np.sqrt(2 * np.pi) * sigma), rel=1e-3)
-        out_area = np.trapezoid(out.values, out_freqs)
+        assert out.max() == pytest.approx(area / (np.sqrt(2 * np.pi) * sigma), rel=1e-3)
+        out_area = np.trapezoid(out, out_freqs)
         assert out_area == pytest.approx(area, rel=1e-3)
 
     def test_broad_feature_power_preserved(self):
         freqs = np.linspace(1e3, 40e6, 60000)
         values = 1.0 + 3.0 * np.exp(-0.5 * ((freqs - 20e6) / 2e6) ** 2)
         out_freqs = np.linspace(5e6, 35e6, 1501)
-        out = rbw_resample(SpectrumTrace(freqs=freqs, values=values), 300e3, out_freqs)
+        out = trapezoid_shape(freqs, values, 300e3, out_freqs)
         p_in = np.trapezoid(np.interp(out_freqs, freqs, values), out_freqs)
-        p_out = np.trapezoid(out.values, out_freqs)
+        p_out = np.trapezoid(out, out_freqs)
         assert p_out == pytest.approx(p_in, rel=1e-3)
 
     def test_matches_full_convolution(self):
@@ -148,8 +154,8 @@ class TestRbwResample:
         for f in out_freqs:
             kernel = weights * np.exp(-0.5 * ((freqs - f) / sigma) ** 2)
             ref.append(kernel @ values / kernel.sum())
-        out = rbw_resample(SpectrumTrace(freqs=freqs, values=values), rbw, out_freqs)
-        np.testing.assert_allclose(out.values, ref, rtol=1e-13, atol=0)
+        out = trapezoid_shape(freqs, values, rbw, out_freqs)
+        np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0)
 
     def test_lorentzian_matches_voigt_profile(self):
         # a Lorentzian seen through the Gaussian RBW is a Voigt profile, out
@@ -161,22 +167,20 @@ class TestRbwResample:
         freqs = f0 + 200.0 * np.arange(-12500, 12501)
         values = hwhm / (np.pi * ((freqs - f0) ** 2 + hwhm**2))
         out_freqs = f0 + sigma * np.linspace(-9.0, 9.0, 73)
-        out = rbw_resample(SpectrumTrace(freqs=freqs, values=values), rbw, out_freqs)
+        out = trapezoid_shape(freqs, values, rbw, out_freqs)
         np.testing.assert_allclose(
-            out.values, voigt_profile(out_freqs - f0, sigma, hwhm), rtol=1e-9, atol=0
+            out, voigt_profile(out_freqs - f0, sigma, hwhm), rtol=1e-9, atol=0
         )
 
     def test_rejects_out_of_span(self):
         freqs = np.linspace(1e6, 30e6, 30000)
-        trace = SpectrumTrace(freqs=freqs, values=np.ones_like(freqs))
         with pytest.raises(ValueError):
-            rbw_resample(trace, 300e3, np.array([0.5e6, 10e6]))
+            trapezoid_shape(freqs, np.ones_like(freqs), 300e3, np.array([0.5e6, 10e6]))
 
     def test_rejects_coarse_fine_grid(self):
         freqs = np.linspace(1e6, 30e6, 300)
-        trace = SpectrumTrace(freqs=freqs, values=np.ones_like(freqs))
         with pytest.raises(ValueError):
-            rbw_resample(trace, 300e3, np.linspace(2e6, 29e6, 200))
+            trapezoid_shape(freqs, np.ones_like(freqs), 300e3, np.linspace(2e6, 29e6, 200))
 
     def test_squeezing_band_unaffected(self, paper_params):
         # analyzer smoothing must not disturb the broad sub-shot-noise bands
@@ -184,13 +188,12 @@ class TestRbwResample:
         fine = np.linspace(1e4, 40e6, 50000)
         theta = lock_to_quadrature(0.0, paper_params.optical, DELTA) - 0.12
         comp = output_spectrum(TWO_PI * fine, theta, scenario, detected=True)
-        trace = SpectrumTrace(freqs=fine, values=comp["s_norm"])
         out_freqs = np.linspace(2e6, 38e6, 451)
-        out = rbw_resample(trace, 300e3, out_freqs)
+        out = trapezoid_shape(fine, comp["s_norm"], 300e3, out_freqs)
         raw = np.interp(out_freqs, fine, comp["s_norm"])
         band = raw < 1.0
         if np.any(band):
-            assert np.max(np.abs(out.values[band] - raw[band])) < 2e-3
+            assert np.max(np.abs(out[band] - raw[band])) < 2e-3
 
 
 class TestDensityMap:

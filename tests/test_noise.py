@@ -15,7 +15,6 @@ from omsqueeze import (
     bath_occupation,
     effective_temperature,
     extra_mode_psd,
-    gain_unbalance_correction,
     phase_noise_psd,
 )
 from omsqueeze import noise
@@ -207,13 +206,6 @@ class TestDetectionChain:
         s = np.array([0.3, 1.0, 7.5])
         assert np.allclose(apply_detection_chain(s, ideal, 1.0), s, atol=1e-15)
 
-    def test_dark_noise_equivalent_efficiency(self):
-        chain = DetectionChain(**CHAIN, dark_ratio_db=10.4)
-        assert chain.eta_dark == pytest.approx(1.0 / (1.0 + 10 ** (-1.04)), rel=1e-12)
-        dimmer = apply_detection_chain(0.9, chain, 0.55, include_dark=True)
-        plain = apply_detection_chain(0.9, chain, 0.55, include_dark=False)
-        assert dimmer > plain  # folded dark noise pulls toward the vacuum level
-
     def test_rejects_negative_input(self):
         with pytest.raises(ValueError):
             apply_detection_chain(-0.1, DetectionChain(**CHAIN), 0.55)
@@ -221,21 +213,3 @@ class TestDetectionChain:
     def test_invalid_efficiency(self):
         with pytest.raises(ValueError):
             DetectionChain(eta_cp=1.2, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
-
-
-class TestGainCorrection:
-    def test_identity_at_zero(self):
-        assert gain_unbalance_correction(0.97, 0.0) == 0.97
-
-    def test_percent_scale_at_one_volt(self):
-        s = gain_unbalance_correction(1.0, 1.0)
-        assert 0.005 < abs(s - 1.0) < 0.02
-
-    def test_positive_voltage_raises_psd(self):
-        # denominator < 1 -> corrected above measured (squeezing only shrinks)
-        s = gain_unbalance_correction(0.95, 1.0)
-        assert s > 0.95
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            gain_unbalance_correction(1.0, 1.7)
