@@ -41,7 +41,7 @@ from .instrument import (
     detected_components,
     lock_to_quadrature,
 )
-from .noise import bath_occupation, effective_temperature
+from .noise import bath_occupation
 from .oracle import (
     InputCorrelationMatrix,
     OracleError,
@@ -262,22 +262,13 @@ def cmd_quasistatic(cfg: ScenarioConfig, outdir: Path):
     params = scenario.system
     freqs = cfg.grid.out_freqs()
     theta = lock_to_quadrature(cfg.theta_lock_rad, params.optical, params.drive.delta)
-    t_eff = (
-        effective_temperature(scenario.bath, params.drive.n_c)
-        if scenario.bath is not None
-        else None
-    )
-    nbar = bath_occupation(2 * np.pi * freqs, t_eff) if t_eff else np.zeros_like(freqs)
-    values = core.quasi_static_spectrum(theta, params, nbar)
+    values = core.quasi_static_spectrum(theta, params, scenario.occupation(2 * np.pi * freqs))
     write_spectrum_csv(outdir / "quasistatic.csv", SpectrumTrace(freqs=freqs, values=values))
     return 0
 
 
-def cmd_thermometry_fit(cfg: ScenarioConfig, outdir: Path, data=None):
-    path = data or cfg.fit_paths.get("thermometry_csv")
-    if not path:
-        raise ConfigError(["thermometry-fit requires fit.thermometry_csv or --data"])
-    curve = read_thermometry_csv(path)
+def cmd_thermometry_fit(cfg: ScenarioConfig, outdir: Path, data):
+    curve = read_thermometry_csv(data)
     result = fit_thermometry(curve, cfg.system.optical, cfg.system.drive.n_c)
     two_pi = 2 * np.pi
     write_fit_csv(
@@ -293,11 +284,8 @@ def cmd_thermometry_fit(cfg: ScenarioConfig, outdir: Path, data=None):
     return 0
 
 
-def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data=None):
-    path = data or cfg.fit_paths.get("locksweep_csv")
-    if not path:
-        raise ConfigError(["infer-detuning requires fit.locksweep_csv or --data"])
-    sweep = read_locksweep_csv(path)
+def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data):
+    sweep = read_locksweep_csv(data)
     delta_hat, theta_star = infer_detuning(
         sweep, cfg.system.optical, omega_probe=cfg.system.mech.omega_m0
     )
@@ -386,12 +374,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
 def cmd_synth(cfg: ScenarioConfig, outdir: Path):
     params = cfg.system
     optical, mech = params.optical, params.mech
-    t_eff = (
-        effective_temperature(cfg.scenario.bath, params.drive.n_c)
-        if cfg.scenario.bath is not None
-        else 16.0
-    )
-    n_b = float(bath_occupation(mech.omega_m0, t_eff))
+    n_b = float(cfg.scenario.occupation(mech.omega_m0))
     rng = np.random.default_rng(cfg.seed)
     # red-side sweep: optomechanically damped (stable) at any probe power
     deltas = np.linspace(0.02, 0.65, 13) * optical.kappa
@@ -456,7 +439,9 @@ def main(argv=None):
             print(f"numerical failure: {problem}", file=sys.stderr)
             return 2
         if args.command in ("thermometry-fit", "infer-detuning"):
-            return _COMMANDS[args.command](cfg, outdir, data=args.data)
+            if not args.data:
+                raise ConfigError([f"{args.command} requires --data"])
+            return _COMMANDS[args.command](cfg, outdir, args.data)
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

@@ -74,14 +74,9 @@ _SCHEMA = {
         "sde_duration_s": (False, 0.0),
         "sde_dt_s": (False, 0.0),
     },
-    "fit": {
-        "thermometry_csv": (False, ""),
-        "locksweep_csv": (False, ""),
-    },
 }
 
 _INT_KEYS = {"out_n_points", "n_theta_lock", "seed"}
-_STR_KEYS = {"thermometry_csv", "locksweep_csv"}
 
 
 class ConfigError(ValueError):
@@ -117,7 +112,6 @@ class ScenarioConfig:
     theta_lock_rad: float
     sde_duration_s: float
     sde_dt_s: float
-    fit_paths: dict
     raw: dict
 
     @property
@@ -135,10 +129,17 @@ def _parse_sections(text):
 
 
 def _number(key, raw):
-    """``raw`` as the key's int or float; NaN and infinities are rejected."""
-    value = int(raw) if key in _INT_KEYS else float(raw)
+    """``raw`` as the key's int or float.  NaN and infinities are rejected, and
+    so is any value of an integer key but an integer (``61.5``, ``1e3``, 2.5)."""
+    integer = key in _INT_KEYS
+    try:
+        if integer:
+            return int(str(raw))  # int(2.5) would truncate
+        value = float(raw)
+    except ValueError:
+        raise ValueError("not an integer" if integer else "not a finite number") from None
     if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
+        raise ValueError("not a finite number")
     return value
 
 
@@ -156,13 +157,10 @@ def _collect_values(sections):
         out = {}
         for key, (required, default) in schema.items():
             if key in got:
-                if key in _STR_KEYS:
-                    out[key] = got[key]
-                    continue
                 try:
                     out[key] = _number(key, got[key])
-                except ValueError:
-                    problems.append(f"{section}.{key}: not a finite number ({got[key]!r})")
+                except ValueError as exc:
+                    problems.append(f"{section}.{key}: {exc} ({got[key]!r})")
             elif required:
                 problems.append(f"missing required key {section}.{key}")
             else:
@@ -172,98 +170,92 @@ def _collect_values(sections):
 
 
 def _build(values, problems):
+    if problems:  # a missing or malformed key: nothing to build from
+        raise ConfigError(problems)
     sys_v, noise_v, det_v, grid_v, run_v = (
         values["system"], values["noise"], values["detection"], values["grid"], values["run"]
     )
-    scenario = None
-    grid = None
-    if not problems:
+    try:
+        kappa = TWO_PI * sys_v["kappa_over_2pi_hz"]
+        optical = OpticalMode(
+            omega_o=TWO_PI * sys_v["omega_o_over_2pi_hz"],
+            kappa=kappa,
+            kappa_e=sys_v["eta_kappa"] * kappa,
+        )
+        mech = MechanicalMode(
+            omega_m0=TWO_PI * sys_v["omega_m0_over_2pi_hz"],
+            gamma_i=TWO_PI * sys_v["gamma_i_over_2pi_hz"],
+            g0=TWO_PI * sys_v["g0_over_2pi_hz"],
+        )
+        system = SystemParams.build(
+            optical, mech, delta=sys_v["delta_over_kappa"] * kappa, n_c=sys_v["n_c"]
+        )
+    except ValueError as exc:
+        problems.append(f"system: {exc}")
+    bath = lump = laser = absorptive = chain = None
+    try:
+        bath = BathModel(t_b0=noise_v["t_b0_k"], c0=noise_v["c0_k_per_photon"])
+    except ValueError as exc:
+        problems.append(f"noise.bath: {exc}")
+    if noise_v["lump_g0_over_2pi_hz"] > 0:
         try:
-            kappa = TWO_PI * sys_v["kappa_over_2pi_hz"]
-            optical = OpticalMode(
-                omega_o=TWO_PI * sys_v["omega_o_over_2pi_hz"],
-                kappa=kappa,
-                kappa_e=sys_v["eta_kappa"] * kappa,
-            )
-            mech = MechanicalMode(
-                omega_m0=TWO_PI * sys_v["omega_m0_over_2pi_hz"],
-                gamma_i=TWO_PI * sys_v["gamma_i_over_2pi_hz"],
-                g0=TWO_PI * sys_v["g0_over_2pi_hz"],
-            )
-            system = SystemParams.build(
-                optical, mech, delta=sys_v["delta_over_kappa"] * kappa, n_c=sys_v["n_c"]
-            )
-        except ValueError as exc:
-            problems.append(f"system: {exc}")
-            system = None
-        bath = lump = laser = absorptive = chain = None
-        try:
-            bath = BathModel(t_b0=noise_v["t_b0_k"], c0=noise_v["c0_k_per_photon"])
-        except ValueError as exc:
-            problems.append(f"noise.bath: {exc}")
-        if noise_v["lump_g0_over_2pi_hz"] > 0:
-            try:
-                lump = ExtraModeNoise(
-                    omega_lump=TWO_PI * noise_v["lump_omega_over_2pi_hz"],
-                    q_lump=noise_v["lump_q"],
-                    g0_lump=TWO_PI * noise_v["lump_g0_over_2pi_hz"],
-                )
-            except ValueError as exc:
-                problems.append(f"noise.lump: {exc}")
-        if noise_v["s_omega_omega_rad2_hz"] > 0:
-            laser = LaserNoiseModel(s_omega_omega=noise_v["s_omega_omega_rad2_hz"])
-        if noise_v["absorptive_amp_per_photon"] > 0:
-            absorptive = AbsorptiveNoiseModel(amp_coeff=noise_v["absorptive_amp_per_photon"])
-        try:
-            chain = DetectionChain(
-                eta_cp=det_v["eta_cp"], eta_12=det_v["eta_12"], eta_23=det_v["eta_23"],
-                eta_3h=det_v["eta_3h"], eta_hd=det_v["eta_hd"],
+            lump = ExtraModeNoise(
+                omega_lump=TWO_PI * noise_v["lump_omega_over_2pi_hz"],
+                q_lump=noise_v["lump_q"],
+                g0_lump=TWO_PI * noise_v["lump_g0_over_2pi_hz"],
             )
         except ValueError as exc:
-            problems.append(f"detection: {exc}")
-        try:
-            grid = GridSpec(**grid_v)
-            if grid.out_f_start_hz <= 0 or grid.out_f_step_hz <= 0 or grid.rbw_hz <= 0:
-                problems.append("grid: output grid and rbw must be positive")
-            elif grid.out_f_start_hz <= F_MIN_HZ:
+            problems.append(f"noise.lump: {exc}")
+    if noise_v["s_omega_omega_rad2_hz"] > 0:
+        laser = LaserNoiseModel(s_omega_omega=noise_v["s_omega_omega_rad2_hz"])
+    if noise_v["absorptive_amp_per_photon"] > 0:
+        absorptive = AbsorptiveNoiseModel(amp_coeff=noise_v["absorptive_amp_per_photon"])
+    try:
+        chain = DetectionChain(
+            eta_cp=det_v["eta_cp"], eta_12=det_v["eta_12"], eta_23=det_v["eta_23"],
+            eta_3h=det_v["eta_3h"], eta_hd=det_v["eta_hd"],
+        )
+    except ValueError as exc:
+        problems.append(f"detection: {exc}")
+    try:
+        grid = GridSpec(**grid_v)
+        if grid.out_f_start_hz <= 0 or grid.out_f_step_hz <= 0 or grid.rbw_hz <= 0:
+            problems.append("grid: output grid and rbw must be positive")
+        elif grid.out_f_start_hz <= F_MIN_HZ:
+            problems.append(
+                f"grid.out_f_start_hz must exceed the {F_MIN_HZ:g} Hz cutoff of the "
+                f"frequency rule (got {grid.out_f_start_hz!r})"
+            )
+        else:
+            out_max = grid.out_f_start_hz + grid.out_f_step_hz * max(grid.out_n_points - 1, 0)
+            nodes = coarse_node_count(out_max, grid.rbw_hz)
+            if not nodes <= MAX_COARSE_NODES:
                 problems.append(
-                    f"grid.out_f_start_hz must exceed the {F_MIN_HZ:g} Hz cutoff of the "
-                    f"frequency rule (got {grid.out_f_start_hz!r})"
+                    f"grid.rbw_hz = {grid.rbw_hz!r} is too narrow for the output span: "
+                    f"the frequency rule would need {nodes:.3g} nodes (at most "
+                    f"{MAX_COARSE_NODES}); widen it or shorten the grid"
                 )
-            else:
-                out_max = grid.out_f_start_hz + grid.out_f_step_hz * max(grid.out_n_points - 1, 0)
-                nodes = coarse_node_count(out_max, grid.rbw_hz)
-                if not nodes <= MAX_COARSE_NODES:
-                    problems.append(
-                        f"grid.rbw_hz = {grid.rbw_hz!r} is too narrow for the output span: "
-                        f"the frequency rule would need {nodes:.3g} nodes (at most "
-                        f"{MAX_COARSE_NODES}); widen it or shorten the grid"
-                    )
-            for key in ("out_n_points", "n_theta_lock"):
-                if getattr(grid, key) < 1:
-                    problems.append(f"grid.{key} must be at least 1 (got {getattr(grid, key)!r})")
-            if not grid.n_theta_lock * grid.out_n_points <= MAX_MAP_CELLS:
-                problems.append(
-                    f"grid.n_theta_lock * grid.out_n_points = {grid.n_theta_lock * grid.out_n_points} map "
-                    f"cells is too many to hold (at most {MAX_MAP_CELLS}); shorten either"
-                )
-        except (TypeError, ValueError) as exc:
-            problems.append(f"grid: {exc}")
-        if not problems and system is not None:
-            scenario = Scenario(
-                system=system, bath=bath, lump=lump, laser=laser,
-                absorptive=absorptive, chain=chain,
+        for key in ("out_n_points", "n_theta_lock"):
+            if getattr(grid, key) < 1:
+                problems.append(f"grid.{key} must be at least 1 (got {getattr(grid, key)!r})")
+        if not grid.n_theta_lock * grid.out_n_points <= MAX_MAP_CELLS:
+            problems.append(
+                f"grid.n_theta_lock * grid.out_n_points = {grid.n_theta_lock * grid.out_n_points} map "
+                f"cells is too many to hold (at most {MAX_MAP_CELLS}); shorten either"
             )
+    except (TypeError, ValueError) as exc:
+        problems.append(f"grid: {exc}")
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(
-        scenario=scenario,
+        scenario=Scenario(
+            system=system, bath=bath, lump=lump, laser=laser, absorptive=absorptive, chain=chain,
+        ),
         grid=grid,
         seed=run_v["seed"],
         theta_lock_rad=run_v["theta_lock_rad"],
         sde_duration_s=run_v["sde_duration_s"],
         sde_dt_s=run_v["sde_dt_s"],
-        fit_paths=dict(values["fit"]),
         raw=values,
     )
 
@@ -273,13 +265,10 @@ def load_config_text(text, overrides=None) -> ScenarioConfig:
     values, problems = _collect_values(sections)
     for (section, key), val in (overrides or {}).items():
         if section in values and key in _SCHEMA.get(section, {}):
-            if key in _STR_KEYS:
-                values[section][key] = str(val)
-                continue
             try:
                 values[section][key] = _number(key, val)
-            except ValueError:
-                problems.append(f"override {section}.{key}: not a finite number ({val!r})")
+            except ValueError as exc:
+                problems.append(f"override {section}.{key}: {exc} ({val!r})")
         else:
             problems.append(f"unknown override {section}.{key}")
     return _build(values, problems)
@@ -297,18 +286,15 @@ def load_config(path, overrides=None) -> ScenarioConfig:
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
-    """Canonical text form: schema order, one key per line, %.12g floats."""
+    """Canonical text form: schema order, one key per line, each float as its
+    shortest ``repr``, which reads back as the same float: loading the text
+    reproduces the run."""
     buf = io.StringIO()
     for section, schema in _SCHEMA.items():
         buf.write(f"[{section}]\n")
         for key in schema:
             val = cfg.raw[section][key]
-            if key in _STR_KEYS:
-                buf.write(f"{key} = {val}\n")
-            elif key in _INT_KEYS:
-                buf.write(f"{key} = {int(val)}\n")
-            else:
-                buf.write(f"{key} = {float(val):.12g}\n")
+            buf.write(f"{key} = {int(val) if key in _INT_KEYS else repr(float(val))}\n")
         buf.write("\n")
     return buf.getvalue()
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MechanicalMode, OpticalMode, SystemParams, reflection_phase, spring_damping_rates,
-    transduction_phasors, zero_transduction_angle,
+    MechanicalMode, OpticalMode, SystemParams, spring_damping_rates, transduction_phasors,
+    zero_transduction_angle,
 )
+from .instrument import lock_to_quadrature, quadrature_to_lock
 
 __all__ = [
     "ThermometryCurve",
@@ -90,6 +91,11 @@ def _cavity_photon_number(delta, n_c0, kappa):
     return n_c0 * (kappa / 2) ** 2 / (delta**2 + (kappa / 2) ** 2)
 
 
+def _peak_area(n_b, kappa_e, gamma_i, c2, gamma):
+    """Shot-normalized mechanical-peak area (n_b + 1) kappa_e gamma_i |c|^2 / gamma."""
+    return (n_b + 1.0) * kappa_e * gamma_i * c2 / gamma
+
+
 def thermometry_model(delta, g0, gamma_i, n_b, omega_m0, optical: OpticalMode, n_c0):
     """Model triple (eff_freq, eff_linewidth, area) at each detuning."""
     delta = np.asarray(delta, dtype=float)
@@ -100,7 +106,7 @@ def thermometry_model(delta, g0, gamma_i, n_b, omega_m0, optical: OpticalMode, n
     gamma_tot = gamma_i + gamma_om
     u, v = transduction_phasors(delta, kappa, omega_m0)
     c2_max = g2 * (np.abs(u) + np.abs(v)) ** 2
-    area = (n_b + 1.0) * optical.kappa_e * gamma_i * c2_max / gamma_tot
+    area = _peak_area(n_b, optical.kappa_e, gamma_i, c2_max, gamma_tot)
     return omega_m0 + d_omega, gamma_tot, area
 
 
@@ -109,10 +115,10 @@ def lock_sweep_area_model(theta_lock, params: SystemParams, n_b):
     theta_lock = np.asarray(theta_lock, dtype=float)
     optical = params.optical
     delta = params.drive.delta
-    theta = theta_lock + reflection_phase(optical, delta)
+    theta = lock_to_quadrature(theta_lock, optical, delta)
     u, v = transduction_phasors(delta, optical.kappa, params.mech.omega_m0)
     c2 = params.drive.g ** 2 * np.abs(np.exp(-1j * theta) * u - np.exp(1j * theta) * v) ** 2
-    return (n_b + 1.0) * optical.kappa_e * params.mech.gamma_i * c2 / params.gamma
+    return _peak_area(n_b, optical.kappa_e, params.mech.gamma_i, c2, params.gamma)
 
 
 def _panel_scale(y):
@@ -122,7 +128,7 @@ def _panel_scale(y):
     return s
 
 
-def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c, weights=None) -> FitResult:
+def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c) -> FitResult:
     """Weighted least-squares fit of (g0, gamma_i, n_b, omega_m0) to all three panels.
 
     ``n_c`` is the intracavity photon number the constant-power drive
@@ -138,11 +144,7 @@ def fit_thermometry(curve: ThermometryCurve, optical: OpticalMode, n_c, weights=
     if curve.span < optical.kappa / 10 and (curve.detunings.min() > 0 or curve.detunings.max() < 0):
         raise EstimationError("detunings must span both signs or at least kappa/10")
 
-    scales = (
-        _panel_scale(curve.eff_freqs),
-        _panel_scale(curve.eff_linewidths),
-        _panel_scale(curve.areas),
-    ) if weights is None else weights
+    scales = [_panel_scale(y) for y in (curve.eff_freqs, curve.eff_linewidths, curve.areas)]
 
     omega_m0_init = float(np.median(curve.eff_freqs))
     gamma_i_init = 0.9 * float(np.min(curve.eff_linewidths))
@@ -249,7 +251,7 @@ def model_zero_transduction_lock(delta, optical: OpticalMode, omega_probe=0.0):
     """theta*_lock(delta) = theta*(delta) - phi(delta), wrapped mod pi;
     elementwise over an array ``delta``."""
     theta_star = zero_transduction_angle(omega_probe, optical, delta)
-    return _wrap_half_pi(theta_star - reflection_phase(optical, delta))
+    return _wrap_half_pi(quadrature_to_lock(theta_star, optical, delta))
 
 
 def _illinois(f, a, b, fa, fb, xtol):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OpticalMode, SystemParams, at_quadrature, reflection_phase, spectrum_harmonics
+from .core import OpticalMode, SystemParams, at_quadrature, instability, reflection_phase, spectrum_harmonics
 from .noise import (
     AbsorptiveNoiseModel,
     BathModel,
@@ -193,9 +193,9 @@ def quadrature_rule(scenario, out_freqs, rbw):
     converges exponentially for integrands smooth in u, and is of fifth order
     across the cut at f_min.
     """
-    params = scenario.system
-    if not params.gamma > 0:
-        raise ValueError("no stationary spectrum: total mechanical damping gamma <= 0")
+    problem = instability(scenario.system)
+    if problem:
+        raise ValueError(problem)
     f_min = F_MIN_HZ
     if not f_min < np.min(out_freqs):
         raise ValueError(f"every output frequency must exceed the {f_min:g} Hz cutoff")
@@ -268,6 +268,12 @@ class Scenario:
     def eta_tot(self):
         return 1.0 if self.chain is None else self.chain.eta_tot(self.system.optical.eta_kappa)
 
+    def occupation(self, omega):
+        """Bath occupation at ``|omega|`` and the photon-heated bath temperature; zeros without a bath."""
+        if self.bath is None:
+            return np.zeros_like(np.asarray(omega, dtype=float))
+        return bath_occupation(np.abs(omega), effective_temperature(self.bath, self.system.drive.n_c))
+
 
 def output_harmonics(omega, scenario: Scenario):
     """Yield ``(name, (P, Q))`` for every noise component, undetected and
@@ -278,9 +284,7 @@ def output_harmonics(omega, scenario: Scenario):
     params = scenario.system
     bath, laser, lump, absorptive = scenario.bath, scenario.laser, scenario.lump, scenario.absorptive
     zero = (np.zeros_like(omega),) * 2
-    nbar = zero[0] if bath is None else bath_occupation(
-        np.abs(omega), effective_temperature(bath, params.drive.n_c)
-    )
+    nbar = scenario.occupation(omega)
     vac, thermal = spectrum_harmonics(omega, params, nbar)
     yield "s_vac", vac
     yield "s_thermal", thermal

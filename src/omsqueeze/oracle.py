@@ -71,13 +71,6 @@ class InputCorrelationMatrix:
         m[3, 2] = nbar
         return cls(matrix=m)
 
-    def validate(self):
-        m = self.matrix
-        if m[0, 1] != 1.0 or m[1, 0] != 0.0:
-            raise ValueError("optical block must be vacuum: <a a^dag>=1, <a^dag a>=0")
-        if not np.isclose(m[2, 3].real, m[3, 2].real + 1.0) or m[2, 3].imag or m[3, 2].imag:
-            raise ValueError("thermal block must be (nbar+1, nbar)")
-
 
 def solve_scalars(params: SystemParams):
     """The scalars of ``params`` the frequency-domain solve reads:
@@ -234,11 +227,11 @@ def sde_time_domain_psd(
     e^{-i omega_m dt}, drive-port filters frozen at +-omega_m; dt <=
     0.01/omega_m); otherwise the four Schur modes of the two-oscillator step
     are integrated (dt <= 0.01/kappa).  ``plan_sde`` checks both.  The record
-    is never held: each noise stream is drawn block by block (per ``_CHUNK``
-    samples when adiabatic, else over the whole record, the order of
-    whole-record draws) and folded segment piece by piece into the band
-    spectra of ``_Welch``, so memory grows only by one band spectrum per
-    segment still open.
+    is never held: per ``_CHUNK`` samples, each noise stream in turn is drawn
+    block by block and folded segment piece by piece into the band spectra
+    of ``_Welch``, and the segments the chunk completes are closed, so
+    memory is bounded by the segments one chunk spans, whatever the record
+    length.
     """
     welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
     build = _integrate_adiabatic if _adiabatic(params) else _integrate_full
@@ -249,7 +242,7 @@ def sde_time_domain_psd(
 
 def _integrate_adiabatic(params, nbar, theta, dt):
     """``_scan_streams`` arguments of the adiabatic branch: one mode, the
-    lab-frame mechanical amplitude, drawn in ``_CHUNK``-sample chunks."""
+    lab-frame mechanical amplitude."""
     kappa, kappa_e, kappa_i = params.optical.kappa, params.optical.kappa_e, params.optical.kappa_i
     delta, g, omega_m, gamma = params.drive.delta, params.drive.g, params.omega_m, params.gamma
     d_c = 1j * (delta - omega_m) + kappa / 2
@@ -273,7 +266,7 @@ def _integrate_adiabatic(params, nbar, theta, dt):
     ):
         x, direct = scale * np.array([[kick * (alpha + beta), p], [1j * kick * (alpha - beta), 1j * p]]).T
         streams.append(np.column_stack([x.real, x.imag, direct.real]))
-    return np.array([[a]]), streams, np.array([q]), _CHUNK
+    return np.array([[a]]), streams, np.array([q])
 
 
 def _full_modes(params, dt):
@@ -302,7 +295,7 @@ def _full_modes(params, dt):
 
 def _integrate_full(params, nbar, theta, dt):
     """``_scan_streams`` arguments of the full branch: the Euler step's four
-    Schur modes, each stream drawn over the whole record."""
+    Schur modes."""
     se, si, sg = np.sqrt(params.optical.kappa_e), np.sqrt(params.optical.kappa_i), np.sqrt(params.mech.gamma_i)
     t, q = _full_modes(params, dt)
     # current 2 Re(e^{-i theta} (z_a + se a)); each Schur vector's phase is
@@ -321,23 +314,23 @@ def _integrate_full(params, nbar, theta, dt):
     ):
         x = (scale * np.array([kick, 1j * np.array(kick)])).view(float) @ q.conj()
         streams.append(np.column_stack([x.view(float), scale * np.real([p, 1j * p])]))
-    return t, streams, np.abs(row), None
+    return t, streams, np.abs(row)
 
 
-def _scan_streams(tri, streams, out_row, chunk, welch, rng, amp_bound):
+def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
     """Integrate ``y_n = tri y_{n-1} + x_n``, ``tri`` upper triangular, and
     fold the current ``direct_n + out_row . Re(y_{n-1})`` into ``welch``.
 
-    The current is linear in the noise streams, so per chunk of ``chunk``
-    samples (None: the whole record) each stream in turn, from its own zero
-    state, draws its normals block by block, maps each pair (n_re, n_im) of a
-    stream z = scale (n_re + i n_im) by its real matrix to the modes' inputs
-    (Re, Im pairs) and the direct current, and scans the modes bottom-up by
+    The current is linear in the noise streams, so per chunk of ``_CHUNK``
+    samples each stream in turn, from its own state (zero at the start),
+    draws its normals block by block, maps each pair (n_re, n_im) of a stream
+    z = scale (n_re + i n_im) by its real matrix to the modes' inputs (Re, Im
+    pairs) and the direct current, and scans the modes bottom-up by
     ``_one_pole``, each also driven by the modes below it one step late.  Each
     piece (a chunk's overlap with a segment) is folded into that segment's
-    band DFT; the streams' folds sum to the whole one."""
-    n_modes, n_total, n_seg = len(tri), welch.n_total, len(welch.window)
-    chunk = chunk or n_total
+    band DFT; the streams' folds sum to the whole one.  The segments a chunk
+    completes are closed before the next chunk is drawn."""
+    n_modes, n_total, n_seg, chunk = len(tri), welch.n_total, len(welch.window), _CHUNK
     states = np.zeros((len(streams), n_modes), dtype=complex)
     piece = np.empty(min(n_seg, chunk, n_total))
     normals = np.empty((min(_BLOCK, len(piece)), 2))

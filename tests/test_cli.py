@@ -106,6 +106,33 @@ class TestConfig:
         cfg2 = load_config_text(canon)
         assert serialize_config(cfg2) == canon
 
+    def test_round_trip_keeps_every_float_digit(self, config_path):
+        # a 17-digit value, as a drawn operating point has, reads back as the same float
+        n_c = 263.08490342583247
+        cfg = load_config(config_path, overrides={("system", "n_c"): n_c})
+        again = load_config_text(serialize_config(cfg))
+        assert again.raw == cfg.raw
+        assert again.system.drive.n_c == n_c
+
+    @pytest.mark.parametrize("key, old, value", [
+        ("grid.n_theta_lock", "n_theta_lock = 61", "61.5"),
+        ("run.seed", "seed = 12345", "1e3"),
+    ])
+    def test_non_integer_value_of_integer_key_rejected(self, config_path, key, old, value):
+        text = config_path.read_text().replace(old, f"{key.split('.')[1]} = {value}")
+        with pytest.raises(ConfigError) as err:
+            load_config_text(text)
+        assert err.value.problems == [f"{key}: not an integer ({value!r})"]
+
+    def test_non_integral_override_rejected(self, config_path):
+        # int() would truncate the seed to 2
+        with pytest.raises(ConfigError) as err:
+            load_config(config_path, overrides={("run", "seed"): 2.5})
+        assert err.value.problems == ["override run.seed: not an integer (2.5)"]
+        assert load_config(config_path, overrides={("run", "seed"): 2}).seed == 2
+        # an integer too large for a float is still an integer
+        assert load_config(config_path, overrides={("run", "seed"): 10**400}).seed == 10**400
+
     def test_non_finite_values_rejected(self, config_path):
         text = config_path.read_text()
         for old, new in (("n_c = 790", "n_c = inf"), ("eta_hd = 0.66", "eta_hd = nan")):
@@ -244,6 +271,19 @@ class TestCliCommands:
         _, rows = read_csv(out / "oracle_check.csv")
         assert rows[-1][0] == "max_rel_err"
         assert float(rows[-1][2]) <= 1e-9
+
+    def test_rerun_from_resolved_config_is_identical(self, config_path, tmp_path):
+        # resolved_config.ini holds every digit of the run's values
+        text = config_path.read_text().replace("n_c = 790", "n_c = 263.08490342583247")
+        text = text.replace("delta_over_kappa = 0.044", "delta_over_kappa = 0.041234567890123456")
+        cfg = tmp_path / "drawn.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["densitymap", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        resolved = tmp_path / "resolved.ini"
+        resolved.write_bytes((tmp_path / "a" / "resolved_config.ini").read_bytes())
+        assert main(["densitymap", "--config", str(resolved), "--out", str(tmp_path / "b")]) == 0
+        first, second = ((tmp_path / d / "densitymap.csv").read_bytes() for d in "ab")
+        assert first == second
 
     def test_reproducible_outputs(self, config_path, tmp_path):
         outs = []
@@ -466,6 +506,13 @@ class TestCliExitCodes:
         assert "cannot read" in err and "utf-8" in err
         assert "Traceback" not in err
 
+    def test_removed_fit_section_exit_1(self, config_path, tmp_path, capsys):
+        # the fit commands read their CSV from --data only
+        bad = tmp_path / "fit.ini"
+        bad.write_text(config_path.read_text() + "\n[fit]\nthermometry_csv = t.csv\n", encoding="utf-8")
+        assert main(["thermometry-fit", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown section [fit]" in capsys.readouterr().err
+
     def test_nan_override_exit_1(self, config_path, tmp_path, capsys):
         rc = main([
             "spectrum", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -639,11 +686,11 @@ class TestCliExitCodes:
         assert main(["quasistatic", *common, "--theta-lock", "0.2"]) == 0
         assert cli._parser() is cli._parser()
 
-    def test_fit_without_data_exit_1(self, config_path, tmp_path):
-        rc = main([
-            "thermometry-fit", "--config", str(config_path), "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 1
+    def test_fit_without_data_exit_1(self, config_path, tmp_path, capsys):
+        for command in ("thermometry-fit", "infer-detuning"):
+            rc = main([command, "--config", str(config_path), "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert capsys.readouterr().err.splitlines()[1] == f"  - {command} requires --data"
 
 
 class TestColdStart:

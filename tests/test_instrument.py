@@ -16,7 +16,9 @@ from omsqueeze import (
     Scenario,
     SystemParams,
     assemble_density_map,
+    bath_occupation,
     detected_components,
+    effective_temperature,
     lock_to_quadrature,
     output_spectrum,
     quadrature_to_lock,
@@ -275,6 +277,16 @@ class TestDensityMap:
 
 
 class TestScenarioComponents:
+    def test_occupation_at_effective_temperature(self, paper_params):
+        # one occupation law: |omega| at T_b0 + c0 n_c, zeros with no bath
+        scenario = full_scenario(paper_params)
+        w = TWO_PI * np.array([-39e6, 1e3, 28e6])
+        t_eff = effective_temperature(scenario.bath, paper_params.drive.n_c)
+        assert np.array_equal(scenario.occupation(w), bath_occupation(np.abs(w), t_eff))
+        assert float(t_eff) == pytest.approx(16.0 + 3.2e-4 * N_C, rel=1e-15)
+        bare = Scenario(system=paper_params)
+        assert np.array_equal(bare.occupation(w), np.zeros(3))
+
     def test_detected_columns_match_per_column_shaping(self, paper_params):
         # one stacked RBW pass against shaping each detected column alone
         scenario = full_scenario(paper_params)
