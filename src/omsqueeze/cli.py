@@ -48,7 +48,6 @@ from .oracle import (
     matrix_solve_spectrum,
     plan_sde,
     sde_time_domain_psd,
-    solve_scalars,
 )
 
 FMT = "%.9g"
@@ -304,34 +303,31 @@ def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data):
 
 def _oracle_draws(params, seed, n_draws):
     """Frequency (Hz), quadrature and relative error of ``n_draws`` seeded
-    random operating points, closed form against stacked matrix solves.
-    Only scalars and 4x4 correlation matrices are kept per draw, and all
-    of them are freed before an SDE trace runs."""
+    random operating points, closed form against stacked matrix solves, each
+    block of draws evaluated as one batched drive."""
     rng = np.random.default_rng(seed)
-    omegas, thetas, s_ref = np.empty((3, n_draws))
-    scalars = np.empty((n_draws, 8))
-    corrs = np.empty((n_draws, 4, 4), dtype=complex)
+    deltas, n_cs, omegas, thetas = np.empty((4, n_draws))
     for i in range(n_draws):
-        delta = params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * rng.choice((-1.0, 1.0))
-        n_c = params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5)
-        try:
-            p = params.with_drive(delta=delta, n_c=n_c)
-        except ValueError as exc:
-            raise OracleError(f"oracle draw {i} (n_c = {n_c:.6g}): {exc}") from None
-        omegas[i] = omega = 2 * np.pi * 10 ** rng.uniform(5.5, 7.6)
-        thetas[i] = theta = rng.uniform(-np.pi, np.pi)
-        nbar = bath_occupation(omega, 16.0)
-        s_ref[i] = core.spectrum_full(omega, theta, p, nbar)[0]
-        scalars[i] = solve_scalars(p)
-        corrs[i] = InputCorrelationMatrix.vacuum_thermal(nbar).matrix
-    # stacked solves of 125 draws (250 systems): every temporary stays below
+        deltas[i] = params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * rng.choice((-1.0, 1.0))
+        n_cs[i] = params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5)
+        omegas[i] = 2 * np.pi * 10 ** rng.uniform(5.5, 7.6)
+        thetas[i] = rng.uniform(-np.pi, np.pi)
+    # blocks of 125 draws (250 solved systems): every temporary stays below
     # 128 kB; one stack of all draws, once freed, left about 1 MB of heap
     # resident under glibc malloc, which raised the peak of an SDE run after it
-    blocks = [slice(k, k + 125) for k in range(0, n_draws, 125)]
-    s_orc = np.concatenate(
-        [matrix_solve_spectrum(omegas[b], thetas[b], scalars[b], corrs[b]) for b in blocks]
-    )
-    return omegas / (2 * np.pi), thetas, np.abs(s_orc - s_ref) / np.abs(s_ref)
+    errs = np.empty(n_draws)
+    for k in range(0, n_draws, 125):
+        b = slice(k, k + 125)
+        omega, theta = omegas[b], thetas[b]
+        try:
+            p = params.with_drive(delta=deltas[b], n_c=n_cs[b])
+        except core.DriveOverflowError as exc:
+            raise OracleError(f"oracle draw {k + exc.index} (n_c = {n_cs[k + exc.index]:.6g}): {exc}") from None
+        nbar = bath_occupation(omega, 16.0)
+        s_ref = core.spectrum_full(omega, theta, p, nbar)[0]
+        s_orc = matrix_solve_spectrum(omega, theta, p, InputCorrelationMatrix.vacuum_thermal(nbar))
+        errs[b] = np.abs(s_orc - s_ref) / np.abs(s_ref)
+    return omegas / (2 * np.pi), thetas, errs
 
 
 def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):

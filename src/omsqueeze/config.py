@@ -175,6 +175,7 @@ def _build(values, problems):
     sys_v, noise_v, det_v, grid_v, run_v = (
         values["system"], values["noise"], values["detection"], values["grid"], values["run"]
     )
+    system = None
     try:
         kappa = TWO_PI * sys_v["kappa_over_2pi_hz"]
         optical = OpticalMode(
@@ -204,6 +205,8 @@ def _build(values, problems):
                 q_lump=noise_v["lump_q"],
                 g0_lump=TWO_PI * noise_v["lump_g0_over_2pi_hz"],
             )
+            if system is not None:  # the lumped coupling must not overflow either
+                lump.system(system)
         except ValueError as exc:
             problems.append(f"noise.lump: {exc}")
     if noise_v["s_omega_omega_rad2_hz"] > 0:

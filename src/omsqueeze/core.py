@@ -8,13 +8,15 @@ effective mass ever enters.
 
 All frequencies and rates are angular (rad/s) unless a name says ``_hz``.
 Evaluation frequencies ``omega`` may be scalars or numpy arrays; every
-function in this module is vectorized over ``omega``.
+function in this module is vectorized over ``omega``, and over a batched
+drive: arrays of ``delta`` and ``n_c`` (one operating point per element,
+broadcast against ``omega``) in ``SystemParams.build`` and ``with_drive``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "OpticalMode",
     "MechanicalMode",
     "DriveCondition",
+    "DriveOverflowError",
     "SystemParams",
     "instability",
     "CoefficientSet",
@@ -94,9 +97,19 @@ class MechanicalMode:
         return self.omega_m0 / self.gamma_i
 
 
+class DriveOverflowError(ValueError):
+    """gamma_meas = 4 g^2/kappa overflows; ``index`` is the first such element (flat)."""
+
+    def __init__(self, g, kappa):
+        g = np.ravel(g).tolist()  # floats, as in the check: a float product overflows to inf
+        self.index = next(i for i, x in enumerate(g) if not math.isfinite(4.0 * (x * x) / kappa))
+        super().__init__(f"g = g0 sqrt(n_c) = {g[self.index]:.6g} rad/s: gamma_meas = 4 g^2/kappa overflows")
+
+
 @dataclass(frozen=True)
 class DriveCondition:
-    """Laser drive: detuning (red positive), photon number, derived rates."""
+    """Laser drive: detuning (red positive), photon number, derived rates;
+    arrays of ``delta`` and ``n_c`` hold one drive per element."""
 
     delta: float
     n_c: float
@@ -105,23 +118,20 @@ class DriveCondition:
 
     @classmethod
     def from_photon_number(cls, delta, n_c, mech: MechanicalMode, optical: OpticalMode):
-        if n_c < 0:
+        delta, n_c = np.asarray(delta, dtype=float), np.asarray(n_c, dtype=float)
+        if n_c.min() < 0:
             raise ValueError("n_c must be nonnegative")
-        g = mech.g0 * math.sqrt(n_c)
-        try:
-            gamma_meas = 4.0 * g**2 / optical.kappa
-        except OverflowError:
-            gamma_meas = math.inf
-        if not math.isfinite(gamma_meas):
-            raise ValueError(f"g = g0 sqrt(n_c) = {g:.6g} rad/s: gamma_meas = 4 g^2/kappa overflows")
-        return cls(delta=delta, n_c=n_c, g=g, gamma_meas=gamma_meas)
+        g, g_max = mech.g0 * np.sqrt(n_c), mech.g0 * math.sqrt(n_c.max())
+        if not math.isfinite(4.0 * (g_max * g_max) / optical.kappa):  # a float product overflows to inf
+            raise DriveOverflowError(g, optical.kappa)
+        # a scalar drive holds Python floats: a numpy scalar's repr is "np.float64(...)"
+        return cls(*(float(x) if x.ndim == 0 else x for x in (delta, n_c, g, 4.0 * g**2 / optical.kappa)))
 
     def validate_against(self, mech: MechanicalMode, optical: OpticalMode):
-        g_ref = mech.g0 * math.sqrt(self.n_c)
-        if abs(self.g - g_ref) > _REL_TOL * max(g_ref, 1.0):
+        g_ref, gm_ref = mech.g0 * np.sqrt(self.n_c), 4.0 * self.g**2 / optical.kappa
+        if (np.abs(self.g - g_ref) > _REL_TOL * np.maximum(g_ref, 1.0)).any():
             raise ValueError("g inconsistent with g0*sqrt(n_c)")
-        gm_ref = 4.0 * self.g**2 / optical.kappa
-        if abs(self.gamma_meas - gm_ref) > _REL_TOL * max(gm_ref, 1.0):
+        if (np.abs(self.gamma_meas - gm_ref) > _REL_TOL * np.maximum(gm_ref, 1.0)).any():
             raise ValueError("gamma_meas inconsistent with 4 g^2 / kappa")
 
 
@@ -135,16 +145,18 @@ class SystemParams:
     drive: DriveCondition
     omega_m: float = field(init=False)
     gamma: float = field(init=False)
+    derived: InitVar[bool] = False  # the drive was just derived from these modes
 
-    def __post_init__(self):
-        self.drive.validate_against(self.mech, self.optical)
+    def __post_init__(self, derived):
+        if not derived:
+            self.drive.validate_against(self.mech, self.optical)
         d_omega, gamma_om = spring_and_damping(self)
         object.__setattr__(self, "omega_m", self.mech.omega_m0 + d_omega)
         object.__setattr__(self, "gamma", self.mech.gamma_i + gamma_om)
 
     @classmethod
     def build(cls, optical: OpticalMode, mech: MechanicalMode, delta, n_c):
-        return cls(optical, mech, DriveCondition.from_photon_number(delta, n_c, mech, optical))
+        return cls(optical, mech, DriveCondition.from_photon_number(delta, n_c, mech, optical), derived=True)
 
     def with_drive(self, delta=None, n_c=None):
         return SystemParams.build(

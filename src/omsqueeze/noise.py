@@ -87,6 +87,11 @@ class ExtraModeNoise:
     def gamma_lump(self):
         return self.omega_lump / self.q_lump
 
+    def system(self, params: SystemParams):
+        """The driven system with the lumped mode in place of the mechanics."""
+        mech = MechanicalMode(omega_m0=self.omega_lump, gamma_i=self.gamma_lump, g0=self.g0_lump)
+        return SystemParams.build(params.optical, mech, params.drive.delta, params.drive.n_c)
+
 
 @dataclass(frozen=True)
 class LaserNoiseModel:
@@ -230,12 +235,6 @@ def absorptive_psd(omega, theta, n_c, model: AbsorptiveNoiseModel, params: Syste
     return at_quadrature(absorptive_harmonics(omega, n_c, model, params), theta)
 
 
-def _lump_system(params: SystemParams, lump: ExtraModeNoise):
-    """The driven system with the lumped mode in place of the mechanics."""
-    mech = MechanicalMode(omega_m0=lump.omega_lump, gamma_i=lump.gamma_lump, g0=lump.g0_lump)
-    return SystemParams.build(params.optical, mech, params.drive.delta, params.drive.n_c)
-
-
 def extra_mode_harmonics(omega, params: SystemParams, lump: ExtraModeNoise, nbar_lump):
     """``(P, Q)`` pair of the thermal contribution of the lumped background mode.
 
@@ -243,12 +242,12 @@ def extra_mode_harmonics(omega, params: SystemParams, lump: ExtraModeNoise, nbar
     the optical mode and drive but with the lumped mechanical parameters;
     the low-frequency tail falls off as 1/omega.
     """
-    return thermal_harmonics(omega, _lump_system(params, lump), nbar_lump)
+    return thermal_harmonics(omega, lump.system(params), nbar_lump)
 
 
 def extra_mode_psd(omega, theta, params: SystemParams, lump: ExtraModeNoise, nbar_lump):
     """Thermal contribution of the lumped background mode at quadrature ``theta``."""
-    return spectrum_full(omega, theta, _lump_system(params, lump), nbar_lump)[2]
+    return spectrum_full(omega, theta, lump.system(params), nbar_lump)[2]
 
 
 def mix_vacuum(s_out, eta):

@@ -33,7 +33,6 @@ __all__ = [
     "OracleError",
     "matrix_solve_spectrum",
     "plan_sde",
-    "solve_scalars",
     "sde_time_domain_psd",
 ]
 
@@ -52,51 +51,42 @@ class InputCorrelationMatrix:
 
     Entry [i, j] is the coefficient of delta(omega + omega') in
     <w_i(omega) w_j(omega')>.  Vacuum optical block: <a a^dag> = 1,
-    <a^dag a> = 0; thermal block uses (nbar + 1, nbar).
+    <a^dag a> = 0; thermal block uses (nbar + 1, nbar).  ``matrix`` may
+    stack one 4x4 matrix per system of a batched drive on its leading axes.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValueError("correlation matrix must be 4x4")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def vacuum_thermal(cls, nbar):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = 1.0
-        m[2, 3] = nbar + 1.0
-        m[3, 2] = nbar
+        """Vacuum optics and a bath of occupation ``nbar``, one matrix per element."""
+        nbar = np.asarray(nbar, dtype=float)
+        m = np.zeros(nbar.shape + (4, 4), dtype=complex)
+        m[..., 0, 1] = 1.0
+        m[..., 2, 3] = nbar + 1.0
+        m[..., 3, 2] = nbar
         return cls(matrix=m)
 
 
-def solve_scalars(params: SystemParams):
-    """The scalars of ``params`` the frequency-domain solve reads:
-    (delta, kappa, kappa_e, kappa_i, g, omega_m, gamma, gamma_i).  Rows of
-    these stack systems for one ``matrix_solve_spectrum`` call."""
-    optical, drive = params.optical, params.drive
-    return (
-        drive.delta, optical.kappa, optical.kappa_e, optical.kappa_i,
-        drive.g, params.omega_m, params.gamma, params.mech.gamma_i,
-    )
-
-
-def _output_quadrature_rows(omega, theta, scalars):
+def _output_quadrature_rows(omega, theta, params: SystemParams):
     """Coefficients of X_out(omega) on the six inputs
     (a_in, a_in^dag, b_in, b_in^dag, a_in_i, a_in_i^dag), obtained by one
-    stacked numerical solve of the frequency-domain systems.  ``scalars`` is
-    an (n, 8) array of ``solve_scalars`` rows; ``omega`` and ``theta`` are
-    arrays whose last axis runs over it, and the rows come back with the
-    shape of ``omega`` plus one axis."""
-    delta, kappa, kappa_e, kappa_i, g, omega_m, gamma, gamma_i = np.transpose(scalars)
-    se, si, sg = np.sqrt(kappa_e), np.sqrt(kappa_i), np.sqrt(gamma_i)
+    stacked numerical solve of the frequency-domain systems.  ``omega`` and
+    ``theta`` broadcast against the (possibly batched) drive of ``params``,
+    and the rows come back with that shape plus one axis."""
+    optical, delta, g = params.optical, params.drive.delta, params.drive.g
+    se, si, sg = np.sqrt(optical.kappa_e), np.sqrt(optical.kappa_i), np.sqrt(params.mech.gamma_i)
 
-    d_c = 1j * (delta - omega) + kappa / 2
-    d_cbar = -1j * (delta + omega) + kappa / 2
-    d_m = 1j * (omega_m - omega) + gamma / 2
-    d_mbar = -1j * (omega_m + omega) + gamma / 2
+    d_c = 1j * (delta - omega) + optical.kappa / 2
+    d_cbar = -1j * (delta + omega) + optical.kappa / 2
+    d_m = 1j * (params.omega_m - omega) + params.gamma / 2
+    d_mbar = -1j * (params.omega_m + omega) + params.gamma / 2
 
     m = np.zeros(d_c.shape + (4, 4), dtype=complex)
     m[..., 0, 0] = d_c
@@ -130,9 +120,9 @@ def _output_quadrature_rows(omega, theta, scalars):
                     f"singular frequency-domain system at omega={omega[i]}"
                 ) from exc
         raise OracleError("singular frequency-domain system") from exc
-    a_out = se[:, np.newaxis] * trans[..., 0, :]
+    a_out = se * trans[..., 0, :]
     a_out[..., 0] += 1.0
-    a_out_dag = se[:, np.newaxis] * trans[..., 1, :]
+    a_out_dag = se * trans[..., 1, :]
     a_out_dag[..., 1] += 1.0
     theta = np.asarray(theta)[..., np.newaxis]
     return np.exp(-1j * theta) * a_out + np.exp(1j * theta) * a_out_dag
@@ -145,23 +135,22 @@ def matrix_solve_spectrum(omega, theta, params: SystemParams, corr: InputCorrela
     +-omega, forms the output quadrature coefficients on all input
     channels (including the intrinsic-port vacuum), and contracts with
     ``corr``.  Must agree with the closed-form spectrum to near machine
-    precision.  ``omega`` and ``theta`` may also be 1-d arrays of length n,
-    with ``params`` an (n, 8) array of ``solve_scalars`` rows and ``corr``
-    an (n, 4, 4) array of correlation matrices: every system, at both signs
-    of omega, is then solved in one stacked call and an array is returned.
+    precision.  ``omega``, ``theta``, a batched drive of ``params`` and the
+    stacked matrices of ``corr`` broadcast together: every system, at both
+    signs of omega, is solved in one stacked call.  All-scalar inputs
+    return a float, anything else an array of the broadcast shape.
     """
-    scalar = np.ndim(omega) == 0
-    if scalar:
-        params, corr = [solve_scalars(params)], corr.matrix[np.newaxis]
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    batch = np.shape(params.omega_m)  # the batch shape of the drive
+    shape = np.broadcast_shapes(np.shape(omega), np.shape(theta), batch, corr.matrix.shape[:-2])
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), shape)
     c_plus, c_minus = _output_quadrature_rows(np.stack([omega, -omega]), theta, params)
-    full = np.zeros((len(omega), 6, 6), dtype=complex)
-    full[:, :4, :4] = corr
-    full[:, 4, 5] = 1.0  # intrinsic loss port is always vacuum
-    s = np.einsum("ni,ni->n", np.einsum("ni,nij->nj", c_plus, full), c_minus)
+    full = np.zeros(c_plus.shape[:-1] + (6, 6), dtype=complex)
+    full[..., :4, :4] = corr.matrix
+    full[..., 4, 5] = 1.0  # intrinsic loss port is always vacuum
+    s = np.einsum("...i,...i->...", np.einsum("...i,...ij->...j", c_plus, full), c_minus)
     if np.any(np.abs(s.imag) > 1e-9 * np.maximum(np.abs(s.real), 1.0)):
         raise OracleError("contracted PSD acquired a nonreal part")
-    return float(s.real[0]) if scalar else s.real
+    return float(s.real) if s.ndim == 0 else s.real
 
 
 def _adiabatic(params: SystemParams):

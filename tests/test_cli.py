@@ -626,6 +626,37 @@ class TestCliExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "oracle draw" in err and "overflows" in err
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
+        # replay the seeded draws: the message names the first whose gamma_meas overflows
+        loaded = load_config(cfg)
+        params, rng = loaded.system, np.random.default_rng(loaded.seed)
+        for i in range(1000):
+            rng.uniform(-1.5, 1.5), rng.choice((-1.0, 1.0))
+            n_c = params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5)
+            rng.uniform(5.5, 7.6), rng.uniform(-np.pi, np.pi)
+            g = params.mech.g0 * float(np.sqrt(n_c))
+            if 4.0 * g * g / params.optical.kappa == np.inf:
+                break
+        assert f"oracle draw {i} (n_c = {n_c:.6g}):" in err
+
+    def test_overflowing_lump_coupling_exit_1(self, config_path, tmp_path, capsys):
+        # the lumped mode's coupling is rejected while the config loads, as the main one is
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(
+            config_path.read_text().replace("lump_g0_over_2pi_hz = 100e3", "lump_g0_over_2pi_hz = 1e300"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lump_lines = [line for line in err.splitlines() if "noise.lump:" in line]
+        assert len(lump_lines) == 1 and "4 g^2/kappa overflows" in lump_lines[0]
+        assert not out.exists()
+        # a bad bath in the same file is reported beside it, not instead of it
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace("t_b0_k = 16", "t_b0_k = -1"), encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "noise.bath: t_b0 must be positive" in err and "noise.lump:" in err
 
     @pytest.mark.parametrize("command, sde", [
         ("spectrum", False), ("densitymap", False), ("quasistatic", False),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omsqueeze import (
+    DriveCondition,
     MechanicalMode,
     OpticalMode,
     SystemParams,
@@ -17,6 +18,7 @@ from omsqueeze import (
     transfer_coefficients,
 )
 from omsqueeze.core import (
+    DriveOverflowError,
     instability,
     reflection_phase,
     spring_damping_rates,
@@ -366,3 +368,17 @@ class TestParamTypes:
         assert d.g == pytest.approx(G0 * np.sqrt(N_C), rel=1e-12)
         assert d.gamma_meas == pytest.approx(4 * d.g**2 / KAPPA, rel=1e-12)
         assert d.gamma_meas / TWO_PI == pytest.approx(519.7e3, rel=1e-3)
+
+    def test_batched_drive_names_its_first_overflowing_element(self, paper_optical, paper_mech):
+        n_c = np.array([N_C, 1e300, N_C, 1e301])
+        with pytest.raises(DriveOverflowError, match="4 g\\^2/kappa overflows") as err:
+            SystemParams.build(paper_optical, paper_mech, delta=DELTA, n_c=n_c)
+        assert err.value.index == 1
+        assert f"g = g0 sqrt(n_c) = {G0 * np.sqrt(1e300):.6g} rad/s" in str(err.value)
+
+    def test_hand_made_drive_is_checked_against_the_modes(self, paper_optical, paper_mech, paper_params):
+        batch = DriveCondition.from_photon_number(np.full(3, DELTA), np.full(3, N_C), paper_mech, paper_optical)
+        SystemParams(paper_optical, paper_mech, batch)
+        stronger = MechanicalMode(omega_m0=OMEGA_M0, gamma_i=GAMMA_I, g0=2 * G0)
+        with pytest.raises(ValueError, match="g inconsistent"):
+            SystemParams(paper_optical, stronger, paper_params.drive)

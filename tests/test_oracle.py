@@ -16,7 +16,6 @@ from omsqueeze import (
     matrix_solve_spectrum,
     spectrum_full,
 )
-from omsqueeze.oracle import solve_scalars
 from omsqueeze.noise import bath_occupation
 from omsqueeze.oracle import sde_time_domain_psd
 
@@ -72,30 +71,43 @@ class TestMatrixSolve:
             InputCorrelationMatrix(matrix=np.zeros((3, 3)))
 
     def test_stacked_solve_matches_scalar_calls(self, paper_optical, paper_mech):
+        # one batched drive against its per-point scalar calls: batched numpy
+        # complex arithmetic rounds differently, the closed form by up to 9.4e-15
+        rtol = 1e-13
         rng = np.random.default_rng(7)
-        systems = [
-            SystemParams.build(paper_optical, paper_mech, delta=DELTA * d, n_c=N_C * n)
-            for d, n in zip(rng.uniform(-2, 2, 20), rng.uniform(0.1, 3, 20))
-        ]
+        deltas, n_cs = DELTA * rng.uniform(-2, 2, 20), N_C * rng.uniform(0.1, 3, 20)
         w = TWO_PI * rng.uniform(1e6, 39e6, 20)
         theta = rng.uniform(-np.pi, np.pi, 20)
         nbar = bath_occupation(w, 16.0)
-        corrs = [InputCorrelationMatrix.vacuum_thermal(n) for n in nbar]
-        stacked = matrix_solve_spectrum(
-            w, theta, np.array([solve_scalars(p) for p in systems]),
-            np.array([c.matrix for c in corrs]),
-        )
-        one_by_one = [matrix_solve_spectrum(*args) for args in zip(w, theta, systems, corrs)]
-        np.testing.assert_allclose(stacked, one_by_one, rtol=1e-12, atol=0)
+        batch = SystemParams.build(paper_optical, paper_mech, delta=deltas, n_c=n_cs)
+        systems = [SystemParams.build(paper_optical, paper_mech, delta=d, n_c=n) for d, n in zip(deltas, n_cs)]
+        closed = spectrum_full(w, theta, batch, nbar)[0]
+        closed_one = [float(spectrum_full(*args)[0]) for args in zip(w, theta, systems, nbar)]
+        np.testing.assert_allclose(closed, closed_one, rtol=rtol, atol=0)
+        stacked = matrix_solve_spectrum(w, theta, batch, InputCorrelationMatrix.vacuum_thermal(nbar))
+        stacked_one = [
+            matrix_solve_spectrum(wi, ti, p, InputCorrelationMatrix.vacuum_thermal(ni))
+            for wi, ti, p, ni in zip(w, theta, systems, nbar)
+        ]
+        np.testing.assert_allclose(stacked, stacked_one, rtol=rtol, atol=0)
+        # a scalar omega, theta and bath broadcast against every drive of a batch
+        corr = InputCorrelationMatrix.vacuum_thermal(nbar[0])
+        for n in (2, 20):
+            head = SystemParams.build(paper_optical, paper_mech, delta=deltas[:n], n_c=n_cs[:n])
+            np.testing.assert_allclose(
+                matrix_solve_spectrum(w[0], theta[0], head, corr),
+                [matrix_solve_spectrum(w[0], theta[0], p, corr) for p in systems[:n]],
+                rtol=rtol, atol=0,
+            )
 
-    def test_singular_system_names_its_omega(self, paper_params):
-        # an undamped mechanical mode probed exactly at its frequency
-        rows = np.array([solve_scalars(paper_params)] * 2)
-        rows[1, 6] = 0.0  # gamma
-        w = np.array([TWO_PI * 3e6, rows[1, 5]])
-        corr = np.array([InputCorrelationMatrix.vacuum_thermal(1.0).matrix] * 2)
+    def test_singular_system_names_its_omega(self, paper_optical, paper_mech):
+        # an undamped mechanical mode probed exactly at its frequency, second in
+        # a batch of two; no drive damps the mode to exactly gamma = 0, so set it
+        batch = SystemParams.build(paper_optical, paper_mech, delta=np.full(2, DELTA), n_c=np.full(2, N_C))
+        object.__setattr__(batch, "gamma", np.array([batch.gamma[0], 0.0]))
+        w = np.array([TWO_PI * 3e6, batch.omega_m[1]])
         with pytest.raises(OracleError) as err:
-            matrix_solve_spectrum(w, np.zeros(2), rows, corr)
+            matrix_solve_spectrum(w, np.zeros(2), batch, InputCorrelationMatrix.vacuum_thermal(np.ones(2)))
         assert str(err.value).endswith(f"at omega={float(w[1])!r}")
 
 

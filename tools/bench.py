@@ -1,0 +1,106 @@
+"""Compare the benchmark's end-to-end metrics between a base commit and this checkout.
+
+    python3 tools/bench.py --base HEAD~1 --workdir ../bench-base --json BENCH.json
+
+The committed files of ``--base`` are exported with ``git archive`` into
+``--workdir``, which must not exist yet.  Each side then runs its own
+``benchmarks/run.py --workload all --trace 0 --out`` in a child process, in
+10 pairs that alternate which side runs first, with seed 1 and the run
+length ``run_seconds`` of ``BENCHMARK.json`` on both.  The JSON holds both
+commits, the CPU model and core count, every run's end-to-end metrics and
+failed-op counts, and per side the median and interquartile range of every
+workload x end-to-end metric of ``BENCHMARK.json``, with the change of the
+medians against the metric's bound and the number of pairs the checkout won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS, SEED = 10, 1
+
+
+def git(*args, cwd=ROOT):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
+
+
+def export(rev, workdir):
+    """The committed files of ``rev`` in ``workdir``, as a fresh checkout has them."""
+    workdir.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
+        tar.extractall(workdir, filter="data")
+
+
+def run_side(checkout, seconds, out):
+    """One ``run.py --workload all`` of ``checkout``; returns its records by workload."""
+    out.unlink(missing_ok=True)
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", "all", "--seed", str(SEED),
+           "--seconds", str(seconds), "--trace", "0", "--out", str(out)]
+    subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    return {r["workload"]: r for r in records}
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="commit to compare this checkout against")
+    parser.add_argument("--workdir", required=True, type=Path, help="new directory for the base's files")
+    parser.add_argument("--json", required=True, type=Path, help="file to write the comparison to")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    base_commit = git("rev-parse", args.base).decode().strip()
+    export(base_commit, args.workdir)
+    sides = {"base": args.workdir.resolve(), "head": ROOT}
+    runs = {"base": [], "head": []}
+    for k in range(PAIRS):
+        for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
+            out = args.workdir.resolve() / f"bench-{side}.jsonl"
+            runs[side].append(run_side(sides[side], spec["run_seconds"], out))
+            print(f"pair {k + 1}/{PAIRS}: {side} done", file=sys.stderr, flush=True)
+
+    env = runs["head"][0][spec["workloads"][0]["name"]]["env"]
+    workloads = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        rows = {"failed_ops": {s: [r[workload]["failed"] for r in runs[s]] for s in runs}}
+        for metric in spec["end_to_end"]:
+            name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+            values = {s: [r[workload]["metrics"][name]["value"] for r in runs[s]] for s in runs}
+            row = {s: summary(v) for s, v in values.items()}
+            base, head = row["base"]["median"], row["head"]["median"]
+            worse = sign * (head - base) / base
+            row.update(
+                unit=metric["unit"], better=metric["better"], bound=metric["bound"],
+                head_worse_by=worse, within_bound=worse <= metric["bound"],
+                head_wins=sum(sign * (h - b) < 0 for b, h in zip(values["base"], values["head"])),
+            )
+            rows[name] = row
+        workloads[workload] = rows
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    result = {
+        "base": {"commit": base_commit},
+        "head": {"commit": git("rev-parse", "HEAD").decode().strip(), "uncommitted_changes": dirty},
+        "cpu_model": env["cpu_model"], "nproc": env["nproc"],
+        "seed": SEED, "seconds": spec["run_seconds"], "pairs": PAIRS,
+        "order": "pair k runs the base first for even k, the checkout first for odd k",
+        "workloads": workloads,
+    }
+    args.json.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
