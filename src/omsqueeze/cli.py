@@ -308,7 +308,7 @@ def _oracle_draws(params, seed, n_draws):
     rng = np.random.default_rng(seed)
     deltas, n_cs, omegas, thetas = np.empty((4, n_draws))
     for i in range(n_draws):
-        deltas[i] = params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * rng.choice((-1.0, 1.0))
+        deltas[i] = params.drive.delta * 10 ** rng.uniform(-1.5, 1.5) * (-1.0, 1.0)[rng.integers(0, 2)]
         n_cs[i] = params.drive.n_c * 10 ** rng.uniform(-1.5, 1.5)
         omegas[i] = 2 * np.pi * 10 ** rng.uniform(5.5, 7.6)
         thetas[i] = rng.uniform(-np.pi, np.pi)

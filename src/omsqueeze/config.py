@@ -211,6 +211,11 @@ def _build(values, problems):
             problems.append(f"noise.lump: {exc}")
     if noise_v["s_omega_omega_rad2_hz"] > 0:
         laser = LaserNoiseModel(s_omega_omega=noise_v["s_omega_omega_rad2_hz"])
+        try:
+            if system is not None:  # the phase-noise scale must not overflow either
+                laser.scale(system)
+        except ValueError as exc:
+            problems.append(f"noise.laser: {exc}")
     if noise_v["absorptive_amp_per_photon"] > 0:
         absorptive = AbsorptiveNoiseModel(amp_coeff=noise_v["absorptive_amp_per_photon"])
     try:

@@ -62,6 +62,8 @@ class OpticalMode:
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        if not self.kappa * self.kappa < math.inf:  # the model's laws square kappa
+            raise ValueError(f"kappa = {self.kappa:.6g} rad/s is too large: its square overflows a float")
         if not 0 < self.kappa_e <= self.kappa:
             raise ValueError("kappa_e must lie in (0, kappa]")
 
@@ -171,14 +173,18 @@ def instability(params: SystemParams):
     """One line naming why ``params`` is no stable operating point of the
     linearized model, or None: the renormalized frequency omega_m must be
     positive and finite (a spring shift below -omega_m0 leaves no mechanical
-    resonance), and the total damping gamma positive and finite."""
-    for name, rate in (
-        ("renormalized mechanical frequency omega_m", params.omega_m),
-        ("total mechanical damping gamma", params.gamma),
-    ):
-        if not 0 < rate < math.inf:
-            return f"unstable operating point: {name}/2pi = {rate / (2 * math.pi):.6g} Hz is not positive and finite"
-    return None
+    resonance), and the total damping gamma positive and finite.  For a
+    batched drive the line names the first unstable element (flat index)."""
+    names = ("renormalized mechanical frequency omega_m", "total mechanical damping gamma")
+    rates = np.reshape([params.omega_m, params.gamma], (2, -1))
+    bad = ~((0 < rates) & (rates < math.inf))
+    if not bad.any():
+        return None
+    index = int(np.flatnonzero(bad.any(axis=0))[0])
+    which = int(np.argmax(bad[:, index]))
+    where = "" if np.ndim(params.omega_m) == 0 else f" at drive element {index}"
+    hz = float(rates[which, index]) / (2 * math.pi)
+    return f"unstable operating point{where}: {names[which]}/2pi = {hz:.6g} Hz is not positive and finite"
 
 
 @dataclass(frozen=True)

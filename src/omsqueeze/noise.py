@@ -103,6 +103,22 @@ class LaserNoiseModel:
         if self.s_omega_omega < 0:
             raise ValueError("s_omega_omega must be nonnegative")
 
+    def scale(self, params: SystemParams):
+        """omega^2 times the phase-noise scale S: the input photon flux
+        |alpha_in|^2 = n_c (delta^2 + kappa^2/4) / kappa_e that sustains n_c at
+        this detuning, times s_omega_omega.  ValueError where it overflows."""
+        delta, kappa = params.drive.delta, params.optical.kappa
+        try:
+            scale = params.drive.n_c * (delta**2 + (kappa / 2) ** 2) / params.optical.kappa_e * self.s_omega_omega
+        except OverflowError:  # a float power raises where a float product returns inf
+            scale = math.inf
+        if not np.all(np.isfinite(scale)):
+            raise ValueError(
+                f"the phase-noise scale n_c (delta^2 + kappa^2/4) / kappa_e * s_omega_omega overflows "
+                f"(kappa/2pi = {kappa / (2 * math.pi):.6g} Hz, n_c = {np.max(params.drive.n_c):.6g})"
+            )
+        return scale
+
 
 @dataclass(frozen=True)
 class AbsorptiveNoiseModel:
@@ -178,9 +194,7 @@ def _phase_noise_terms(omega, params: SystemParams, laser: LaserNoiseModel):
     r0 = reflection_coefficient(0.0, params.optical, delta)
     x = reflection_coefficient(omega, params.optical, delta) - r0
     y = reflection_coefficient(-omega, params.optical, delta) - r0
-    # |alpha_in|^2: input photon flux sustaining n_c at this detuning
-    flux = params.drive.n_c * (delta**2 + (params.optical.kappa / 2) ** 2) / params.optical.kappa_e
-    return x, y, flux * laser.s_omega_omega / omega**2
+    return x, y, laser.scale(params) / omega**2
 
 
 def phase_noise_harmonics(omega, params: SystemParams, laser: LaserNoiseModel):

@@ -658,6 +658,28 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "noise.bath: t_b0 must be positive" in err and "noise.lump:" in err
 
+    # kappa/2pi = 1e154 Hz: (kappa/2)**2 raised OverflowError in the phase-noise
+    # flux and, without laser noise, in synth's photon-number law; 1e153 Hz: the
+    # flux product went to inf and the phase-noise PSD to nan
+    @pytest.mark.parametrize("kappa_hz, command, laser, problem", [
+        ("1e154", "spectrum", True, "system: kappa = 6.28319e+154 rad/s is too large: its square overflows"),
+        ("1e154", "synth", False, "system: kappa = 6.28319e+154 rad/s is too large: its square overflows"),
+        ("1e153", "spectrum", True, "noise.laser: the phase-noise scale"),
+    ])
+    def test_overflowing_cavity_rates_exit_1(self, config_path, tmp_path, capsys, kappa_hz, command, laser, problem):
+        text = config_path.read_text().replace("kappa_over_2pi_hz = 3.42e9", f"kappa_over_2pi_hz = {kappa_hz}")
+        if not laser:
+            text = text.replace("s_omega_omega_rad2_hz = 6e3", "s_omega_omega_rad2_hz = 0")
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text(text.replace("rbw_hz = 300e3", "rbw_hz = 1e12"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        problems = [line for line in err.splitlines() if line.startswith("  - ")]
+        assert len(problems) == 1 and problem in problems[0] and "overflows" in problems[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, sde", [
         ("spectrum", False), ("densitymap", False), ("quasistatic", False),
         ("oracle-check", True), ("oracle-check", False), ("synth", False),

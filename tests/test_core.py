@@ -1,3 +1,4 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from omsqueeze import (
     squeezing_cross_term,
     transfer_coefficients,
 )
+from omsqueeze.config import load_config
 from omsqueeze.core import (
     DriveOverflowError,
     instability,
@@ -97,6 +99,20 @@ class TestInstability:
         problem = instability(SimpleNamespace(omega_m=omega_m, gamma=gamma))
         assert problem.startswith("unstable operating point") and f"{name}/2pi" in problem
         assert "\n" not in problem
+
+    def test_batched_drive_names_its_first_unstable_element(self):
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "default.ini")
+        p = cfg.system.with_drive(delta=np.array([1e9, -1e9]), n_c=np.array([790.0, 790.0]))
+        assert instability(p) == (
+            "unstable operating point at drive element 1: "
+            "total mechanical damping gamma/2pi = -2940.51 Hz is not positive and finite"
+        )
+        # the same element as a scalar drive: the line without the index
+        assert instability(cfg.system.with_drive(delta=-1e9, n_c=790.0)) == (
+            "unstable operating point: total mechanical damping gamma/2pi = -2940.51 Hz is not positive and finite"
+        )
+        stable = cfg.system.with_drive(delta=np.array([[1e9], [2e9]]), n_c=np.array([10.0, 790.0]))
+        assert stable.gamma.shape == (2, 2) and instability(stable) is None
 
 
 class TestTransferCoefficients:

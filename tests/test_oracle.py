@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -468,6 +470,107 @@ class TestSdeChecksBeforeWork:
         assert p.gamma <= 0
         with pytest.raises(OracleError, match="unstable operating point"):
             sde_time_domain_psd(p, 0.0, 0.4, duration=1.0, dt=0.01 / mech.omega_m0, seed=0)
+
+
+
+@pytest.mark.sde
+class TestSdeDrawAhead:
+    # a run takes its normals from one helper thread that draws them a slab ahead
+
+    def test_any_split_gives_the_stream_of_one_call(self, monkeypatch):
+        # 8-sample blocks: 16-normal slabs, takes that run over a slab's end and
+        # a short last slab; four readers at once, the interpreter switching
+        # threads every microsecond, so that a slab refilled too early shows
+        monkeypatch.setattr(oracle, "_BLOCK", 8)
+        total, got = 20002, {}
+
+        def read(seed):
+            draws, parts, left = oracle._DrawAhead(np.random.default_rng(seed), total), [], total // 2
+            try:
+                for n in np.random.default_rng(seed + 100).integers(1, 9, size=total).tolist():
+                    if left == 0:
+                        break
+                    parts.append(draws.take(min(n, left)).copy())
+                    left -= len(parts[-1])
+            finally:
+                draws.close()
+            got[seed] = (np.concatenate(parts), draws.thread.is_alive())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read, args=(seed,), daemon=True) for seed in range(4)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(reader.is_alive() for reader in readers)
+        for seed in range(4):
+            normals, helper_alive = got[seed]
+            assert not helper_alive
+            assert normals.tobytes() == np.random.default_rng(seed).standard_normal(total).tobytes()
+
+    def test_integration_error_stops_the_helper(self, monkeypatch):
+        one_pole, calls = oracle._one_pole, []
+
+        def third_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise FloatingPointError("third scan")
+            return one_pole(*args)
+
+        monkeypatch.setattr(oracle, "_one_pole", third_call_fails)
+        p, dt, bins = streaming_adiabatic_case()
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third scan"):
+            sde_time_domain_psd(p, 3.0, 0.4, 8.5 * 2**14 * dt, dt, seed=0, freq_bins=bins)
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        default_rng = np.random.default_rng
+
+        class SecondSlabFails:
+            def __init__(self, seed):
+                self.rng, self.slabs = default_rng(seed), 0
+
+            def standard_normal(self, out):
+                self.slabs += 1
+                if self.slabs == 2:
+                    raise RuntimeError("second slab")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", SecondSlabFails)
+        p, dt, bins = streaming_adiabatic_case()
+        before, caught = threading.active_count(), []
+
+        def run():
+            try:
+                sde_time_domain_psd(p, 3.0, 0.4, 8.5 * 2**14 * dt, dt, seed=0, freq_bins=bins)
+            except RuntimeError as exc:
+                caught.append(str(exc))
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the run hung on a failed draw"
+        assert caught == ["second slab"]
+        assert threading.active_count() == before
+
+    def test_growth_beyond_the_amplitude_bound_raises(self, monkeypatch):
+        build = oracle._integrate_adiabatic
+
+        def blown_up(*args):
+            tri, streams, out_row = build(*args)
+            return tri, [1e12 * s for s in streams], out_row
+
+        monkeypatch.setattr(oracle, "_integrate_adiabatic", blown_up)
+        p, dt, bins = streaming_adiabatic_case()
+        before = threading.active_count()
+        with pytest.raises(OracleError, match="energy growth beyond bound"):
+            sde_time_domain_psd(p, 3.0, 0.4, 8.5 * 2**14 * dt, dt, seed=0, freq_bins=bins)
+        assert threading.active_count() == before
 
 
 def one_pole_loop(x, a, v0):
