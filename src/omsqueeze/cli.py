@@ -262,6 +262,9 @@ def cmd_quasistatic(cfg: ScenarioConfig, outdir: Path):
     freqs = cfg.grid.out_freqs()
     theta = lock_to_quadrature(cfg.theta_lock_rad, params.optical, params.drive.delta)
     values = core.quasi_static_spectrum(theta, params, scenario.occupation(2 * np.pi * freqs))
+    if not np.all(values >= 0):  # the law is first order in gamma_meas/omega_m0: weak measurement only
+        ratio = 4 * params.drive.gamma_meas / params.mech.omega_m0
+        raise ConfigError([f"quasistatic: 4 gamma_meas/omega_m0 = {ratio:.6g}: the quasi-static law goes negative"])
     write_spectrum_csv(outdir / "quasistatic.csv", SpectrumTrace(freqs=freqs, values=values))
     return 0
 

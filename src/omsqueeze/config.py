@@ -54,7 +54,6 @@ _SCHEMA = {
     },
     "detection": {
         "eta_cp": (True, None),
-        "eta_12": (False, 1.0),
         "eta_23": (True, None),
         "eta_3h": (True, None),
         "eta_hd": (True, None),
@@ -219,10 +218,7 @@ def _build(values, problems):
     if noise_v["absorptive_amp_per_photon"] > 0:
         absorptive = AbsorptiveNoiseModel(amp_coeff=noise_v["absorptive_amp_per_photon"])
     try:
-        chain = DetectionChain(
-            eta_cp=det_v["eta_cp"], eta_12=det_v["eta_12"], eta_23=det_v["eta_23"],
-            eta_3h=det_v["eta_3h"], eta_hd=det_v["eta_hd"],
-        )
+        chain = DetectionChain(**det_v)
     except ValueError as exc:
         problems.append(f"detection: {exc}")
     try:
@@ -331,7 +327,6 @@ absorptive_amp_per_photon = 1.5e-4
 
 [detection]
 eta_cp = 0.90
-eta_12 = 0.85
 eta_23 = 0.88
 eta_3h = 0.92
 eta_hd = 0.66

@@ -16,7 +16,7 @@ broadcast against ``omega``) in ``SystemParams.build`` and ``with_drive``.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class OpticalMode:
             raise ValueError("kappa must be positive")
         if not self.kappa * self.kappa < math.inf:  # the model's laws square kappa
             raise ValueError(f"kappa = {self.kappa:.6g} rad/s is too large: its square overflows a float")
+        if not self.kappa * self.kappa > 0:
+            raise ValueError(f"kappa = {self.kappa:.6g} rad/s is too small: its square underflows to zero")
         if not 0 < self.kappa_e <= self.kappa:
             raise ValueError("kappa_e must lie in (0, kappa]")
 
@@ -147,18 +149,16 @@ class SystemParams:
     drive: DriveCondition
     omega_m: float = field(init=False)
     gamma: float = field(init=False)
-    derived: InitVar[bool] = False  # the drive was just derived from these modes
 
-    def __post_init__(self, derived):
-        if not derived:
-            self.drive.validate_against(self.mech, self.optical)
+    def __post_init__(self):
+        self.drive.validate_against(self.mech, self.optical)
         d_omega, gamma_om = spring_and_damping(self)
         object.__setattr__(self, "omega_m", self.mech.omega_m0 + d_omega)
         object.__setattr__(self, "gamma", self.mech.gamma_i + gamma_om)
 
     @classmethod
     def build(cls, optical: OpticalMode, mech: MechanicalMode, delta, n_c):
-        return cls(optical, mech, DriveCondition.from_photon_number(delta, n_c, mech, optical), derived=True)
+        return cls(optical, mech, DriveCondition.from_photon_number(delta, n_c, mech, optical))
 
     def with_drive(self, delta=None, n_c=None):
         return SystemParams.build(

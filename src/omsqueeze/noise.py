@@ -135,20 +135,15 @@ class AbsorptiveNoiseModel:
 
 @dataclass(frozen=True)
 class DetectionChain:
-    """Cascade of power efficiencies between cavity output and homodyne record.
-
-    eta_12 is the input-side circulator pass and does not attenuate the
-    reflected signal, so it stays out of eta_setup.
-    """
+    """Cascade of power efficiencies between cavity output and homodyne record."""
 
     eta_cp: float
-    eta_12: float
     eta_23: float
     eta_3h: float
     eta_hd: float
 
     def __post_init__(self):
-        for name in ("eta_cp", "eta_12", "eta_23", "eta_3h", "eta_hd"):
+        for name in ("eta_cp", "eta_23", "eta_3h", "eta_hd"):
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")

@@ -28,13 +28,7 @@ import numpy as np
 from .core import SystemParams, instability
 from .instrument import SpectrumTrace
 
-__all__ = [
-    "InputCorrelationMatrix",
-    "OracleError",
-    "matrix_solve_spectrum",
-    "plan_sde",
-    "sde_time_domain_psd",
-]
+__all__ = ["InputCorrelationMatrix", "OracleError", "matrix_solve_spectrum", "plan_sde", "sde_time_domain_psd"]
 
 ADIABATIC_KAPPA_RATIO = 50.0
 _CHUNK = 1 << 22  # samples each noise stream integrates in turn; fixes the noise stream
@@ -216,15 +210,10 @@ def sde_time_domain_psd(
     e^{-i omega_m dt}, drive-port filters frozen at +-omega_m; dt <=
     0.01/omega_m); otherwise the four Schur modes of the two-oscillator step
     are integrated (dt <= 0.01/kappa).  ``plan_sde`` checks both.  The record
-    is never held: per ``_CHUNK`` samples, each noise stream in turn is
-    integrated block by block and folded segment piece by piece into the
-    band spectra of ``_Welch``, and the segments the chunk completes are
-    closed, so memory is bounded by the segments one chunk spans, whatever
-    the record length.  Once these checks and the branch's set-up have
-    passed, one helper thread draws the run's normals a slab ahead of the
-    integration (``_DrawAhead``); the stream is that of
-    ``np.random.default_rng(seed)`` drawn block by block in this thread, so
-    the result is the same to the bit, and no thread outlives the call.
+    is never held, so memory is bounded by the segments one ``_CHUNK`` spans,
+    whatever the record length.  Once the checks and the branch's set-up have
+    passed, one helper thread draws the normals a block ahead; they are those
+    of ``np.random.default_rng(seed)``, and no thread outlives the call.
     """
     welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
     build = _integrate_adiabatic if _adiabatic(params) else _integrate_full
@@ -310,129 +299,104 @@ def _integrate_full(params, nbar, theta, dt):
     return t, streams, np.abs(row)
 
 
+def _pieces(n_total, n_seg, n_streams):
+    """The scan's pieces ``(stream, seg, offset, length, closes)`` in draw order:
+    per ``_CHUNK`` samples, each stream in turn, cut where segments end; a
+    piece is ``length`` samples from ``offset`` into segment ``seg``.
+    ``closes`` is the chunk's end on its last piece of the last stream, else 0."""
+    for chunk_start in range(0, n_total, _CHUNK):
+        chunk_end = min(chunk_start + _CHUNK, n_total)
+        cuts = [chunk_start, *range((chunk_start // n_seg + 1) * n_seg, chunk_end, n_seg), chunk_end]
+        for stream in range(n_streams):
+            for start, end in zip(cuts, cuts[1:]):
+                last = stream == n_streams - 1 and end == chunk_end
+                yield stream, start // n_seg, start % n_seg, end - start, chunk_end if last else 0
+
+
 def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
     """Integrate ``y_n = tri y_{n-1} + x_n``, ``tri`` upper triangular, and
     fold the current ``direct_n + out_row . Re(y_{n-1})`` into ``welch``.
 
-    The current is linear in the noise streams, so per chunk of ``_CHUNK``
-    samples each stream in turn, from its own state (zero at the start),
-    takes its normals block by block, maps each pair (n_re, n_im) of a
-    stream z = scale (n_re + i n_im) by its real matrix to the modes' inputs
-    (Re, Im pairs) and the direct current, and scans the modes bottom-up by
-    ``_one_pole``, each also driven by the modes below it one step late.
-    The normals are the ones a single ``rng.standard_normal`` call would
-    give for the whole run, in this order; a ``_DrawAhead`` helper thread
-    draws them one slab ahead while the blocks before are integrated, and it
-    is stopped and joined however the scan ends.  Each piece (a chunk's
-    overlap with a segment) is folded into that segment's band DFT; the
-    streams' folds sum to the whole one.  The segments a chunk completes are
-    closed before the next chunk is integrated."""
-    n_modes, n_total, n_seg, chunk = len(tri), welch.n_total, len(welch.window), _CHUNK
+    The current is linear in the noise streams, so each is integrated from
+    its own state (zero at the start) as ``_pieces`` schedules it, block by
+    block: each normal pair (n_re, n_im) of a stream z = scale (n_re + i n_im)
+    is mapped by the stream's real matrix to the modes' inputs (Re, Im pairs)
+    and the direct current, and the modes are scanned bottom-up by
+    ``_one_pole``, each also driven by the modes below it one step late.  The
+    normals are those of one ``rng.standard_normal`` call for the whole run,
+    drawn a block ahead by ``_normals_ahead``.  Each piece is folded into its
+    segment's band DFT (the streams' folds sum to the whole one), and the
+    segments a chunk completes are closed before the next chunk."""
+    n_modes, n_total, n_seg = len(tri), welch.n_total, len(welch.window)
     states = np.zeros((len(streams), n_modes), dtype=complex)
-    piece = np.empty(min(n_seg, chunk, n_total))
-    step = min(_BLOCK, len(piece))
-    draws = _DrawAhead(rng, 2 * len(streams) * n_total)
+    record = np.empty(min(n_seg, _CHUNK, n_total))
+    step = min(_BLOCK, len(record))
+    sizes = (min(step, length - k) for *_, length, _ in _pieces(n_total, n_seg, len(streams))
+             for k in range(0, length, step))
+    draws = _normals_ahead(rng, sizes, step)
     try:
-        for chunk_start in range(0, n_total, chunk):
-            chunk_end = min(chunk_start + chunk, n_total)
-            for mapping, state in zip(streams, states):
-                start = chunk_start
-                while start < chunk_end:
-                    seg, offset = divmod(start, n_seg)
-                    record = piece[: min(chunk_end - start, n_seg - offset)]
-                    for k in range(0, len(record), step):
-                        block = record[k : k + step]
-                        y = draws.take(len(block)) @ mapping
-                        block[:] = y[:, -1]
-                        v = [None] * n_modes
-                        for m in reversed(range(n_modes)):
-                            x = y[:, 2 * m : 2 * m + 2].view(np.complex128)[:, 0]
-                            for j in range(m + 1, n_modes):  # the modes below, one step late
-                                x = x + tri[m, j] * np.append(state[j], v[j][:-1])
-                            v[m] = _one_pole(x, tri[m, m], state[m])
-                            block[0] += out_row[m] * state[m].real
-                            block[1:] += out_row[m] * v[m].real[:-1]
-                        state[:] = [vm[-1] for vm in v]
-                        if not np.all(np.abs(state) <= amp_bound):
-                            raise OracleError("unstable integration (energy growth beyond bound); "
-                                              "the step-size precondition is too loose for this system")
-                    welch.fold(seg, offset, record)
-                    start += len(record)
-            welch.close_through(chunk_end)
+        for stream, seg, offset, length, closes in _pieces(n_total, n_seg, len(streams)):
+            mapping, state, piece = streams[stream], states[stream], record[:length]
+            for k in range(0, length, step):
+                block = piece[k : k + step]
+                y = next(draws) @ mapping
+                block[:] = y[:, -1]
+                v = [None] * n_modes
+                for m in reversed(range(n_modes)):
+                    x = y[:, 2 * m : 2 * m + 2].view(np.complex128)[:, 0]
+                    for j in range(m + 1, n_modes):  # the modes below, one step late
+                        x = x + tri[m, j] * np.append(state[j], v[j][:-1])
+                    v[m] = _one_pole(x, tri[m, m], state[m])
+                    block[0] += out_row[m] * state[m].real
+                    block[1:] += out_row[m] * v[m].real[:-1]
+                state[:] = [vm[-1] for vm in v]
+                if not np.all(np.abs(state) <= amp_bound):
+                    raise OracleError("unstable integration (energy growth beyond bound); "
+                                      "the step-size precondition is too loose for this system")
+            welch.fold(seg, offset, piece)
+            if closes:
+                welch.close_through(closes)
     finally:
         draws.close()
 
 
-class _DrawAhead:
-    """The first ``total`` normals of ``rng``, drawn by one helper thread a
-    slab of ``2 _BLOCK`` normals ahead of the reader.
+def _normals_ahead(rng, sizes, width):
+    """For each ``n <= width`` of ``sizes``, the next ``2 n`` normals of ``rng``
+    as an (n, 2) array, valid until the next is taken.  One helper thread
+    draws them a block ahead into two buffers that take turns: it refills a
+    buffer once the reader asks for the block after the one it held there.
+    ``Generator.standard_normal`` keeps no state between calls, so the bits
+    are those of one call for all of ``sizes``; numpy draws without the GIL,
+    so on two cores the draw overlaps the integration.  An error of the
+    helper reaches the reader; closing the generator stops and joins it."""
+    import queue  # loaded for the SDE only
+    import threading
 
-    ``Generator.standard_normal`` keeps no state between calls, so the reader
-    gets the bits one call for all ``total`` would return, however it splits
-    them.  Two slab buffers take turns: the helper fills one while the reader
-    takes from the other, and refills a buffer only once the reader has moved
-    on from it.  numpy draws without holding the GIL, so on two cores the
-    draw and the integration overlap.  An exception of the helper is raised
-    to the reader when it asks for the next slab; ``close`` stops the helper
-    and joins it, at the end of the run or part-way through."""
+    buffers, free, drawn = np.empty((2, 2 * width)), queue.SimpleQueue(), queue.SimpleQueue()
 
-    def __init__(self, rng, total):
-        import threading  # loaded with numpy already; the SDE is its only user
-
-        self.buffers = np.empty((2, min(2 * _BLOCK, total)))
-        self.slab, self.taken, self.n_slabs = self.buffers[0, :0], 0, 0
-        self.error, self.stopped = None, False
-        # the reader hands back the slab it holds (none at first) before it waits for the next
-        self.free, self.full = threading.Semaphore(1), threading.Semaphore(0)
-        self.thread = threading.Thread(target=self._draw, args=(rng, total), daemon=True)
-        self.thread.start()
-
-    def _draw(self, rng, total):
-        width = self.buffers.shape[1]
+    def draw():
         try:
-            for k, start in enumerate(range(0, total, width)):
-                self.free.acquire()
-                if self.stopped:
+            for k, n in enumerate(sizes):
+                if not free.get():  # a buffer handed back, or False: stop
                     return
-                rng.standard_normal(out=self.buffers[k % 2, : min(width, total - start)])
-                self.full.release()
-        except BaseException as exc:  # any: the reader waits on ``full`` and raises it
-            self.error = exc
-            self.full.release()
+                drawn.put(rng.standard_normal(out=buffers[k % 2, : 2 * n]))
+            drawn.put(None)
+        except BaseException as exc:  # any: the reader waits on ``drawn`` and raises it
+            drawn.put(exc)
 
-    def _next_slab(self):
-        self.free.release()
-        self.full.acquire()
-        if self.error is not None:
-            raise self.error
-        # the last slab is drawn only in part, and no take reads past ``total``
-        self.slab, self.taken = self.buffers[self.n_slabs % 2], 0
-        self.n_slabs += 1
-
-    def take(self, n):
-        """The next ``2 n <= 2 _BLOCK`` normals as an (n, 2) array, valid until
-        the next take: a view of the slab in hand, or, where they run on into
-        the next slab, a copy (allocated then: a standing spill buffer of a
-        slab's size raised the benchmark's peak RSS by 0.9 MB)."""
-        if self.taken == len(self.slab):
-            self._next_slab()
-        end = self.taken + 2 * n
-        if end <= len(self.slab):
-            self.taken = end
-            return self.slab[end - 2 * n : end].reshape(n, 2)
-        flat = np.empty(2 * n)
-        head = len(self.slab) - self.taken
-        flat[:head] = self.slab[self.taken :]
-        self._next_slab()
-        self.taken = 2 * n - head
-        flat[head:] = self.slab[: self.taken]
-        return flat.reshape(n, 2)
-
-    def close(self):
-        """Stop the helper before its next slab and wait for it to end."""
-        self.stopped = True
-        self.free.release()
-        self.thread.join()
+    for _ in buffers:
+        free.put(True)
+    helper = threading.Thread(target=draw, daemon=True)
+    helper.start()
+    try:
+        while (normals := drawn.get()) is not None:
+            if isinstance(normals, BaseException):
+                raise normals
+            yield normals.reshape(-1, 2)
+            free.put(True)
+    finally:
+        free.put(False)
+        helper.join()
 
 
 @functools.lru_cache(maxsize=4)
@@ -530,10 +494,7 @@ class _Welch:
         m = len(self.polyphase_window)
         spectrum = np.fft.rfft(samples.reshape(m, -1) * self.polyphase_window, axis=0)
         band = np.einsum("kd,kd->k", spectrum[self.rows], self.twiddle)
-        if seg in self.open:
-            self.open[seg] += band
-        else:
-            self.open[seg] = band
+        self.open[seg] = self.open.get(seg, 0) + band
 
     def close_through(self, sample):
         """Fold every open segment that ends at or before ``sample`` into the bin sums."""

@@ -38,7 +38,7 @@ from omsqueeze.oracle import sde_time_domain_psd
 
 from conftest import DELTA, ETA_KAPPA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 
-CHAIN = DetectionChain(eta_cp=0.90, eta_12=0.85, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
+CHAIN = DetectionChain(eta_cp=0.90, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
 BATH = BathModel(t_b0=16.0, c0=3.2e-4)
 LUMP = ExtraModeNoise(omega_lump=TWO_PI * 50e6, q_lump=100.0, g0_lump=TWO_PI * 100e3)
 LASER = LaserNoiseModel(s_omega_omega=6e3)
@@ -243,9 +243,9 @@ def test_criterion_09_fit_round_trips():
 
 def test_criterion_10_loss_mixing_law():
     fixed = abs(apply_detection_chain(1.0, CHAIN, ETA_KAPPA) - 1.0)
-    c1 = DetectionChain(eta_cp=0.9, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
-    c2 = DetectionChain(eta_cp=0.7, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
-    c12 = DetectionChain(eta_cp=0.63, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+    c1 = DetectionChain(eta_cp=0.9, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+    c2 = DetectionChain(eta_cp=0.7, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+    c12 = DetectionChain(eta_cp=0.63, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
     s = 0.87
     comp = abs(
         apply_detection_chain(apply_detection_chain(s, c1, 1.0), c2, 1.0)

@@ -95,6 +95,13 @@ class TestConfig:
             load_config_text(text)
         assert err.value.problems == ["unknown key detection.dark_ratio_db"]
 
+    def test_removed_eta_12_key_rejected(self, config_path):
+        # nothing read the input-side circulator pass: it left eta_setup out
+        text = config_path.read_text().replace("eta_23 = 0.88", "eta_12 = 0.85\neta_23 = 0.88")
+        with pytest.raises(ConfigError) as err:
+            load_config_text(text)
+        assert err.value.problems == ["unknown key detection.eta_12"]
+
     def test_unknown_section_rejected(self, config_path):
         text = config_path.read_text() + "\n[mystery]\nx = 1\n"
         with pytest.raises(ConfigError):
@@ -679,6 +686,43 @@ class TestCliExitCodes:
         problems = [line for line in err.splitlines() if line.startswith("  - ")]
         assert len(problems) == 1 and problem in problems[0] and "overflows" in problems[0]
         assert not out.exists()
+
+    def test_underflowing_cavity_rate_exit_1(self, config_path, tmp_path, capsys):
+        # kappa/2pi = 5e-324 Hz with a coupling small enough for a finite gamma_meas:
+        # the cavity half-width in Hz underflowed to zero, and the frequency rule's
+        # np.arange raised "cannot compute length"
+        cfg = tmp_path / "narrow.ini"
+        cfg.write_text(
+            config_path.read_text()
+            .replace("kappa_over_2pi_hz = 3.42e9", "kappa_over_2pi_hz = 5e-324")
+            .replace("g0_over_2pi_hz = 750e3", "g0_over_2pi_hz = 1e-154")
+            .replace("lump_g0_over_2pi_hz = 100e3", "lump_g0_over_2pi_hz = 0"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["densitymap", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        problems = [line for line in err.splitlines() if line.startswith("  - ")]
+        assert problems == ["  - system: kappa = 2.96439e-323 rad/s is too small: its square underflows to zero"]
+        assert not out.exists()
+
+    def test_negative_quasistatic_law_exit_1(self, config_path, tmp_path, capsys):
+        # kappa/2pi = 1e-12 Hz is a stable point, but 4 gamma_meas/omega_m0 = 2.5e20
+        # takes the first-order law 1 + 4 (gamma_meas/omega_m0) [...] far below zero,
+        # and SpectrumTrace raised on the negative values
+        cfg = tmp_path / "narrow.ini"
+        cfg.write_text(
+            config_path.read_text().replace("kappa_over_2pi_hz = 3.42e9", "kappa_over_2pi_hz = 1e-12"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["quasistatic", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        problems = [line for line in err.splitlines() if line.startswith("  - ")]
+        assert problems == ["  - quasistatic: 4 gamma_meas/omega_m0 = 2.53929e+20: the quasi-static law goes negative"]
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
 
     @pytest.mark.parametrize("command, sde", [
         ("spectrum", False), ("densitymap", False), ("quasistatic", False),

@@ -28,7 +28,7 @@ from omsqueeze.instrument import quadrature_rule, rbw_shape_rows, total_harmonic
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 
-CHAIN = DetectionChain(eta_cp=0.90, eta_12=0.85, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
+CHAIN = DetectionChain(eta_cp=0.90, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
 
 
 def full_scenario(params, chain=CHAIN):

@@ -21,7 +21,7 @@ from omsqueeze import noise
 
 from conftest import DELTA, G0, KAPPA, N_C, OMEGA_M0, TWO_PI
 
-CHAIN = dict(eta_cp=0.90, eta_12=0.85, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
+CHAIN = dict(eta_cp=0.90, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
 
 
 class TestBathOccupation:
@@ -188,21 +188,21 @@ class TestDetectionChain:
         assert abs(apply_detection_chain(1.0, chain, 1.0) - 1.0) < 1e-12
 
     def test_composition_law(self):
-        c1 = DetectionChain(eta_cp=0.9, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
-        c2 = DetectionChain(eta_cp=0.7, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
-        c12 = DetectionChain(eta_cp=0.9 * 0.7, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+        c1 = DetectionChain(eta_cp=0.9, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+        c2 = DetectionChain(eta_cp=0.7, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+        c12 = DetectionChain(eta_cp=0.9 * 0.7, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
         s = 0.87
         once = apply_detection_chain(apply_detection_chain(s, c1, 1.0), c2, 1.0)
         both = apply_detection_chain(s, c12, 1.0)
         assert abs(once - both) < 1e-12
 
     def test_quasi_static_detected_squeezing(self):
-        ideal = DetectionChain(eta_cp=1.0, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=0.26)
+        ideal = DetectionChain(eta_cp=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=0.26)
         out = apply_detection_chain(0.931, ideal, 1.0)
         assert out == pytest.approx(0.982, abs=5e-4)
 
     def test_identity_chain(self):
-        ideal = DetectionChain(eta_cp=1.0, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+        ideal = DetectionChain(eta_cp=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
         s = np.array([0.3, 1.0, 7.5])
         assert np.allclose(apply_detection_chain(s, ideal, 1.0), s, atol=1e-15)
 
@@ -212,4 +212,4 @@ class TestDetectionChain:
 
     def test_invalid_efficiency(self):
         with pytest.raises(ValueError):
-            DetectionChain(eta_cp=1.2, eta_12=1.0, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)
+            DetectionChain(eta_cp=1.2, eta_23=1.0, eta_3h=1.0, eta_hd=1.0)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,28 +474,52 @@ class TestSdeChecksBeforeWork:
 
 
 
+class TestPieces:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_seg=st.integers(1, 40), n_segments=st.integers(1, 12),
+        chunk=st.integers(1, 100), n_streams=st.integers(1, 4),
+    )
+    def test_each_stream_tiles_the_record_once(self, n_seg, n_segments, chunk, n_streams):
+        n_total = n_seg * n_segments
+        with mock.patch.object(oracle, "_CHUNK", chunk):
+            pieces = list(oracle._pieces(n_total, n_seg, n_streams))
+        chunk_ends = [min(c + chunk, n_total) for c in range(0, n_total, chunk)]
+        spans = [(seg * n_seg + offset, seg * n_seg + offset + length) for _, seg, offset, length, _ in pieces]
+        # draw order: chunk by chunk, each stream in turn within a chunk
+        order = [(start // chunk, stream) for (start, _), (stream, *_) in zip(spans, pieces)]
+        assert order == sorted(order)
+        for stream in range(n_streams):
+            own = [(span, piece) for span, piece in zip(spans, pieces) if piece[0] == stream]
+            ends = [end for (_, end), _ in own]
+            assert [start for (start, _), _ in own] == [0, *ends[:-1]] and ends[-1] == n_total
+            for (start, end), (_, _, offset, length, _) in own:
+                assert length > 0 and offset + length <= n_seg  # inside one segment
+                assert start // chunk == (end - 1) // chunk  # inside one chunk
+        # each chunk end is marked once, on the last piece drawn for that chunk
+        marked = [(k, closes) for k, (*_, closes) in enumerate(pieces) if closes]
+        assert [closes for _, closes in marked] == chunk_ends
+        for k, closes in marked:
+            assert pieces[k][0] == n_streams - 1 and spans[k][1] == closes
+            assert all(start >= closes for start, _ in spans[k + 1 :])
+
+
 @pytest.mark.sde
 class TestSdeDrawAhead:
-    # a run takes its normals from one helper thread that draws them a slab ahead
+    # a run takes its normals from one helper thread that draws them a block ahead
 
-    def test_any_split_gives_the_stream_of_one_call(self, monkeypatch):
-        # 8-sample blocks: 16-normal slabs, takes that run over a slab's end and
-        # a short last slab; four readers at once, the interpreter switching
-        # threads every microsecond, so that a slab refilled too early shows
-        monkeypatch.setattr(oracle, "_BLOCK", 8)
+    def test_any_split_gives_the_stream_of_one_call(self):
+        # blocks of 1 to 8 normal pairs into two 16-normal buffers, a short
+        # last block; four readers at once, the interpreter switching threads
+        # every microsecond, so that a buffer refilled too early shows
         total, got = 20002, {}
+        before = threading.active_count()
 
         def read(seed):
-            draws, parts, left = oracle._DrawAhead(np.random.default_rng(seed), total), [], total // 2
-            try:
-                for n in np.random.default_rng(seed + 100).integers(1, 9, size=total).tolist():
-                    if left == 0:
-                        break
-                    parts.append(draws.take(min(n, left)).copy())
-                    left -= len(parts[-1])
-            finally:
-                draws.close()
-            got[seed] = (np.concatenate(parts), draws.thread.is_alive())
+            cuts = np.cumsum(np.random.default_rng(seed + 100).integers(1, 9, size=total))
+            sizes = np.diff([0, *cuts[cuts < total // 2], total // 2]).tolist()
+            draws = oracle._normals_ahead(np.random.default_rng(seed), sizes, 8)
+            got[seed] = np.concatenate([block.copy() for block in draws])
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -507,10 +532,9 @@ class TestSdeDrawAhead:
         finally:
             sys.setswitchinterval(switch)
         assert not any(reader.is_alive() for reader in readers)
+        assert threading.active_count() == before  # every helper joined
         for seed in range(4):
-            normals, helper_alive = got[seed]
-            assert not helper_alive
-            assert normals.tobytes() == np.random.default_rng(seed).standard_normal(total).tobytes()
+            assert got[seed].tobytes() == np.random.default_rng(seed).standard_normal(total).tobytes()
 
     def test_integration_error_stops_the_helper(self, monkeypatch):
         one_pole, calls = oracle._one_pole, []
