@@ -34,7 +34,6 @@ from .instrument import (
     assemble_density_map,
     detected_components,
     lock_to_quadrature,
-    output_spectrum,
     quadrature_to_lock,
 )
 from .noise import (
@@ -43,12 +42,9 @@ from .noise import (
     DetectionChain,
     ExtraModeNoise,
     LaserNoiseModel,
-    absorptive_psd,
-    apply_detection_chain,
     bath_occupation,
     effective_temperature,
     extra_mode_psd,
-    phase_noise_psd,
 )
 from .oracle import InputCorrelationMatrix, OracleError, matrix_solve_spectrum, sde_time_domain_psd
 

@@ -36,6 +36,7 @@ from .estimate import (
     infer_detuning,
 )
 from .instrument import (
+    NoiseOverflowError,
     SpectrumTrace,
     assemble_density_map,
     detected_components,
@@ -52,6 +53,18 @@ from .oracle import (
 
 FMT = "%.9g"
 NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic", "synth", "oracle-check")
+ORACLE_DRAWS = 1000  # random operating points oracle-check compares
+ORACLE_TOL = 1e-9  # largest relative error of the closed form it accepts
+# the config keys that set the size of each noise component beside [system], named when it overflows
+BATH_KEYS = "noise.t_b0_k, noise.c0_k_per_photon"
+COMPONENT_KEYS = {
+    "s_thermal": BATH_KEYS,
+    "s_phase": "noise.s_omega_omega_rad2_hz",
+    "s_extra": f"noise.lump_q, noise.lump_omega_over_2pi_hz, noise.lump_g0_over_2pi_hz, {BATH_KEYS}",
+    "s_absorptive": "noise.absorptive_amp_per_photon",
+}
+# the noise commands check what they write and name an overflow's key: numpy's warnings would repeat it
+QUIET_FP = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class DataError(ValueError):
@@ -240,18 +253,16 @@ def read_locksweep_csv(path):
 
 def cmd_spectrum(cfg: ScenarioConfig, outdir: Path):
     grid = cfg.grid
-    trace, columns = detected_components(
-        cfg.theta_lock_rad, grid.out_freqs(), cfg.scenario, grid.rbw_hz
-    )
+    with np.errstate(**QUIET_FP):
+        trace, columns = detected_components(cfg.theta_lock_rad, grid.out_freqs(), cfg.scenario, grid.rbw_hz)
     write_spectrum_csv(outdir / "spectrum.csv", trace, components=columns)
     return 0
 
 
 def cmd_densitymap(cfg: ScenarioConfig, outdir: Path):
     grid = cfg.grid
-    sqmap = assemble_density_map(
-        grid.theta_locks(), grid.out_freqs(), cfg.scenario, grid.rbw_hz
-    )
+    with np.errstate(**QUIET_FP):
+        sqmap = assemble_density_map(grid.theta_locks(), grid.out_freqs(), cfg.scenario, grid.rbw_hz)
     write_map_csv(outdir / "densitymap.csv", sqmap)
     return 0
 
@@ -261,7 +272,10 @@ def cmd_quasistatic(cfg: ScenarioConfig, outdir: Path):
     params = scenario.system
     freqs = cfg.grid.out_freqs()
     theta = lock_to_quadrature(cfg.theta_lock_rad, params.optical, params.drive.delta)
-    values = core.quasi_static_spectrum(theta, params, scenario.occupation(2 * np.pi * freqs))
+    with np.errstate(**QUIET_FP):
+        values = core.quasi_static_spectrum(theta, params, scenario.occupation(2 * np.pi * freqs))
+    if not np.all(np.isfinite(values)):
+        raise ConfigError([f"{BATH_KEYS}: the quasi-static thermal term overflows a float"])
     if not np.all(values >= 0):  # the law is first order in gamma_meas/omega_m0: weak measurement only
         ratio = 4 * params.drive.gamma_meas / params.mech.omega_m0
         raise ConfigError([f"quasistatic: 4 gamma_meas/omega_m0 = {ratio:.6g}: the quasi-static law goes negative"])
@@ -333,25 +347,21 @@ def _oracle_draws(params, seed, n_draws):
     return omegas / (2 * np.pi), thetas, errs
 
 
-def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
+def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path):
     params = cfg.system
-    if (cfg.sde_duration_s > 0) != (cfg.sde_dt_s > 0):
-        print(
-            "config error: run.sde_duration_s and run.sde_dt_s must both be positive "
-            f"for an SDE trace or both <= 0 to skip it (got {cfg.sde_duration_s!r} "
-            f"and {cfg.sde_dt_s!r})",
-            file=sys.stderr,
-        )
-        return 1
     sde = cfg.sde_duration_s > 0
-    if sde:
-        # reject bad SDE settings before the draws run
-        try:
+    try:  # reject bad SDE settings before the draws run
+        if sde != (cfg.sde_dt_s > 0):
+            raise ValueError(
+                "both must be positive for an SDE trace or both <= 0 to skip it "
+                f"(got {cfg.sde_duration_s!r} and {cfg.sde_dt_s!r})"
+            )
+        if sde:
             plan_sde(params, cfg.sde_duration_s, cfg.sde_dt_s)
-        except ValueError as exc:
-            print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
-            return 1
-    freqs, thetas, errs = _oracle_draws(params, cfg.seed, n_draws)
+    except ValueError as exc:
+        print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
+        return 1
+    freqs, thetas, errs = _oracle_draws(params, cfg.seed, ORACLE_DRAWS)
     max_err = float(errs.max())
     _write_csv(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], [
         _number_columns([freqs, thetas, errs]),
@@ -363,8 +373,8 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path, n_draws=1000, tol=1e-9):
             dt=cfg.sde_dt_s, seed=cfg.seed,
         )
         write_spectrum_csv(outdir / "sde_trace.csv", trace)
-    if max_err > tol:
-        print(f"oracle-check FAILED: max relative error {max_err:.3e} > {tol:g}")
+    if max_err > ORACLE_TOL:
+        print(f"oracle-check FAILED: max relative error {max_err:.3e} > {ORACLE_TOL:g}")
         return 2
     print(f"oracle-check ok: max relative error {max_err:.3e}")
     return 0
@@ -444,6 +454,9 @@ def main(argv=None):
         return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
+        return 1
+    except NoiseOverflowError as exc:
+        print(ConfigError([f"{COMPONENT_KEYS.get(exc.component, '[system]')}: {exc}"]), file=sys.stderr)
         return 1
     except (EstimationError, OracleError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

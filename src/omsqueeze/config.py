@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MechanicalMode, OpticalMode, SystemParams
-from .instrument import F_MIN_HZ, MAX_COARSE_NODES, MAX_MAP_CELLS, Scenario, coarse_node_count
+from .core import MechanicalMode, OpticalMode, SystemParams, instability
+from .instrument import F_MIN_HZ, MAX_MAP_CELLS, MAX_RULE_NODES, Scenario, rule_node_count
 from .noise import (
     AbsorptiveNoiseModel,
     BathModel,
@@ -232,13 +232,15 @@ def _build(values, problems):
             )
         else:
             out_max = grid.out_f_start_hz + grid.out_f_step_hz * max(grid.out_n_points - 1, 0)
-            nodes = coarse_node_count(out_max, grid.rbw_hz)
-            if not nodes <= MAX_COARSE_NODES:
-                problems.append(
-                    f"grid.rbw_hz = {grid.rbw_hz!r} is too narrow for the output span: "
-                    f"the frequency rule would need {nodes:.3g} nodes (at most "
-                    f"{MAX_COARSE_NODES}); widen it or shorten the grid"
-                )
+            # the rule is sized on a stable system: an unstable one is refused with exit 2
+            if system is not None and not instability(system):
+                nodes = rule_node_count(Scenario(system=system, lump=lump), out_max, grid.rbw_hz)
+                if not nodes <= MAX_RULE_NODES:
+                    problems.append(
+                        f"grid.rbw_hz = {grid.rbw_hz!r}: the frequency rule would need {nodes:.3g} nodes "
+                        f"(at most {MAX_RULE_NODES}) for the output span at this RBW and the lines it "
+                        "resolves; widen the RBW, shorten the grid, or broaden a line too narrow to resolve"
+                    )
         for key in ("out_n_points", "n_theta_lock"):
             if getattr(grid, key) < 1:
                 problems.append(f"grid.{key} must be at least 1 (got {getattr(grid, key)!r})")

@@ -20,7 +20,6 @@ from .noise import (
     ExtraModeNoise,
     LaserNoiseModel,
     absorptive_harmonics,
-    apply_detection_chain,
     bath_occupation,
     effective_temperature,
     extra_mode_harmonics,
@@ -29,6 +28,7 @@ from .noise import (
 )
 
 __all__ = [
+    "NoiseOverflowError",
     "SpectrumTrace",
     "SqueezingMap",
     "Scenario",
@@ -36,10 +36,9 @@ __all__ = [
     "quadrature_to_lock",
     "rbw_shape_rows",
     "quadrature_rule",
-    "coarse_node_count",
+    "rule_node_count",
     "output_harmonics",
     "total_harmonics",
-    "output_spectrum",
     "assemble_density_map",
     "detected_components",
 ]
@@ -52,14 +51,28 @@ F_MIN_HZ = 1e3  # low-frequency cutoff of the quadrature rule; no output bin may
 H_COARSE = 0.5  # node spacing far from every feature, in units of the RBW sigma
 H_LINE = 0.25  # step in asinh((f - f_k) / a_k) per node at each resonance
 H_LOG = 0.1  # step in ln(f) per node toward the low-frequency cutoff
-# A config whose coarse node count exceeds this is rejected: the rule costs
-# about 400 B per node to build, so 2**18 nodes stay near 100 MB
-MAX_COARSE_NODES = 1 << 18
+# A config whose rule would have more nodes than this is rejected: the rule
+# costs about 400 B per node to build, so 2**18 nodes stay near 100 MB
+MAX_RULE_NODES = 1 << 18
 # A config whose lock-angle x frequency map exceeds this many cells is rejected
 # (32 MiB per float64 map)
 MAX_MAP_CELLS = 1 << 22
 # Gregory's endpoint weights (trapezoid plus differences up to fourth order)
 GREGORY = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
+
+
+class NoiseOverflowError(ValueError):
+    """The model PSD on the frequency rule, or its RBW shaping, is not finite;
+    ``component`` names the component that dominates the shaping sums, whose
+    peak of P + 2|Q| times the node's weight is largest (a nan counts as inf)."""
+
+    def __init__(self, nodes, weights, scenario):
+        peaks = {
+            name: np.nan_to_num(np.max((p + 2.0 * np.abs(q)) * weights), nan=np.inf)
+            for name, (p, q) in output_harmonics(2 * np.pi * nodes, scenario)
+        }
+        self.component = max(peaks, key=peaks.get)
+        super().__init__(f"the {self.component} component of the model PSD overflows a float on the frequency rule")
 
 
 @dataclass(frozen=True)
@@ -68,15 +81,13 @@ class SpectrumTrace:
 
     freqs: np.ndarray
     values: np.ndarray
-    rbw: float = 0.0
     stderr: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "values", values)
+        for name in ("freqs", "values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        freqs, values = self.freqs, self.values
         if freqs.ndim != 1 or len(freqs) != len(values):
             raise ValueError("freqs and values must be 1-d and equal length")
         if np.any(np.diff(freqs) <= 0):
@@ -96,15 +107,11 @@ class SqueezingMap:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.theta_locks, dtype=float)
-        f = np.asarray(self.freqs, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "theta_locks", t)
-        object.__setattr__(self, "freqs", f)
-        object.__setattr__(self, "values", v)
-        if v.shape != (len(t), len(f)):
+        for name in ("theta_locks", "freqs", "values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.values.shape != (len(self.theta_locks), len(self.freqs)):
             raise ValueError("values must have shape (n_theta, n_freq)")
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("map values must be finite")
 
 
@@ -160,18 +167,22 @@ def rbw_shape_rows(nodes, weights, rows, rbw, out_freqs):
     return out
 
 
-def _resonances(scenario):
-    """Centres f_k and half-widths a_k (Hz) of the spectral features the
-    quadrature rule clusters its nodes at: the renormalized mechanical line,
-    the cavity (at |delta|, half-width kappa/2) and the lumped mode."""
-    params = scenario.system
-    features = [
-        (params.omega_m, params.gamma / 2),
-        (abs(params.drive.delta), params.optical.kappa / 2),
-    ]
-    if scenario.lump is not None:
-        features.append((scenario.lump.omega_lump, scenario.lump.gamma_lump / 2))
-    return np.array(features).T / (2 * np.pi)
+def _rule_terms(scenario, out_max, rbw):
+    """Centres f_k and half-widths a_k (Hz) of the lines the quadrature rule
+    clusters at (the renormalized mechanical line, the cavity at |delta| with
+    half-width kappa/2, the lumped mode), its coarse spacing h_c and the top
+    f_max of its span for outputs up to ``out_max``."""
+    params, lump = scenario.system, scenario.lump
+    f_k = [params.omega_m, abs(params.drive.delta)] + ([lump.omega_lump] if lump else [])
+    a_k = [params.gamma / 2, params.optical.kappa / 2] + ([lump.gamma_lump / 2] if lump else [])
+    h_c, f_max = H_COARSE * rbw * FWHM_TO_SIGMA, out_max + RBW_SUPPORT * rbw * FWHM_TO_SIGMA
+    return np.array(f_k) / (2 * np.pi), np.array(a_k) / (2 * np.pi), h_c, f_max
+
+
+def _cumulative(f, f_k, a_k, h_c):
+    """u(f), the integral of the rule's point density from F_MIN_HZ to each ``f``."""
+    s = np.arcsinh((f[:, np.newaxis] - f_k) / a_k) - np.arcsinh((F_MIN_HZ - f_k) / a_k)
+    return (f - F_MIN_HZ) / h_c + np.sum(s, axis=1) / H_LINE + np.log(f / F_MIN_HZ) / H_LOG
 
 
 def quadrature_rule(scenario, out_freqs, rbw):
@@ -184,7 +195,7 @@ def quadrature_rule(scenario, out_freqs, rbw):
         rho(f) = 1/h_c + sum_k 1/(h_u sqrt(a_k^2 + (f - f_k)^2)) + 1/(h_l f)
 
     with h_c = H_COARSE sigma, h_u = H_LINE, h_l = H_LOG and (f_k, a_k) from
-    ``_resonances``: a coarse spacing that resolves the kernel, arcsinh
+    ``_rule_terms``: a coarse spacing that resolves the kernel, arcsinh
     clustering at each resonance, and logarithmic clustering toward f_min,
     where the bath and lumped-mode tails rise as 1/f.  u(f) is closed form;
     its inverse is found by safeguarded Newton from a table holding each
@@ -199,20 +210,13 @@ def quadrature_rule(scenario, out_freqs, rbw):
     f_min = F_MIN_HZ
     if not f_min < np.min(out_freqs):
         raise ValueError(f"every output frequency must exceed the {f_min:g} Hz cutoff")
-    f_k, a_k = _resonances(scenario)
-    h_c = H_COARSE * rbw * FWHM_TO_SIGMA
-    f_max = np.max(out_freqs) + RBW_SUPPORT * rbw * FWHM_TO_SIGMA
+    f_k, a_k, h_c, f_max = _rule_terms(scenario, np.max(out_freqs), rbw)
 
     def density(f):
         x = f[:, np.newaxis] - f_k
         return 1 / h_c + np.sum(1 / (H_LINE * np.hypot(a_k, x)), axis=1) + 1 / (H_LOG * f)
 
     s_min = np.arcsinh((f_min - f_k) / a_k)
-
-    def cumulative(f):
-        s = np.arcsinh((f[:, np.newaxis] - f_k) / a_k)
-        return (f - f_min) / h_c + np.sum(s - s_min, axis=1) / H_LINE + np.log(f / f_min) / H_LOG
-
     table = [
         f_min + h_c * np.arange((f_max - f_min) / h_c),
         f_min * np.exp(H_LOG * np.arange(np.log(f_max / f_min) / H_LOG)),
@@ -221,7 +225,7 @@ def quadrature_rule(scenario, out_freqs, rbw):
     for f0, a, s0 in zip(f_k, a_k, s_min):
         table.append(f0 + a * np.sinh(np.arange(s0, np.arcsinh((f_max - f0) / a), H_LINE)))
     table = np.unique(np.clip(np.concatenate(table), f_min, f_max))
-    u_table = cumulative(table)
+    u_table = _cumulative(table, f_k, a_k, h_c)
     u_max = u_table[-1]
     n = int(np.ceil(u_max))
     u = np.linspace(0.0, u_max, n + 1)
@@ -229,7 +233,7 @@ def quadrature_rule(scenario, out_freqs, rbw):
     lo, hi = table[j], table[j + 1]
     f = np.interp(u, u_table, table)
     for _ in range(60):  # Newton converges in a few steps; bisection bounds the rest
-        r = cumulative(f) - u
+        r = _cumulative(f, f_k, a_k, h_c) - u
         todo = np.abs(r) > 1e-13 * u_max
         if not todo.any():
             break
@@ -245,11 +249,13 @@ def quadrature_rule(scenario, out_freqs, rbw):
     return f, weights
 
 
-def coarse_node_count(out_max, rbw):
-    """Nodes the coarse term of ``quadrature_rule`` alone puts on its span
-    [F_MIN_HZ, out_max + RBW_SUPPORT sigma], a lower bound on the rule's size."""
-    sigma = rbw * FWHM_TO_SIGMA
-    return (out_max + RBW_SUPPORT * sigma - F_MIN_HZ) / (H_COARSE * sigma)
+def rule_node_count(scenario, out_max, rbw):
+    """Intervals ``quadrature_rule`` puts on its span for outputs up to
+    ``out_max``, ceil(u(f_max)) in closed form: inf where a term overflows (a
+    line too narrow for its distance from the span's ends)."""
+    f_k, a_k, h_c, f_max = _rule_terms(scenario, out_max, rbw)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return float(np.ceil(_cumulative(np.array([f_max]), f_k, a_k, h_c)[0]))
 
 
 @dataclass(frozen=True)
@@ -276,10 +282,11 @@ class Scenario:
 
 
 def output_harmonics(omega, scenario: Scenario):
-    """Yield ``(name, (P, Q))`` for every noise component, undetected and
-    named like the ``output_spectrum`` columns, where the component at
-    quadrature theta is P + 2 Re(e^{-2i theta} Q).  Components are computed
-    one at a time, so callers that reduce them keep one pair alive."""
+    """Yield ``(name, (P, Q))`` for every noise component, undetected, in the
+    order of the spectrum CSV's columns, where the component at quadrature
+    theta is ``core.at_quadrature((P, Q), theta)`` = P + 2 Re(e^{-2i theta} Q).
+    Components are computed one at a time, so callers that reduce them keep
+    one pair alive."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     params = scenario.system
     bath, laser, lump, absorptive = scenario.bath, scenario.laser, scenario.lump, scenario.absorptive
@@ -296,7 +303,7 @@ def output_harmonics(omega, scenario: Scenario):
     )
     yield "s_absorptive", (
         zero if absorptive is None
-        else absorptive_harmonics(omega, params.drive.n_c, absorptive, params)
+        else absorptive_harmonics(omega, absorptive, params)
     )
 
 
@@ -311,25 +318,6 @@ def total_harmonics(omega, scenario: Scenario):
     return p, 2.0 * q.real, 2.0 * q.imag
 
 
-def output_spectrum(omega, theta, scenario: Scenario, detected=True):
-    """All noise contributions at input-referenced quadrature ``theta``.
-
-    Returns a dict with the shot-normalized components ``s_vac``,
-    ``s_thermal``, ``s_extra``, ``s_phase``, ``s_absorptive`` and their
-    sum ``s_norm`` (after the detection chain when ``detected``).
-    """
-    comp = {name: at_quadrature(pq, theta) for name, pq in output_harmonics(omega, scenario)}
-    total = (
-        comp["s_vac"] + comp["s_thermal"] + comp["s_extra"] + comp["s_phase"]
-        + comp["s_absorptive"]
-    )
-    if detected and scenario.chain is not None:
-        total = apply_detection_chain(
-            total, scenario.chain, scenario.system.optical.eta_kappa
-        )
-    return {"s_norm": total, **comp}
-
-
 def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw) -> SqueezingMap:
     """Detected, RBW-shaped noise PSD over (lock angle, frequency).
 
@@ -338,20 +326,22 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw) -> Squ
     (A, B, C), only those three are shaped, and each row is
     A + B cos 2theta + C sin 2theta at the quadrature its lock angle maps
     to, mixed with vacuum by the chain.  The floor over all quadratures,
-    A - sqrt(B^2 + C^2), must be nonnegative up to roundoff.
+    A - sqrt(B^2 + C^2), must be nonnegative up to roundoff, and A, B and C
+    finite before and after shaping (NoiseOverflowError otherwise).
     """
     theta_locks = np.asarray(theta_locks, dtype=float)
     out_freqs = np.asarray(out_freqs, dtype=float)
     nodes, weights = quadrature_rule(scenario, out_freqs, rbw)
     abc = np.array(total_harmonics(2 * np.pi * nodes, scenario))
+    shaped = rbw_shape_rows(nodes, weights, abc, rbw, out_freqs)
+    if not (np.all(np.isfinite(abc)) and np.all(np.isfinite(shaped))):
+        raise NoiseOverflowError(nodes, weights, scenario)
     if not np.all(abc[0] - np.hypot(abc[1], abc[2]) >= -1e-12 * abc[0]):
-        raise ValueError("model PSD is negative or not finite at some quadrature")
-    abc = rbw_shape_rows(nodes, weights, abc, rbw, out_freqs)
+        raise ValueError("model PSD is negative at some quadrature")
     optical, delta = scenario.system.optical, scenario.system.drive.delta
     two_theta = 2.0 * lock_to_quadrature(theta_locks, optical, delta)[:, np.newaxis]
-    values = abc[0] + np.cos(two_theta) * abc[1] + np.sin(two_theta) * abc[2]
-    # no s_out >= 0 check here, unlike apply_detection_chain: a shaped value
-    # that roundoff leaves slightly below zero is written, not rejected
+    values = shaped[0] + np.cos(two_theta) * shaped[1] + np.sin(two_theta) * shaped[2]
+    # a shaped value that roundoff leaves slightly below zero is written, not rejected
     values = mix_vacuum(values, scenario.eta_tot)
     return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=values)
 
@@ -360,11 +350,12 @@ def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw):
     """Detected, RBW-shaped spectrum at one lock angle, with its components.
 
     Returns ``(trace, columns)``, where ``columns`` maps each
-    ``output_spectrum`` component name to its detected, shaped share
+    ``output_harmonics`` component name to its detected, shaped share
     ``eta * S_k``.  The vacuum column also carries the ``(1 - eta)``
     uncorrelated-vacuum offset, so the columns sum to ``trace.values``.
     All five columns are shaped by one pass over the kernel of
-    ``quadrature_rule``, the one ``assemble_density_map`` uses.
+    ``quadrature_rule``, the one ``assemble_density_map`` uses; a column or
+    sum that is not finite raises NoiseOverflowError.
     """
     out_freqs = np.asarray(out_freqs, dtype=float)
     nodes, weights = quadrature_rule(scenario, out_freqs, rbw)
@@ -379,8 +370,8 @@ def detected_components(theta_lock, out_freqs, scenario: Scenario, rbw):
     rows[1:] *= eta
     rows[0] = mix_vacuum(rows[0], eta)
     shaped = rbw_shape_rows(nodes, weights, rows, rbw, out_freqs)
-    trace = SpectrumTrace(
-        freqs=out_freqs, values=sum(shaped), rbw=rbw,
-        meta={"theta_lock_rad": float(theta_lock)},
-    )
+    values = sum(shaped)
+    if not np.all(np.isfinite(values)):
+        raise NoiseOverflowError(nodes, weights, scenario)
+    trace = SpectrumTrace(freqs=out_freqs, values=values, meta={"theta_lock_rad": float(theta_lock)})
     return trace, dict(zip(names, shaped))

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     MechanicalMode,
     SystemParams,
-    at_quadrature,
     reflection_coefficient,
     spectrum_full,
     thermal_harmonics,
@@ -40,13 +39,10 @@ __all__ = [
     "bath_occupation",
     "effective_temperature",
     "phase_noise_harmonics",
-    "phase_noise_psd",
     "absorptive_harmonics",
-    "absorptive_psd",
     "extra_mode_harmonics",
     "extra_mode_psd",
     "mix_vacuum",
-    "apply_detection_chain",
 ]
 
 ABSORPTIVE_REF_OMEGA = 2 * np.pi * 1e6  # reference frequency of the amp_coeff
@@ -82,6 +78,8 @@ class ExtraModeNoise:
     def __post_init__(self):
         if min(self.omega_lump, self.q_lump) <= 0 or self.g0_lump < 0:
             raise ValueError("lumped-mode parameters must be positive")
+        if not math.isfinite(self.gamma_lump):
+            raise ValueError(f"the damping omega_lump / q_lump overflows a float (q_lump = {self.q_lump!r})")
 
     @property
     def gamma_lump(self):
@@ -178,70 +176,41 @@ def effective_temperature(bath: BathModel, n_c):
     return bath.t_b0 + bath.c0 * np.asarray(n_c, dtype=float)
 
 
-def _zeros(omega):
-    zero = np.zeros_like(np.asarray(omega, dtype=float))
-    return zero, zero
+def phase_noise_harmonics(omega, params: SystemParams, laser: LaserNoiseModel):
+    """``(P, Q)`` pair of the detected laser phase noise, shot-noise normalized.
 
-
-def _phase_noise_terms(omega, params: SystemParams, laser: LaserNoiseModel):
+    The common phase fluctuation of signal and LO cancels except through the
+    dispersion of the cavity reflection r(omega) around the carrier, so the
+    noise is S |F|^2 with F ~ e^{-i theta} X - e^{i theta} conj(Y), X = r(omega)
+    - r(0), Y = r(-omega) - r(0) and S = flux * S_ww / omega^2: P = (|X|^2 +
+    |Y|^2) S, Q = -X Y S.  With a flat S_ww it is flat in omega for the bare
+    cavity, and vanishes for a dispersionless reflector and at theta = 0 on
+    resonance.
+    """
     omega = np.asarray(omega, dtype=float)
     delta = params.drive.delta
     r0 = reflection_coefficient(0.0, params.optical, delta)
     x = reflection_coefficient(omega, params.optical, delta) - r0
     y = reflection_coefficient(-omega, params.optical, delta) - r0
-    return x, y, laser.scale(params) / omega**2
-
-
-def phase_noise_harmonics(omega, params: SystemParams, laser: LaserNoiseModel):
-    """``(P, Q)`` pair of ``phase_noise_psd``: P = (|X|^2 + |Y|^2) S, Q = -X Y S."""
-    if laser.s_omega_omega == 0:
-        return _zeros(omega)
-    x, y, scale = _phase_noise_terms(omega, params, laser)
+    scale = laser.scale(params) / omega**2
     return (np.abs(x) ** 2 + np.abs(y) ** 2) * scale, -x * y * scale
 
 
-def phase_noise_psd(omega, theta, params: SystemParams, laser: LaserNoiseModel):
-    """Detected noise from laser phase noise, shot-noise normalized.
-
-    The common phase fluctuation of signal and LO cancels except through
-    the dispersion of the cavity reflection r(omega) around the carrier:
-
-        F(omega) ~ e^{-i theta} X - e^{i theta} conj(Y),
-        X = r(omega) - r(0),  Y = r(-omega) - r(0)
-
-    and the contribution is S |F|^2 with S = flux * S_ww / omega^2.
-    With a flat S_ww this is flat in omega for the bare cavity, vanishes
-    for a dispersionless reflector, and vanishes at theta = 0 on resonance;
-    evaluating |F|^2 rather than the (P, Q) pair keeps that zero exact.
-    """
-    if laser.s_omega_omega == 0:
-        return _zeros(omega)[0]
-    x, y, scale = _phase_noise_terms(omega, params, laser)
-    return np.abs(np.exp(-1j * theta) * x - np.exp(1j * theta) * np.conj(y)) ** 2 * scale
-
-
-def absorptive_harmonics(omega, n_c, model: AbsorptiveNoiseModel, params: SystemParams = None):
+def absorptive_harmonics(omega, model: AbsorptiveNoiseModel, params: SystemParams):
     """``(P, Q)`` pair of the phenomenological kappa-fluctuation noise.
 
-    amp_coeff * n_c * sqrt(omega_ref/omega) * cos^2(theta - theta_perp),
-    concentrated in the quadrature orthogonal to the mechanical
-    transduction (theta_perp is the zero-transduction angle, ~0 for
-    small detuning).  omega_ref is fixed at 2 pi * 1 MHz.  With
+    amp_coeff * n_c * sqrt(omega_ref/omega) * cos^2(theta - theta_perp) at the
+    drive's photon number n_c, concentrated in the quadrature orthogonal to the
+    mechanical transduction (theta_perp is the zero-transduction angle, ~0
+    for small detuning).  omega_ref is fixed at 2 pi * 1 MHz.  With
     cos^2 x = 1/2 + 1/2 cos 2x this is P = w/2, Q = (w/4) e^{2i theta_perp}.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise ValueError("omega must be positive")
-    theta_perp = 0.0 if params is None else zero_transduction_angle(
-        params.mech.omega_m0, params.optical, params.drive.delta
-    )
-    w = model.amp_coeff * n_c * np.sqrt(ABSORPTIVE_REF_OMEGA / omega)
+    theta_perp = zero_transduction_angle(params.mech.omega_m0, params.optical, params.drive.delta)
+    w = model.amp_coeff * params.drive.n_c * np.sqrt(ABSORPTIVE_REF_OMEGA / omega)
     return 0.5 * w, 0.25 * w * np.exp(2j * theta_perp)
-
-
-def absorptive_psd(omega, theta, n_c, model: AbsorptiveNoiseModel, params: SystemParams = None):
-    """Kappa-fluctuation noise at quadrature ``theta``."""
-    return at_quadrature(absorptive_harmonics(omega, n_c, model, params), theta)
 
 
 def extra_mode_harmonics(omega, params: SystemParams, lump: ExtraModeNoise, nbar_lump):
@@ -263,14 +232,3 @@ def mix_vacuum(s_out, eta):
     """The detected spectrum eta * s_out + (1 - eta): the lost share of the cavity
     output replaced by uncorrelated vacuum, so vacuum (s_out = 1) is a fixed point."""
     return eta * s_out + (1.0 - eta)
-
-
-def apply_detection_chain(s_out, chain: DetectionChain, eta_kappa):
-    """``mix_vacuum`` of a nonnegative cavity-output spectrum through
-    ``chain`` with eta = ``chain.eta_tot(eta_kappa)``."""
-    s_out = np.asarray(s_out, dtype=float)
-    if np.any(s_out < 0):
-        raise ValueError("s_out must be nonnegative")
-    if not 0 < eta_kappa <= 1:
-        raise ValueError("eta_kappa must lie in (0, 1]")
-    return mix_vacuum(s_out, chain.eta_tot(eta_kappa))

@@ -513,7 +513,7 @@ class _Welch:
         stderr = np.sqrt(np.maximum(self.sumsq / n - mean**2, 0.0) / n)
         resolution = 1.0 / (len(self.window) * self.dt)
         return SpectrumTrace(
-            freqs=0.5 * (self.freq_bins[:-1] + self.freq_bins[1:]), values=mean, rbw=resolution, stderr=stderr,
+            freqs=0.5 * (self.freq_bins[:-1] + self.freq_bins[1:]), values=mean, stderr=stderr,
             meta={"segments": int(n), "dt_s": float(self.dt), "resolution_hz": float(resolution),
                   "omega_m_rad_s": float(params.omega_m)},
         )

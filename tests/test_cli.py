@@ -707,6 +707,48 @@ class TestCliExitCodes:
         assert problems == ["  - system: kappa = 2.96439e-323 rad/s is too small: its square underflows to zero"]
         assert not out.exists()
 
+    # a lumped line far narrower than its distance from the span's ends: the
+    # arcsinh argument of the frequency rule overflowed to -inf, and its
+    # np.arange raised "Maximum allowed size exceeded"
+    @pytest.mark.parametrize("command", ["spectrum", "densitymap"])
+    @pytest.mark.parametrize("old, new", [
+        ("lump_q = 100", "lump_q = 1e308"),
+        ("lump_omega_over_2pi_hz = 50e6", "lump_omega_over_2pi_hz = 1e-300"),
+    ], ids=["lump_q", "lump_omega"])
+    def test_unresolvable_line_exit_1(self, config_path, tmp_path, capsys, command, old, new):
+        cfg = tmp_path / "line.ini"
+        cfg.write_text(config_path.read_text().replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "config invalid:" and len(err.splitlines()) == 2
+        assert err.splitlines()[1].startswith("  - grid.rbw_hz = 300000.0: the frequency rule would need inf nodes")
+        assert not out.exists()
+
+    # a noise coefficient so large that the model PSD overflows: each ended in a
+    # ValueError traceback from SpectrumTrace, assemble_density_map or SqueezingMap
+    @pytest.mark.parametrize("old, new, command, problem", [
+        ("c0_k_per_photon = 3.2e-4", "c0_k_per_photon = 1e300", "spectrum",
+         "noise.t_b0_k, noise.c0_k_per_photon: the s_thermal component"),
+        ("c0_k_per_photon = 3.2e-4", "c0_k_per_photon = 1e300", "densitymap",
+         "noise.t_b0_k, noise.c0_k_per_photon: the s_thermal component"),
+        ("c0_k_per_photon = 3.2e-4", "c0_k_per_photon = 1e300", "quasistatic",
+         "noise.t_b0_k, noise.c0_k_per_photon: the quasi-static thermal term overflows"),
+        ("lump_q = 100", "lump_q = 1e-300", "spectrum",
+         "noise.lump: the damping omega_lump / q_lump overflows a float (q_lump = 1e-300)"),
+        ("absorptive_amp_per_photon = 1.5e-4", "absorptive_amp_per_photon = 1e300", "densitymap",
+         "noise.absorptive_amp_per_photon: the s_absorptive component"),
+    ], ids=["c0-spectrum", "c0-densitymap", "c0-quasistatic", "lump_q-spectrum", "absorptive-densitymap"])
+    def test_overflowing_noise_exit_1(self, config_path, tmp_path, capsys, old, new, command, problem):
+        cfg = tmp_path / "loud.ini"
+        cfg.write_text(config_path.read_text().replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "config invalid:" and len(lines) == 2
+        assert lines[1].startswith(f"  - {problem}")
+        assert not (out / f"{command}.csv").exists()
+
     def test_negative_quasistatic_law_exit_1(self, config_path, tmp_path, capsys):
         # kappa/2pi = 1e-12 Hz is a stable point, but 4 gamma_meas/omega_m0 = 2.5e20
         # takes the first-order law 1 + 4 (gamma_meas/omega_m0) [...] far below zero,
@@ -906,6 +948,18 @@ def written_values(out, command):
 
 class TestFrequencyRule:
     """The quadrature rule behind ``spectrum`` and ``densitymap``, end to end."""
+
+    @pytest.mark.parametrize(
+        "n_c, delta_over_kappa", [(790, 0.044), (300, 0.02), (1500, 0.08)]
+    )
+    def test_node_count_is_exact(self, tmp_path, n_c, delta_over_kappa):
+        # the count the config caps is the rule's own: n intervals, n + 1 nodes
+        cfg = load_config(config_variant(tmp_path, n_c, delta_over_kappa))
+        grid, scenario = cfg.grid, cfg.scenario
+        out_freqs = grid.out_freqs()
+        nodes, _ = instrument.quadrature_rule(scenario, out_freqs, grid.rbw_hz)
+        count = instrument.rule_node_count(scenario, out_freqs.max(), grid.rbw_hz)
+        assert count == len(nodes) - 1
 
     @pytest.mark.parametrize(
         "n_c, delta_over_kappa", [(790, 0.044), (300, 0.02), (300, 0.08), (1500, 0.02), (1500, 0.08)]

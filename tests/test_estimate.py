@@ -31,7 +31,7 @@ from omsqueeze.estimate import (
     thermometry_model,
 )
 from omsqueeze.noise import bath_occupation
-from omsqueeze.instrument import Scenario, lock_to_quadrature, output_spectrum
+from omsqueeze.instrument import lock_to_quadrature
 from omsqueeze.noise import BathModel
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI

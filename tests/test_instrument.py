@@ -20,15 +20,26 @@ from omsqueeze import (
     detected_components,
     effective_temperature,
     lock_to_quadrature,
-    output_spectrum,
     quadrature_to_lock,
 )
-from omsqueeze.core import reflection_coefficient, reflection_phase
-from omsqueeze.instrument import quadrature_rule, rbw_shape_rows, total_harmonics
+from omsqueeze.core import at_quadrature, reflection_coefficient, reflection_phase
+from omsqueeze.instrument import output_harmonics, quadrature_rule, rbw_shape_rows, total_harmonics
+from omsqueeze.noise import mix_vacuum
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 
 CHAIN = DetectionChain(eta_cp=0.90, eta_23=0.88, eta_3h=0.92, eta_hd=0.66)
+
+
+def components_at(omega, theta, scenario):
+    """Each undetected component of ``output_harmonics`` at quadrature ``theta``."""
+    return {name: at_quadrature(pq, theta) for name, pq in output_harmonics(omega, scenario)}
+
+
+def spectrum_at(omega, theta, scenario, detected=True):
+    """The summed spectrum at quadrature ``theta``, through the detection chain when ``detected``."""
+    s = sum(components_at(omega, theta, scenario).values())
+    return mix_vacuum(s, scenario.eta_tot) if detected else s
 
 
 def full_scenario(params, chain=CHAIN):
@@ -189,10 +200,10 @@ class TestRbwResample:
         scenario = full_scenario(paper_params)
         fine = np.linspace(1e4, 40e6, 50000)
         theta = lock_to_quadrature(0.0, paper_params.optical, DELTA) - 0.12
-        comp = output_spectrum(TWO_PI * fine, theta, scenario, detected=True)
+        s = spectrum_at(TWO_PI * fine, theta, scenario)
         out_freqs = np.linspace(2e6, 38e6, 451)
-        out = trapezoid_shape(fine, comp["s_norm"], 300e3, out_freqs)
-        raw = np.interp(out_freqs, fine, comp["s_norm"])
+        out = trapezoid_shape(fine, s, 300e3, out_freqs)
+        raw = np.interp(out_freqs, fine, s)
         band = raw < 1.0
         if np.any(band):
             assert np.max(np.abs(out[band] - raw[band])) < 2e-3
@@ -271,7 +282,7 @@ class TestDensityMap:
             nodes, weights = quadrature_rule(scenario, freqs, 300e3)
             for lock, row in zip(locks, sqmap.values):
                 theta = lock_to_quadrature(lock, paper_params.optical, DELTA)
-                s = output_spectrum(TWO_PI * nodes, theta, scenario)["s_norm"]
+                s = spectrum_at(TWO_PI * nodes, theta, scenario)
                 direct = rbw_shape_rows(nodes, weights, s[np.newaxis], 300e3, freqs)[0]
                 np.testing.assert_allclose(row, direct, rtol=1e-12, atol=0, err_msg=str(off))
 
@@ -294,7 +305,7 @@ class TestScenarioComponents:
         trace, columns = detected_components(0.4, freqs, scenario, 300e3)
         nodes, weights = quadrature_rule(scenario, freqs, 300e3)
         theta = lock_to_quadrature(0.4, paper_params.optical, DELTA)
-        comp = output_spectrum(TWO_PI * nodes, theta, scenario, detected=False)
+        comp = components_at(TWO_PI * nodes, theta, scenario)
         eta = scenario.eta_tot
         assert list(columns) == ["s_vac", "s_thermal", "s_phase", "s_extra", "s_absorptive"]
         for name, column in columns.items():
@@ -305,20 +316,21 @@ class TestScenarioComponents:
         assert trace.meta == {"theta_lock_rad": 0.4}
 
     def test_components_sum_to_total(self, paper_params):
+        # total_harmonics is the sum of the component pairs: A = sum P, B + iC = 2 sum Q
         scenario = full_scenario(paper_params)
         w = TWO_PI * np.linspace(1e6, 39e6, 101)
-        comp = output_spectrum(w, 0.3, scenario, detected=False)
-        total = (
-            comp["s_vac"] + comp["s_thermal"] + comp["s_phase"]
-            + comp["s_extra"] + comp["s_absorptive"]
-        )
-        assert np.allclose(comp["s_norm"], total, rtol=1e-13)
+        pairs = dict(output_harmonics(w, scenario))
+        assert list(pairs) == ["s_vac", "s_thermal", "s_phase", "s_extra", "s_absorptive"]
+        a, b, c = total_harmonics(w, scenario)
+        q = sum(q_k for _, q_k in pairs.values())
+        assert np.allclose(a, sum(p_k for p_k, _ in pairs.values()), rtol=1e-13)
+        assert np.allclose(b + 1j * c, 2 * q, rtol=1e-13, atol=1e-13 * np.max(a))
 
     def test_all_components_nonnegative(self, paper_params):
         scenario = full_scenario(paper_params)
         w = TWO_PI * np.linspace(1e6, 39e6, 101)
         for theta in (-1.2, -0.3, 0.0, 0.8):
-            comp = output_spectrum(w, theta, scenario, detected=False)
+            comp = components_at(w, theta, scenario)
             for key, vals in comp.items():
                 assert np.all(vals >= 0.0), key
 
@@ -345,11 +357,11 @@ class TestHarmonicForm:
         scenario = random_scenario(n_c, delta_over_kappa, eta_kappa)
         assume(scenario.system.gamma > 0)
         a, b, c = total_harmonics(OMEGA, scenario)
-        s = output_spectrum(OMEGA, theta, scenario, detected=False)["s_norm"]
+        s = spectrum_at(OMEGA, theta, scenario, detected=False)
         harmonic = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
         np.testing.assert_allclose(s, harmonic, rtol=1e-12, atol=1e-12 * np.max(a))
         eta = scenario.eta_tot
-        detected = output_spectrum(OMEGA, theta, scenario)["s_norm"]
+        detected = spectrum_at(OMEGA, theta, scenario)
         np.testing.assert_allclose(
             detected, eta * harmonic + 1 - eta, rtol=1e-12, atol=1e-12 * np.max(a)
         )
@@ -363,7 +375,7 @@ class TestHarmonicForm:
     def test_undriven_cavity_is_shot_noise(self, theta, delta_over_kappa, eta_kappa):
         scenario = random_scenario(0.0, delta_over_kappa, eta_kappa)
         for detected in (False, True):
-            s = output_spectrum(OMEGA, theta, scenario, detected=detected)["s_norm"]
+            s = spectrum_at(OMEGA, theta, scenario, detected=detected)
             np.testing.assert_allclose(s, 1.0, rtol=0, atol=1e-12)
 
     @given(**SCENARIOS)
@@ -377,6 +389,6 @@ class TestHarmonicForm:
         assert np.all(s_min >= 0.0)
         thetas = np.linspace(-np.pi / 2, np.pi / 2, 721)
         brute = np.min(
-            [output_spectrum(omega, t, scenario, detected=False)["s_norm"] for t in thetas], axis=0
+            [spectrum_at(omega, t, scenario, detected=False) for t in thetas], axis=0
         )
         assert np.all(brute >= s_min - 1e-12 * a)

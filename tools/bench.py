@@ -1,6 +1,7 @@
 """Compare the benchmark's end-to-end metrics between a base commit and this checkout.
 
     python3 tools/bench.py --base HEAD~1 --workdir ../bench-base --json BENCH.json
+    python3 tools/bench.py --diff BENCH_a.json BENCH_b.json
 
 The committed files of ``--base`` are exported with ``git archive`` into
 ``--workdir``, which must not exist yet.  Each side then runs its own
@@ -10,7 +11,16 @@ length ``run_seconds`` of ``BENCHMARK.json`` on both.  The JSON holds both
 commits, the CPU model and core count, every run's end-to-end metrics and
 failed-op counts, and per side the median and interquartile range of every
 workload x end-to-end metric of ``BENCHMARK.json``, with the change of the
-medians against the metric's bound and the number of pairs the checkout won.
+medians against the metric's bound, the number of pairs the checkout won,
+and whether either side's interquartile range exceeds the bound, in which case
+the change cannot be told from the spread.
+
+``--diff A B`` reads two such files and prints, per workload x end-to-end
+metric, the change of the checkout's median from A to B against the metric's
+bound, and the failed ops of each; it exits 1 when a resolved change is worse
+than its bound.  The two files may come from different sessions, so their
+medians carry the machine's drift between them; the last column repeats B's
+own change against its base, measured alongside, for comparison.
 """
 
 from __future__ import annotations
@@ -54,12 +64,49 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def change(old, new, metric):
+    """How much worse ``new`` is than ``old`` (two summaries) as a fraction of
+    the old median, and whether either spread exceeds the metric's bound."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    worse = sign * (new["median"] - old["median"]) / old["median"]
+    return worse, max(s["iqr"] / s["median"] for s in (old, new)) > metric["bound"]
+
+
+def diff(path_a, path_b):
+    """Print the change of the checkout's medians from BENCH file A to B; 1 if one is worse than its bound."""
+    a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (path_a, path_b))
+    print(f"A: {path_a} (head {a['head']['commit'][:12]})\nB: {path_b} (head {b['head']['commit'][:12]})")
+    print(f"{'workload':<11}{'metric':<13}{'A median':>11}{'B median':>11}{'worse by':>10}{'bound':>8}  "
+          f"{'status':<11}{'B vs its base':>13}")
+    worst = 0
+    for workload, rows in b["workloads"].items():
+        old_rows = a["workloads"].get(workload, {})
+        for name, row in rows.items():
+            if name == "failed_ops" or name not in old_rows:
+                continue
+            old, new = old_rows[name]["head"], row["head"]
+            worse, unresolved = change(old, new, row)
+            status = "unresolved" if unresolved else "WORSE" if worse > row["bound"] else "ok"
+            worst |= status == "WORSE"
+            print(f"{workload:<11}{name:<13}{old['median']:>11.4g}{new['median']:>11.4g}"
+                  f"{100 * worse:>+9.1f}%{100 * row['bound']:>7.0f}%  {status:<11}"
+                  f"{100 * row['head_worse_by']:>+12.1f}%")
+        failed = [sum(f["failed_ops"]["head"]) for f in (old_rows, rows) if "failed_ops" in f]
+        print(f"{workload:<11}{'failed ops':<13}" + "".join(f"{n:>11d}" for n in failed))
+    return worst
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="commit to compare this checkout against")
-    parser.add_argument("--workdir", required=True, type=Path, help="new directory for the base's files")
-    parser.add_argument("--json", required=True, type=Path, help="file to write the comparison to")
+    parser.add_argument("--base", help="commit to compare this checkout against")
+    parser.add_argument("--workdir", type=Path, help="new directory for the base's files")
+    parser.add_argument("--json", type=Path, help="file to write the comparison to")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two files this script wrote")
     args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    if None in (args.base, args.workdir, args.json):
+        parser.error("--base, --workdir and --json are required without --diff")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     base_commit = git("rev-parse", args.base).decode().strip()
@@ -80,11 +127,10 @@ def main(argv=None):
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
             values = {s: [r[workload]["metrics"][name]["value"] for r in runs[s]] for s in runs}
             row = {s: summary(v) for s, v in values.items()}
-            base, head = row["base"]["median"], row["head"]["median"]
-            worse = sign * (head - base) / base
+            worse, unresolved = change(row["base"], row["head"], metric)
             row.update(
                 unit=metric["unit"], better=metric["better"], bound=metric["bound"],
-                head_worse_by=worse, within_bound=worse <= metric["bound"],
+                head_worse_by=worse, within_bound=worse <= metric["bound"], spread_exceeds_bound=unresolved,
                 head_wins=sum(sign * (h - b) < 0 for b, h in zip(values["base"], values["head"])),
             )
             rows[name] = row
