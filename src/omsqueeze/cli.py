@@ -285,18 +285,20 @@ def cmd_quasistatic(cfg: ScenarioConfig, outdir: Path):
 
 def cmd_thermometry_fit(cfg: ScenarioConfig, outdir: Path, data):
     curve = read_thermometry_csv(data)
-    result = fit_thermometry(curve, cfg.system.optical, cfg.system.drive.n_c)
+    with np.errstate(**QUIET_FP):  # what it writes is checked below
+        result = fit_thermometry(curve, cfg.system.optical, cfg.system.drive.n_c)
     two_pi = 2 * np.pi
-    write_fit_csv(
-        outdir / "thermometry_fit.csv",
-        [
-            ("g0_hz", result.g0_hat / two_pi, result.g0_err / two_pi),
-            ("gamma_i_hz", result.gamma_i_hat / two_pi, result.gamma_i_err / two_pi),
-            ("n_b", result.nb_hat, result.nb_err),
-            ("omega_m0_hz", result.omega_m0_hat / two_pi, result.omega_m0_err / two_pi),
-        ],
-        result.residual_norm,
-    )
+    pairs = [
+        ("g0_hz", result.g0_hat / two_pi, result.g0_err / two_pi),
+        ("gamma_i_hz", result.gamma_i_hat / two_pi, result.gamma_i_err / two_pi),
+        ("n_b", result.nb_hat, result.nb_err),
+        ("omega_m0_hz", result.omega_m0_hat / two_pi, result.omega_m0_err / two_pi),
+    ]
+    # a singular J^T J leaves the error bars nan
+    if not np.all(np.isfinite([v for _, estimate, err in pairs for v in (estimate, err)] + [result.residual_norm])):
+        raise EstimationError(f"fit result is not finite (singular or overflowing J^T J or residual): "
+                              f"residual_norm={result.residual_norm:.3e}")
+    write_fit_csv(outdir / "thermometry_fit.csv", pairs, result.residual_norm)
     return 0
 
 
@@ -344,6 +346,10 @@ def _oracle_draws(params, seed, n_draws):
         s_ref = core.spectrum_full(omega, theta, p, nbar)[0]
         s_orc = matrix_solve_spectrum(omega, theta, p, InputCorrelationMatrix.vacuum_thermal(nbar))
         errs[b] = np.abs(s_orc - s_ref) / np.abs(s_ref)
+    bad = np.flatnonzero(~np.isfinite(errs))
+    if len(bad):  # nan would pass the tolerance
+        k = int(bad[0])
+        raise OracleError(f"oracle draw {k} (n_c = {n_cs[k]:.6g}): the closed form or the matrix solve is not finite")
     return omegas / (2 * np.pi), thetas, errs
 
 
@@ -361,7 +367,8 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path):
     except ValueError as exc:
         print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
         return 1
-    freqs, thetas, errs = _oracle_draws(params, cfg.seed, ORACLE_DRAWS)
+    with np.errstate(**QUIET_FP):
+        freqs, thetas, errs = _oracle_draws(params, cfg.seed, ORACLE_DRAWS)
     max_err = float(errs.max())
     _write_csv(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], [
         _number_columns([freqs, thetas, errs]),
@@ -382,23 +389,26 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path):
 
 def cmd_synth(cfg: ScenarioConfig, outdir: Path):
     params = cfg.system
-    optical, mech = params.optical, params.mech
-    n_b = float(cfg.scenario.occupation(mech.omega_m0))
-    rng = np.random.default_rng(cfg.seed)
+    optical, mech, n_c = params.optical, params.mech, params.drive.n_c
     # red-side sweep: optomechanically damped (stable) at any probe power
-    deltas = np.linspace(0.02, 0.65, 13) * optical.kappa
-    curve = generate_thermometry_curve(
-        optical, mech, params.drive.n_c, deltas, n_b, noise_frac=0.01, rng=rng
-    )
-    two_pi = 2 * np.pi
+    deltas, thetas = np.linspace(0.02, 0.65, 13) * optical.kappa, np.linspace(-1.2, 1.2, 41)
+    with np.errstate(**QUIET_FP):
+        n_b = float(cfg.scenario.occupation(mech.omega_m0))
+        if not np.isfinite(n_b):
+            raise ConfigError([f"{BATH_KEYS}: the bath occupation at omega_m0 overflows a float"])
+        rng = np.random.default_rng(cfg.seed)
+        curve = generate_thermometry_curve(optical, mech, n_c, deltas, n_b, noise_frac=0.01, rng=rng)
+        sweep = generate_lock_sweep(params, thetas, n_b, noise_frac=0.01, rng=rng)
+        columns = np.array([curve.detunings, curve.eff_freqs, curve.eff_linewidths]) / (2 * np.pi)
+        if not all(np.all(np.isfinite(c)) for c in (columns, curve.areas, sweep)):
+            # the bath enters only the areas, as the factor n_b + 1: without it the rest is [system]'s
+            cold = generate_thermometry_curve(optical, mech, n_c, deltas, 0.0)
+            parts = (cold.eff_freqs, cold.eff_linewidths, cold.areas, generate_lock_sweep(params, thetas, 0.0))
+            keys = BATH_KEYS if all(np.all(np.isfinite(c)) for c in parts) else "[system]"
+            raise ConfigError([f"{keys}: the synthetic data overflow a float (n_b = {n_b:.6g})"])
     header = ["delta_hz", "eff_freq_hz", "eff_linewidth_hz", "area_sn_hz"]
-    columns = [curve.detunings / two_pi, curve.eff_freqs / two_pi, curve.eff_linewidths / two_pi]
     _write_csv(outdir / "thermometry.csv", header, [_number_columns([*columns, curve.areas])])
-    sweep = generate_lock_sweep(
-        params, np.linspace(-1.2, 1.2, 41), n_b, noise_frac=0.01, rng=rng
-    )
-    header = ["theta_lock_rad", "area_sn_hz"]
-    _write_csv(outdir / "locksweep.csv", header, [_number_columns(sweep.T)])
+    _write_csv(outdir / "locksweep.csv", ["theta_lock_rad", "area_sn_hz"], [_number_columns(sweep.T)])
     return 0
 
 

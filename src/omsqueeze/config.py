@@ -232,6 +232,13 @@ def _build(values, problems):
             )
         else:
             out_max = grid.out_f_start_hz + grid.out_f_step_hz * max(grid.out_n_points - 1, 0)
+            # a step below the float spacing at the start repeats frequencies; a
+            # grid too long to hold is reported with the map's cells below
+            if grid.out_n_points <= MAX_MAP_CELLS and not np.all(np.diff(grid.out_freqs()) > 0):
+                problems.append(
+                    f"grid.out_f_step_hz = {grid.out_f_step_hz!r}: the output frequencies from "
+                    f"{grid.out_f_start_hz!r} Hz are not strictly increasing in float64"
+                )
             # the rule is sized on a stable system: an unstable one is refused with exit 2
             if system is not None and not instability(system):
                 nodes = rule_node_count(Scenario(system=system, lump=lump), out_max, grid.rbw_hz)
@@ -251,6 +258,13 @@ def _build(values, problems):
             )
     except (TypeError, ValueError) as exc:
         problems.append(f"grid: {exc}")
+    if run_v["seed"] < 0:  # numpy seeds only from non-negative integers
+        problems.append(f"run.seed must be non-negative (got {run_v['seed']!r})")
+    for name, angle in (("grid.theta_lock_min_rad", grid_v["theta_lock_min_rad"]),
+                        ("grid.theta_lock_max_rad", grid_v["theta_lock_max_rad"]),
+                        ("run.theta_lock_rad", run_v["theta_lock_rad"])):
+        if not math.isfinite(2 * angle):  # every spectrum reads e^(2i theta)
+            problems.append(f"{name} = {angle!r}: twice the angle overflows a float")
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(

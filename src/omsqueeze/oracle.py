@@ -212,8 +212,8 @@ def sde_time_domain_psd(
     are integrated (dt <= 0.01/kappa).  ``plan_sde`` checks both.  The record
     is never held, so memory is bounded by the segments one ``_CHUNK`` spans,
     whatever the record length.  Once the checks and the branch's set-up have
-    passed, one helper thread draws the normals a block ahead; they are those
-    of ``np.random.default_rng(seed)``, and no thread outlives the call.
+    passed, one helper thread draws the normals ahead; they are those of
+    ``np.random.default_rng(seed)``, and no thread outlives the call.
     """
     welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
     build = _integrate_adiabatic if _adiabatic(params) else _integrate_full
@@ -300,17 +300,15 @@ def _integrate_full(params, nbar, theta, dt):
 
 
 def _pieces(n_total, n_seg, n_streams):
-    """The scan's pieces ``(stream, seg, offset, length, closes)`` in draw order:
-    per ``_CHUNK`` samples, each stream in turn, cut where segments end; a
-    piece is ``length`` samples from ``offset`` into segment ``seg``.
-    ``closes`` is the chunk's end on its last piece of the last stream, else 0."""
+    """The scan's pieces ``(stream, seg, offset, length)`` in draw order: per
+    ``_CHUNK`` samples, each stream in turn, cut where segments end; a piece
+    is ``length`` samples from ``offset`` into segment ``seg``."""
     for chunk_start in range(0, n_total, _CHUNK):
         chunk_end = min(chunk_start + _CHUNK, n_total)
         cuts = [chunk_start, *range((chunk_start // n_seg + 1) * n_seg, chunk_end, n_seg), chunk_end]
         for stream in range(n_streams):
             for start, end in zip(cuts, cuts[1:]):
-                last = stream == n_streams - 1 and end == chunk_end
-                yield stream, start // n_seg, start % n_seg, end - start, chunk_end if last else 0
+                yield stream, start // n_seg, start % n_seg, end - start
 
 
 def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
@@ -324,19 +322,22 @@ def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
     and the direct current, and the modes are scanned bottom-up by
     ``_one_pole``, each also driven by the modes below it one step late.  The
     normals are those of one ``rng.standard_normal`` call for the whole run,
-    drawn a block ahead by ``_normals_ahead``.  Each piece is folded into its
-    segment's band DFT (the streams' folds sum to the whole one), and the
-    segments a chunk completes are closed before the next chunk."""
+    drawn ahead by ``_normals_ahead``.  Each piece lands at its offset in one
+    segment-long buffer, zero elsewhere, and is folded into its segment's band
+    DFT (the streams' folds sum to the whole one); the last stream's piece
+    that ends a segment closes it."""
     n_modes, n_total, n_seg = len(tri), welch.n_total, len(welch.window)
     states = np.zeros((len(streams), n_modes), dtype=complex)
-    record = np.empty(min(n_seg, _CHUNK, n_total))
-    step = min(_BLOCK, len(record))
-    sizes = (min(step, length - k) for *_, length, _ in _pieces(n_total, n_seg, len(streams))
+    record = np.empty(n_seg)
+    step = min(_BLOCK, n_seg)
+    sizes = (min(step, length - k) for *_, length in _pieces(n_total, n_seg, len(streams))
              for k in range(0, length, step))
     draws = _normals_ahead(rng, sizes, step)
     try:
-        for stream, seg, offset, length, closes in _pieces(n_total, n_seg, len(streams)):
-            mapping, state, piece = streams[stream], states[stream], record[:length]
+        for stream, seg, offset, length in _pieces(n_total, n_seg, len(streams)):
+            if length < n_seg:
+                record[:] = 0.0
+            mapping, state, piece = streams[stream], states[stream], record[offset : offset + length]
             for k in range(0, length, step):
                 block = piece[k : k + step]
                 y = next(draws) @ mapping
@@ -353,9 +354,9 @@ def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
                 if not np.all(np.abs(state) <= amp_bound):
                     raise OracleError("unstable integration (energy growth beyond bound); "
                                       "the step-size precondition is too loose for this system")
-            welch.fold(seg, offset, piece)
-            if closes:
-                welch.close_through(closes)
+            welch.fold(seg, record)
+            if stream == len(streams) - 1 and offset + length == n_seg:
+                welch.close(seg)
     finally:
         draws.close()
 
@@ -363,23 +364,23 @@ def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
 def _normals_ahead(rng, sizes, width):
     """For each ``n <= width`` of ``sizes``, the next ``2 n`` normals of ``rng``
     as an (n, 2) array, valid until the next is taken.  One helper thread
-    draws them a block ahead into two buffers that take turns: it refills a
-    buffer once the reader asks for the block after the one it held there.
-    ``Generator.standard_normal`` keeps no state between calls, so the bits
-    are those of one call for all of ``sizes``; numpy draws without the GIL,
-    so on two cores the draw overlaps the integration.  An error of the
-    helper reaches the reader; closing the generator stops and joins it."""
+    draws them up to two blocks ahead into three buffers that take turns: it
+    refills a buffer once the reader asks for the block after the one it held
+    there.  ``Generator.standard_normal`` keeps no state between calls, so
+    the bits are those of one call for all of ``sizes``; numpy draws without
+    the GIL, so on two cores the draw overlaps the integration.  An error of
+    the helper reaches the reader; closing the generator stops and joins it."""
     import queue  # loaded for the SDE only
     import threading
 
-    buffers, free, drawn = np.empty((2, 2 * width)), queue.SimpleQueue(), queue.SimpleQueue()
+    buffers, free, drawn = np.empty((3, 2 * width)), queue.SimpleQueue(), queue.SimpleQueue()
 
     def draw():
         try:
             for k, n in enumerate(sizes):
                 if not free.get():  # a buffer handed back, or False: stop
                     return
-                drawn.put(rng.standard_normal(out=buffers[k % 2, : 2 * n]))
+                drawn.put(rng.standard_normal(out=buffers[k % len(buffers), : 2 * n]))
             drawn.put(None)
         except BaseException as exc:  # any: the reader waits on ``drawn`` and raises it
             drawn.put(exc)
@@ -451,8 +452,8 @@ class _Welch:
     with the per-bin standard error from the inter-segment variance.
 
     Each open segment is held only as its windowed DFT on the contiguous band
-    of FFT bins that ``freq_bins`` selects, so pieces of a segment may be
-    folded in any order and summed.  The band DFT is a pruned FFT (Sorensen &
+    of FFT bins that ``freq_bins`` selects, so it may be folded in pieces,
+    each zero outside its samples.  The band DFT is a pruned FFT (Sorensen &
     Burrus 1993): with ``N = M D`` and ``M`` the smallest divisor of ``N`` with
     ``M >= 2K`` for ``K`` band bins, an ``rfft`` of length ``M`` down the ``D``
     polyphase columns ``x[d::D]``, then one twiddle sum over ``d`` per bin."""
@@ -482,30 +483,21 @@ class _Welch:
         self.rows = np.where(flip, m - r, r)
         twiddle = np.exp(-2j * np.pi / n * np.outer(band, np.arange(n // m)))
         self.twiddle = np.where(flip[:, np.newaxis], twiddle.conj(), twiddle)
-        self.open = {}  # segment index -> band DFT folded so far, in index order
+        self.open = {}  # segment index -> band DFT folded so far
 
-    def fold(self, seg, offset, samples):
-        """Add the band DFT of ``samples``, which start ``offset`` samples into segment ``seg``."""
-        n = len(self.window)
-        if len(samples) < n:
-            padded = np.zeros(n)
-            padded[offset : offset + len(samples)] = samples
-            samples = padded
+    def fold(self, seg, samples):
+        """Add the band DFT of ``samples``, one segment long, to segment ``seg``."""
         m = len(self.polyphase_window)
         spectrum = np.fft.rfft(samples.reshape(m, -1) * self.polyphase_window, axis=0)
         band = np.einsum("kd,kd->k", spectrum[self.rows], self.twiddle)
         self.open[seg] = self.open.get(seg, 0) + band
 
-    def close_through(self, sample):
-        """Fold every open segment that ends at or before ``sample`` into the bin sums."""
-        while self.open:
-            seg = next(iter(self.open))
-            if (seg + 1) * len(self.window) > sample:
-                break
-            pxx = np.abs(self.open.pop(seg)) ** 2 * self.norm
-            binned = np.bincount(self.idx, weights=pxx, minlength=self.n_bins) / self.counts
-            self.sums += binned
-            self.sumsq += binned**2
+    def close(self, seg):
+        """Fold segment ``seg``, complete, into the bin sums."""
+        pxx = np.abs(self.open.pop(seg)) ** 2 * self.norm
+        binned = np.bincount(self.idx, weights=pxx, minlength=self.n_bins) / self.counts
+        self.sums += binned
+        self.sumsq += binned**2
 
     def result(self, params) -> SpectrumTrace:
         n = self.n_segments

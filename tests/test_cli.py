@@ -1,10 +1,13 @@
+import configparser
 import csv
+import functools
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omsqueeze import SpectrumTrace, SqueezingMap
@@ -830,6 +833,218 @@ class TestCliExitCodes:
             rc = main([command, "--config", str(config_path), "--out", str(tmp_path / "o")])
             assert rc == 1
             assert capsys.readouterr().err.splitlines()[1] == f"  - {command} requires --data"
+
+    # a step below the float spacing at 80 kHz makes all 501 output frequencies
+    # one float: spectrum and quasistatic raised from SpectrumTrace, and
+    # densitymap wrote a map whose columns all had one frequency
+    @pytest.mark.parametrize("command", ["spectrum", "densitymap", "quasistatic"])
+    @pytest.mark.parametrize("step", ["1e-154", "3e-308"])
+    def test_degenerate_output_grid_exit_1(self, config_path, tmp_path, capsys, command, step):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text(
+            config_path.read_text().replace("out_f_step_hz = 80e3", f"out_f_step_hz = {step}"), encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "config invalid:",
+            f"  - grid.out_f_step_hz = {float(step)!r}: the output frequencies from 80000.0 Hz "
+            "are not strictly increasing in float64",
+        ]
+        assert not out.exists()
+
+    def test_nonfinite_oracle_draw_exit_2(self, config_path, tmp_path, capsys):
+        # kappa_e gamma_i overflows in the closed form: every relative error was
+        # nan, which passed the 1e-9 gate, and oracle_check.csv held 1001 nan cells
+        cfg = tmp_path / "loud.ini"
+        cfg.write_text(
+            config_path.read_text().replace("gamma_i_over_2pi_hz = 172", "gamma_i_over_2pi_hz = 1e300"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "numerical failure: oracle draw 0 (n_c = 6162.03): the closed form or the matrix solve is not finite"
+        ]
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
+
+    # e^(2i theta) was nan: densitymap raised from SqueezingMap, and spectrum
+    # exited 1 blaming the bath keys for the nan PSD
+    @pytest.mark.parametrize("command, key, old", [
+        ("densitymap", "grid.theta_lock_min_rad", "theta_lock_min_rad = -1.5707963267948966"),
+        ("spectrum", "run.theta_lock_rad", "theta_lock_rad = 0.0"),
+    ])
+    def test_overflowing_lock_angle_exit_1(self, config_path, tmp_path, capsys, command, key, old):
+        cfg = tmp_path / "turned.ini"
+        cfg.write_text(config_path.read_text().replace(old, f"{old.split(' = ')[0]} = 1e308"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config invalid:", f"  - {key} = 1e+308: twice the angle overflows a float"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "oracle-check"])
+    def test_negative_seed_exit_1(self, config_path, tmp_path, capsys, command):
+        # numpy seeds only from non-negative integers: both raised from default_rng
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config_path), "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config invalid:", "  - run.seed must be non-negative (got -1)"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("area, residual_norm", [("1e300", "inf"), ("-1e300", "1.001e+00")])
+    def test_nonfinite_fit_exit_2(self, config_path, tmp_path, capsys, area, residual_norm):
+        # one area of 1e300 among the synthetic ones: J^T J overflowed, and the
+        # fit wrote nan error bars (and an inf residual norm) with exit 0
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+        data = tmp_path / "loud.csv"
+        lines = (out / "thermometry.csv").read_text().splitlines()
+        first = lines[1].split(",")
+        data.write_text("\n".join([lines[0], ",".join([*first[:3], area]), *lines[2:]]) + "\n", encoding="utf-8")
+        assert main(["thermometry-fit", "--config", str(config_path), "--out", str(out), "--data", str(data)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: fit result is not finite (singular or overflowing J^T J or residual): "
+            f"residual_norm={residual_norm}"
+        ]
+        assert not (out / "thermometry_fit.csv").exists()
+
+    # each wrote inf in every area_sn_hz cell of thermometry.csv and locksweep.csv, and exited 0
+    @pytest.mark.parametrize("changes, problem", [
+        ({"c0_k_per_photon = 3.2e-4": "c0_k_per_photon = 1e300"},
+         "noise.t_b0_k, noise.c0_k_per_photon: the synthetic data overflow a float (n_b = 5.8789e+305)"),
+        ({"gamma_i_over_2pi_hz = 172": "gamma_i_over_2pi_hz = 1e300"},
+         "[system]: the synthetic data overflow a float (n_b = 12094.8)"),
+        ({"omega_m0_over_2pi_hz = 28e6": "omega_m0_over_2pi_hz = 5e-324",
+          "delta_over_kappa = 0.044": "delta_over_kappa = 5e-324"},
+         "noise.t_b0_k, noise.c0_k_per_photon: the bath occupation at omega_m0 overflows a float"),
+    ], ids=["c0", "gamma_i", "omega_m0"])
+    def test_overflowing_synthetic_data_exit_1(self, config_path, tmp_path, capsys, changes, problem):
+        text = config_path.read_text()
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "loud.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config invalid:", f"  - {problem}"]
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
+
+
+EXTREMES = ["1e-300", "5e-324", "1e-154", "1e154", "1e300", "1e308", "-1e300", "0", "-1"]
+
+
+def shipped_config():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(default_config_text())
+    return parser
+
+
+NUMERIC_KEYS = [(section, key) for section, values in shipped_config().items() for key in values]  # all are numbers
+CONFIG_COMMANDS = ["spectrum", "densitymap", "quasistatic", "synth", "oracle-check"]
+DATA_COLUMNS = {
+    "thermometry-fit": ("delta_hz", "eff_freq_hz", "eff_linewidth_hz", "area_sn_hz"),
+    "infer-detuning": ("theta_lock_rad", "area_sn_hz"),
+}
+
+
+def nonfinite_cells(out):
+    """``(file, row, column)`` of every written CSV cell that reads as inf or nan."""
+    bad = []
+    for path in sorted(out.glob("*.csv")):
+        for r, row in enumerate(read_csv(path)[1]):
+            bad += [(path.name, r, c) for c, cell in enumerate(row) if cell in ("inf", "-inf", "nan")]
+    return bad
+
+
+def run_extreme_config(command, changes):
+    """Run ``command`` on the shipped config with ``changes`` ({(section, key): text})
+    set; the exit code must be 0-3, and an exit 0 must leave every cell finite."""
+    parser = shipped_config()
+    for (section, key), value in changes.items():
+        parser[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "extreme.ini", Path(tmp) / "o"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc in (0, 1, 2, 3)
+        if rc == 0:
+            assert nonfinite_cells(out) == []
+
+
+@functools.cache
+def synthetic_rows():
+    """The rows of the ``synth`` CSVs of the shipped config, by fit command, as text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "default.ini", Path(tmp) / "o"
+        cfg.write_text(default_config_text(), encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        return {
+            "thermometry-fit": read_csv(out / "thermometry.csv")[1],
+            "infer-detuning": read_csv(out / "locksweep.csv")[1],
+        }
+
+
+def run_extreme_data(command, keep, repeat, edits):
+    """Run a fit command on the first ``keep`` synthetic rows, the first ``repeat``
+    of them appended again, with ``edits`` ([(row, column, text)]) applied
+    modulo the table's size; the exit code must be 0-3, and an exit 0 must
+    leave every cell finite."""
+    rows = [list(r) for r in synthetic_rows()[command][:keep]]
+    rows += [list(r) for r in rows[:repeat]]
+    for r, c, text in edits if rows else ():
+        rows[r % len(rows)][c % len(rows[0])] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, data = Path(tmp) / "default.ini", Path(tmp) / "data.csv"
+        cfg.write_text(default_config_text(), encoding="utf-8")
+        data.write_text("\n".join(",".join(r) for r in [DATA_COLUMNS[command], *rows]) + "\n", encoding="utf-8")
+        rc = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o"), "--data", str(data)])
+        assert rc in (0, 1, 2, 3)
+        if rc == 0:
+            assert nonfinite_cells(Path(tmp) / "o") == []
+
+
+class TestNoTraceback:
+    """Extreme numbers in the config or in the fits' data end in a clean exit 0-3, and
+    what an exit 0 writes is finite."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(CONFIG_COMMANDS),
+        changes=st.dictionaries(st.sampled_from(NUMERIC_KEYS), st.sampled_from(EXTREMES), min_size=1, max_size=3),
+    )
+    @example(command="spectrum", changes={("grid", "out_f_step_hz"): "1e-154"})
+    @example(command="densitymap", changes={("grid", "out_f_step_hz"): "3e-308"})
+    @example(command="quasistatic", changes={("grid", "out_f_step_hz"): "1e-154"})
+    @example(command="synth", changes={("noise", "c0_k_per_photon"): "1e300"})
+    @example(command="synth", changes={("system", "gamma_i_over_2pi_hz"): "1e300"})
+    @example(command="synth", changes={
+        ("system", "omega_m0_over_2pi_hz"): "5e-324", ("system", "delta_over_kappa"): "5e-324",
+    })
+    # the phase-noise scale n_c (delta^2 + kappa^2/4) / kappa_e overflows as a Python
+    # float: exit 1 under noise.laser
+    @example(command="spectrum", changes={
+        ("system", "kappa_over_2pi_hz"): "1e149", ("system", "delta_over_kappa"): "1e10",
+    })
+    def test_extreme_config_values(self, command, changes):
+        run_extreme_config(command, changes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(DATA_COLUMNS)),
+        keep=st.integers(0, 41),
+        repeat=st.integers(0, 3),
+        edits=st.lists(st.tuples(
+            st.integers(0, 40), st.integers(0, 3),
+            st.sampled_from([*EXTREMES, "inf", "-inf", "nan", "", "x"]),
+        ), max_size=3),
+    )
+    @example(command="thermometry-fit", keep=13, repeat=0, edits=[(0, 3, "1e300")])
+    def test_extreme_data(self, command, keep, repeat, edits):
+        run_extreme_data(command, keep, repeat, edits)
 
 
 class TestColdStart:

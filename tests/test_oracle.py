@@ -484,8 +484,7 @@ class TestPieces:
         n_total = n_seg * n_segments
         with mock.patch.object(oracle, "_CHUNK", chunk):
             pieces = list(oracle._pieces(n_total, n_seg, n_streams))
-        chunk_ends = [min(c + chunk, n_total) for c in range(0, n_total, chunk)]
-        spans = [(seg * n_seg + offset, seg * n_seg + offset + length) for _, seg, offset, length, _ in pieces]
+        spans = [(seg * n_seg + offset, seg * n_seg + offset + length) for _, seg, offset, length in pieces]
         # draw order: chunk by chunk, each stream in turn within a chunk
         order = [(start // chunk, stream) for (start, _), (stream, *_) in zip(spans, pieces)]
         assert order == sorted(order)
@@ -493,23 +492,26 @@ class TestPieces:
             own = [(span, piece) for span, piece in zip(spans, pieces) if piece[0] == stream]
             ends = [end for (_, end), _ in own]
             assert [start for (start, _), _ in own] == [0, *ends[:-1]] and ends[-1] == n_total
-            for (start, end), (_, _, offset, length, _) in own:
+            for (start, end), (_, _, offset, length) in own:
                 assert length > 0 and offset + length <= n_seg  # inside one segment
                 assert start // chunk == (end - 1) // chunk  # inside one chunk
-        # each chunk end is marked once, on the last piece drawn for that chunk
-        marked = [(k, closes) for k, (*_, closes) in enumerate(pieces) if closes]
-        assert [closes for _, closes in marked] == chunk_ends
-        for k, closes in marked:
-            assert pieces[k][0] == n_streams - 1 and spans[k][1] == closes
-            assert all(start >= closes for start, _ in spans[k + 1 :])
+        # the last stream's piece that ends a segment closes it: each segment
+        # closes once, in order, and by then every stream has covered it
+        closing = [k for k, (stream, _, offset, length) in enumerate(pieces)
+                   if stream == n_streams - 1 and offset + length == n_seg]
+        assert [pieces[k][1] for k in closing] == list(range(n_segments))
+        for k in closing:
+            for stream in range(n_streams):
+                covered = max(end for (_, end), piece in zip(spans[: k + 1], pieces) if piece[0] == stream)
+                assert covered >= spans[k][1]
 
 
 @pytest.mark.sde
 class TestSdeDrawAhead:
-    # a run takes its normals from one helper thread that draws them a block ahead
+    # a run takes its normals from one helper thread that draws them ahead
 
     def test_any_split_gives_the_stream_of_one_call(self):
-        # blocks of 1 to 8 normal pairs into two 16-normal buffers, a short
+        # blocks of 1 to 8 normal pairs into three 16-normal buffers, a short
         # last block; four readers at once, the interpreter switching threads
         # every microsecond, so that a buffer refilled too early shows
         total, got = 20002, {}

@@ -13,14 +13,18 @@ failed-op counts, and per side the median and interquartile range of every
 workload x end-to-end metric of ``BENCHMARK.json``, with the change of the
 medians against the metric's bound, the number of pairs the checkout won,
 and whether either side's interquartile range exceeds the bound, in which case
-the change cannot be told from the spread.
+the change cannot be told from the spread.  After the pairs, each side runs
+its Tier-1 suite once, with the command ``ROADMAP.md`` gives, in a child
+process; the ``tier1`` key holds per side its pass and fail counts, its wall
+time, the child's peak RSS and its five slowest tests.
 
 ``--diff A B`` reads two such files and prints, per workload x end-to-end
 metric, the change of the checkout's median from A to B against the metric's
 bound, and the failed ops of each; it exits 1 when a resolved change is worse
 than its bound.  The two files may come from different sessions, so their
 medians carry the machine's drift between them; the last column repeats B's
-own change against its base, measured alongside, for comparison.
+own change against its base, measured alongside, for comparison.  It then
+prints the Tier-1 rows of both files.
 """
 
 from __future__ import annotations
@@ -28,14 +32,19 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS, SEED = 10, 1
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]  # with PYTHONPATH=src, as in ROADMAP.md
 
 
 def git(*args, cwd=ROOT):
@@ -57,6 +66,28 @@ def run_side(checkout, seconds, out):
     subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     return {r["workload"]: r for r in records}
+
+
+def tier1(checkout):
+    """Run the Tier-1 suite of ``checkout`` once in a child process: its outcome
+    counts, wall time, peak RSS and five slowest tests, from pytest's summary."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as log:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, *TIER1, "--durations=5"], cwd=checkout, env=env,
+                                 stdout=log, stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(child.pid, 0)  # the child's own rusage, unlike RUSAGE_CHILDREN
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        lines = log.read().splitlines()
+    counts = dict.fromkeys(("passed", "failed", "errors"), 0)
+    for n, word in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else ""):
+        counts["errors" if word == "error" else word] += int(n)
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(re.compile(r"([\d.]+)s (call|setup|teardown) +(.+)").fullmatch, lines) if m]
+    return {**counts, "exit_code": child.returncode, "wall_s": wall,
+            "peak_rss_mb": usage.ru_maxrss / 1024, "slowest": slowest[:5]}
 
 
 def summary(values):
@@ -93,6 +124,12 @@ def diff(path_a, path_b):
                   f"{100 * row['head_worse_by']:>+12.1f}%")
         failed = [sum(f["failed_ops"]["head"]) for f in (old_rows, rows) if "failed_ops" in f]
         print(f"{workload:<11}{'failed ops':<13}" + "".join(f"{n:>11d}" for n in failed))
+    for label, bench in (("A", a), ("B", b)):
+        for side, row in bench.get("tier1", {}).items():
+            print(f"tier1 {label} {side}: {row['passed']} passed, {row['failed']} failed, {row['errors']} errors "
+                  f"in {row['wall_s']:.1f} s, peak RSS {row['peak_rss_mb']:.0f} MB")
+            for test in row["slowest"]:
+                print(f"    {test['seconds']:7.2f} s {test['phase']:<8} {test['test']}")
     return worst
 
 
@@ -119,6 +156,7 @@ def main(argv=None):
             runs[side].append(run_side(sides[side], spec["run_seconds"], out))
             print(f"pair {k + 1}/{PAIRS}: {side} done", file=sys.stderr, flush=True)
 
+    suites = {side: tier1(sides[side]) for side in ("base", "head")}
     env = runs["head"][0][spec["workloads"][0]["name"]]["env"]
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -142,7 +180,7 @@ def main(argv=None):
         "cpu_model": env["cpu_model"], "nproc": env["nproc"],
         "seed": SEED, "seconds": spec["run_seconds"], "pairs": PAIRS,
         "order": "pair k runs the base first for even k, the checkout first for odd k",
-        "workloads": workloads,
+        "workloads": workloads, "tier1": suites,
     }
     args.json.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
