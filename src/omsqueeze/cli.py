@@ -55,20 +55,29 @@ FMT = "%.9g"
 NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic", "synth", "oracle-check")
 ORACLE_DRAWS = 1000  # random operating points oracle-check compares
 ORACLE_TOL = 1e-9  # largest relative error of the closed form it accepts
-# the config keys that set the size of each noise component beside [system], named when it overflows
+# keys named when a model output overflows: the bath's if it is finite at zero occupation, else its component's
 BATH_KEYS = "noise.t_b0_k, noise.c0_k_per_photon"
 COMPONENT_KEYS = {
-    "s_thermal": BATH_KEYS,
     "s_phase": "noise.s_omega_omega_rad2_hz",
-    "s_extra": f"noise.lump_q, noise.lump_omega_over_2pi_hz, noise.lump_g0_over_2pi_hz, {BATH_KEYS}",
+    "s_extra": "noise.lump_q, noise.lump_omega_over_2pi_hz, noise.lump_g0_over_2pi_hz",
     "s_absorptive": "noise.absorptive_amp_per_photon",
 }
-# the noise commands check what they write and name an overflow's key: numpy's warnings would repeat it
+# every command checks what it writes and names an overflow's cause: numpy's warnings would repeat it
 QUIET_FP = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class DataError(ValueError):
     """An input CSV lacks a column or holds values that do not parse."""
+
+
+def _finite(*arrays):
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+def _overflow(what, cold_finite, keys="[system]"):
+    """The config error for a model output that is not finite: it names the bath
+    keys if the same output at zero bath occupation is finite, else ``keys``."""
+    return ConfigError([f"{BATH_KEYS if cold_finite else keys}: {what}"])
 
 
 @functools.cache
@@ -252,17 +261,13 @@ def read_locksweep_csv(path):
 
 
 def cmd_spectrum(cfg: ScenarioConfig, outdir: Path):
-    grid = cfg.grid
-    with np.errstate(**QUIET_FP):
-        trace, columns = detected_components(cfg.theta_lock_rad, grid.out_freqs(), cfg.scenario, grid.rbw_hz)
+    trace, columns = detected_components(cfg.theta_lock_rad, cfg.grid.out_freqs(), cfg.scenario, cfg.grid.rbw_hz)
     write_spectrum_csv(outdir / "spectrum.csv", trace, components=columns)
     return 0
 
 
 def cmd_densitymap(cfg: ScenarioConfig, outdir: Path):
-    grid = cfg.grid
-    with np.errstate(**QUIET_FP):
-        sqmap = assemble_density_map(grid.theta_locks(), grid.out_freqs(), cfg.scenario, grid.rbw_hz)
+    sqmap = assemble_density_map(cfg.grid.theta_locks(), cfg.grid.out_freqs(), cfg.scenario, cfg.grid.rbw_hz)
     write_map_csv(outdir / "densitymap.csv", sqmap)
     return 0
 
@@ -272,10 +277,10 @@ def cmd_quasistatic(cfg: ScenarioConfig, outdir: Path):
     params = scenario.system
     freqs = cfg.grid.out_freqs()
     theta = lock_to_quadrature(cfg.theta_lock_rad, params.optical, params.drive.delta)
-    with np.errstate(**QUIET_FP):
-        values = core.quasi_static_spectrum(theta, params, scenario.occupation(2 * np.pi * freqs))
-    if not np.all(np.isfinite(values)):
-        raise ConfigError([f"{BATH_KEYS}: the quasi-static thermal term overflows a float"])
+    values = core.quasi_static_spectrum(theta, params, scenario.occupation(2 * np.pi * freqs))
+    if not _finite(values):
+        cold_finite = _finite(core.quasi_static_spectrum(theta, params, 0.0))
+        raise _overflow("the quasi-static thermal term overflows a float", cold_finite)
     if not np.all(values >= 0):  # the law is first order in gamma_meas/omega_m0: weak measurement only
         ratio = 4 * params.drive.gamma_meas / params.mech.omega_m0
         raise ConfigError([f"quasistatic: 4 gamma_meas/omega_m0 = {ratio:.6g}: the quasi-static law goes negative"])
@@ -285,8 +290,7 @@ def cmd_quasistatic(cfg: ScenarioConfig, outdir: Path):
 
 def cmd_thermometry_fit(cfg: ScenarioConfig, outdir: Path, data):
     curve = read_thermometry_csv(data)
-    with np.errstate(**QUIET_FP):  # what it writes is checked below
-        result = fit_thermometry(curve, cfg.system.optical, cfg.system.drive.n_c)
+    result = fit_thermometry(curve, cfg.system.optical, cfg.system.drive.n_c)
     two_pi = 2 * np.pi
     pairs = [
         ("g0_hz", result.g0_hat / two_pi, result.g0_err / two_pi),
@@ -295,7 +299,7 @@ def cmd_thermometry_fit(cfg: ScenarioConfig, outdir: Path, data):
         ("omega_m0_hz", result.omega_m0_hat / two_pi, result.omega_m0_err / two_pi),
     ]
     # a singular J^T J leaves the error bars nan
-    if not np.all(np.isfinite([v for _, estimate, err in pairs for v in (estimate, err)] + [result.residual_norm])):
+    if not _finite([v for _, estimate, err in pairs for v in (estimate, err)], result.residual_norm):
         raise EstimationError(f"fit result is not finite (singular or overflowing J^T J or residual): "
                               f"residual_norm={result.residual_norm:.3e}")
     write_fit_csv(outdir / "thermometry_fit.csv", pairs, result.residual_norm)
@@ -303,20 +307,14 @@ def cmd_thermometry_fit(cfg: ScenarioConfig, outdir: Path, data):
 
 
 def cmd_infer_detuning(cfg: ScenarioConfig, outdir: Path, data):
-    sweep = read_locksweep_csv(data)
-    delta_hat, theta_star = infer_detuning(
-        sweep, cfg.system.optical, omega_probe=cfg.system.mech.omega_m0
-    )
-    kappa = cfg.system.optical.kappa
-    write_fit_csv(
-        outdir / "detuning_fit.csv",
-        [
-            ("delta_hz", delta_hat / (2 * np.pi), 0.0),
-            ("delta_over_kappa", delta_hat / kappa, 0.0),
-            ("theta_star_lock_rad", theta_star, 0.0),
-        ],
-        0.0,
-    )
+    optical = cfg.system.optical
+    delta_hat, theta_star = infer_detuning(read_locksweep_csv(data), optical, omega_probe=cfg.system.mech.omega_m0)
+    pairs = [
+        ("delta_hz", delta_hat / (2 * np.pi), 0.0),
+        ("delta_over_kappa", delta_hat / optical.kappa, 0.0),
+        ("theta_star_lock_rad", theta_star, 0.0),
+    ]
+    write_fit_csv(outdir / "detuning_fit.csv", pairs, 0.0)
     return 0
 
 
@@ -367,8 +365,7 @@ def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path):
     except ValueError as exc:
         print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
         return 1
-    with np.errstate(**QUIET_FP):
-        freqs, thetas, errs = _oracle_draws(params, cfg.seed, ORACLE_DRAWS)
+    freqs, thetas, errs = _oracle_draws(params, cfg.seed, ORACLE_DRAWS)
     max_err = float(errs.max())
     _write_csv(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], [
         _number_columns([freqs, thetas, errs]),
@@ -392,20 +389,17 @@ def cmd_synth(cfg: ScenarioConfig, outdir: Path):
     optical, mech, n_c = params.optical, params.mech, params.drive.n_c
     # red-side sweep: optomechanically damped (stable) at any probe power
     deltas, thetas = np.linspace(0.02, 0.65, 13) * optical.kappa, np.linspace(-1.2, 1.2, 41)
-    with np.errstate(**QUIET_FP):
-        n_b = float(cfg.scenario.occupation(mech.omega_m0))
-        if not np.isfinite(n_b):
-            raise ConfigError([f"{BATH_KEYS}: the bath occupation at omega_m0 overflows a float"])
-        rng = np.random.default_rng(cfg.seed)
-        curve = generate_thermometry_curve(optical, mech, n_c, deltas, n_b, noise_frac=0.01, rng=rng)
-        sweep = generate_lock_sweep(params, thetas, n_b, noise_frac=0.01, rng=rng)
-        columns = np.array([curve.detunings, curve.eff_freqs, curve.eff_linewidths]) / (2 * np.pi)
-        if not all(np.all(np.isfinite(c)) for c in (columns, curve.areas, sweep)):
-            # the bath enters only the areas, as the factor n_b + 1: without it the rest is [system]'s
-            cold = generate_thermometry_curve(optical, mech, n_c, deltas, 0.0)
-            parts = (cold.eff_freqs, cold.eff_linewidths, cold.areas, generate_lock_sweep(params, thetas, 0.0))
-            keys = BATH_KEYS if all(np.all(np.isfinite(c)) for c in parts) else "[system]"
-            raise ConfigError([f"{keys}: the synthetic data overflow a float (n_b = {n_b:.6g})"])
+    n_b = float(cfg.scenario.occupation(mech.omega_m0))
+    if not np.isfinite(n_b):
+        raise ConfigError([f"{BATH_KEYS}: the bath occupation at omega_m0 overflows a float"])
+    rng = np.random.default_rng(cfg.seed)
+    curve = generate_thermometry_curve(optical, mech, n_c, deltas, n_b, noise_frac=0.01, rng=rng)
+    sweep = generate_lock_sweep(params, thetas, n_b, noise_frac=0.01, rng=rng)
+    columns = np.array([curve.detunings, curve.eff_freqs, curve.eff_linewidths]) / (2 * np.pi)
+    if not _finite(columns, curve.areas, sweep):
+        cold = generate_thermometry_curve(optical, mech, n_c, deltas, 0.0)
+        parts = (cold.eff_freqs, cold.eff_linewidths, cold.areas, generate_lock_sweep(params, thetas, 0.0))
+        raise _overflow(f"the synthetic data overflow a float (n_b = {n_b:.6g})", _finite(*parts))
     header = ["delta_hz", "eff_freq_hz", "eff_linewidth_hz", "area_sn_hz"]
     _write_csv(outdir / "thermometry.csv", header, [_number_columns([*columns, curve.areas])])
     _write_csv(outdir / "locksweep.csv", ["theta_lock_rad", "area_sn_hz"], [_number_columns(sweep.T)])
@@ -439,34 +433,28 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-
-    overrides = {}
-    if args.seed is not None:
-        overrides[("run", "seed")] = args.seed
-    if args.n_c is not None:
-        overrides[("system", "n_c")] = args.n_c
-    if args.theta_lock is not None:
-        overrides[("run", "theta_lock_rad")] = args.theta_lock
-
+    flags = {("run", "seed"): args.seed, ("system", "n_c"): args.n_c, ("run", "theta_lock_rad"): args.theta_lock}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     try:
-        cfg = load_config(args.config, overrides=overrides)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "resolved_config.ini").write_text(serialize_config(cfg), encoding="utf-8")
-        problem = core.instability(cfg.system) if args.command in NEEDS_STABLE else None
-        if problem:
-            print(f"numerical failure: {problem}", file=sys.stderr)
-            return 2
-        if args.command in ("thermometry-fit", "infer-detuning"):
-            if not args.data:
-                raise ConfigError([f"{args.command} requires --data"])
-            return _COMMANDS[args.command](cfg, outdir, args.data)
-        return _COMMANDS[args.command](cfg, outdir)
+        with np.errstate(**QUIET_FP):
+            cfg = load_config(args.config, overrides=overrides)
+            outdir = Path(args.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "resolved_config.ini").write_text(serialize_config(cfg), encoding="utf-8")
+            problem = core.instability(cfg.system) if args.command in NEEDS_STABLE else None
+            if problem:
+                print(f"numerical failure: {problem}", file=sys.stderr)
+                return 2
+            if args.command in ("thermometry-fit", "infer-detuning"):
+                if not args.data:
+                    raise ConfigError([f"{args.command} requires --data"])
+                return _COMMANDS[args.command](cfg, outdir, args.data)
+            return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
     except NoiseOverflowError as exc:
-        print(ConfigError([f"{COMPONENT_KEYS.get(exc.component, '[system]')}: {exc}"]), file=sys.stderr)
+        print(_overflow(exc, exc.cold_finite, COMPONENT_KEYS.get(exc.component, "[system]")), file=sys.stderr)
         return 1
     except (EstimationError, OracleError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OpticalMode, SystemParams, at_quadrature, instability, reflection_phase, spectrum_harmonics
+from .core import (
+    OpticalMode, SystemParams, at_quadrature, instability, reflection_phase, spectrum_harmonics, thermal_harmonics,
+)
 from .noise import (
     AbsorptiveNoiseModel,
     BathModel,
@@ -64,14 +66,22 @@ GREGORY = np.array([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160])
 class NoiseOverflowError(ValueError):
     """The model PSD on the frequency rule, or its RBW shaping, is not finite;
     ``component`` names the component that dominates the shaping sums, whose
-    peak of P + 2|Q| times the node's weight is largest (a nan counts as inf)."""
+    peak of P + 2|Q| times the node's weight is largest (a nan counts as inf),
+    and ``cold_finite`` tells whether that peak is finite at zero bath occupation."""
 
     def __init__(self, nodes, weights, scenario):
-        peaks = {
-            name: np.nan_to_num(np.max((p + 2.0 * np.abs(q)) * weights), nan=np.inf)
-            for name, (p, q) in output_harmonics(2 * np.pi * nodes, scenario)
-        }
+        omega, params = 2 * np.pi * nodes, scenario.system
+
+        def peak(pq):
+            return np.nan_to_num(np.max((pq[0] + 2.0 * np.abs(pq[1])) * weights), nan=np.inf)
+
+        peaks = {name: peak(pq) for name, pq in output_harmonics(omega, scenario)}
         self.component = max(peaks, key=peaks.get)
+        cold = {
+            "s_thermal": lambda: thermal_harmonics(omega, params, 0.0),
+            "s_extra": lambda: extra_mode_harmonics(omega, params, scenario.lump, 0.0),
+        }.get(self.component)
+        self.cold_finite = cold is not None and bool(np.isfinite(peak(cold())))
         super().__init__(f"the {self.component} component of the model PSD overflows a float on the frequency rule")
 
 

@@ -729,22 +729,35 @@ class TestCliExitCodes:
         assert not out.exists()
 
     # a noise coefficient so large that the model PSD overflows: each ended in a
-    # ValueError traceback from SpectrumTrace, assemble_density_map or SqueezingMap
-    @pytest.mark.parametrize("old, new, command, problem", [
-        ("c0_k_per_photon = 3.2e-4", "c0_k_per_photon = 1e300", "spectrum",
+    # ValueError traceback from SpectrumTrace, assemble_density_map or SqueezingMap.
+    # The bath keys are named only when the output is finite at zero bath occupation:
+    # gamma_i = 1e300 and omega_m0 = 5e-324 named them too, with a finite bath occupation
+    @pytest.mark.parametrize("changes, command, problem", [
+        ({"c0_k_per_photon = 3.2e-4": "c0_k_per_photon = 1e300"}, "spectrum",
          "noise.t_b0_k, noise.c0_k_per_photon: the s_thermal component"),
-        ("c0_k_per_photon = 3.2e-4", "c0_k_per_photon = 1e300", "densitymap",
+        ({"c0_k_per_photon = 3.2e-4": "c0_k_per_photon = 1e300"}, "densitymap",
          "noise.t_b0_k, noise.c0_k_per_photon: the s_thermal component"),
-        ("c0_k_per_photon = 3.2e-4", "c0_k_per_photon = 1e300", "quasistatic",
+        ({"c0_k_per_photon = 3.2e-4": "c0_k_per_photon = 1e300"}, "quasistatic",
          "noise.t_b0_k, noise.c0_k_per_photon: the quasi-static thermal term overflows"),
-        ("lump_q = 100", "lump_q = 1e-300", "spectrum",
+        ({"lump_q = 100": "lump_q = 1e-300"}, "spectrum",
          "noise.lump: the damping omega_lump / q_lump overflows a float (q_lump = 1e-300)"),
-        ("absorptive_amp_per_photon = 1.5e-4", "absorptive_amp_per_photon = 1e300", "densitymap",
+        ({"absorptive_amp_per_photon = 1.5e-4": "absorptive_amp_per_photon = 1e300"}, "densitymap",
          "noise.absorptive_amp_per_photon: the s_absorptive component"),
-    ], ids=["c0-spectrum", "c0-densitymap", "c0-quasistatic", "lump_q-spectrum", "absorptive-densitymap"])
-    def test_overflowing_noise_exit_1(self, config_path, tmp_path, capsys, old, new, command, problem):
+        ({"gamma_i_over_2pi_hz = 172": "gamma_i_over_2pi_hz = 1e300"}, "spectrum",
+         "[system]: the s_thermal component"),
+        ({"gamma_i_over_2pi_hz = 172": "gamma_i_over_2pi_hz = 1e300"}, "densitymap",
+         "[system]: the s_thermal component"),
+        ({"omega_m0_over_2pi_hz = 28e6": "omega_m0_over_2pi_hz = 5e-324",
+          "delta_over_kappa = 0.044": "delta_over_kappa = 5e-324"}, "quasistatic",
+         "[system]: the quasi-static thermal term overflows"),
+    ], ids=["c0-spectrum", "c0-densitymap", "c0-quasistatic", "lump_q-spectrum", "absorptive-densitymap",
+            "gamma_i-spectrum", "gamma_i-densitymap", "omega_m0-quasistatic"])
+    def test_overflowing_noise_exit_1(self, config_path, tmp_path, capsys, changes, command, problem):
+        text = config_path.read_text()
+        for old, new in changes.items():
+            text = text.replace(old, new)
         cfg = tmp_path / "loud.ini"
-        cfg.write_text(config_path.read_text().replace(old, new), encoding="utf-8")
+        cfg.write_text(text, encoding="utf-8")
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -911,6 +924,24 @@ class TestCliExitCodes:
         ]
         assert not (out / "thermometry_fit.csv").exists()
 
+    # numpy warned four times (overflow, invalid) on the squares of the three angles
+    # around the area minimum before the one-line error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_lock_angles_exit_2_one_line(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "locksweep.csv")
+        k = int(np.argmin([float(area) for _, area in rows]))
+        for row, theta in zip(rows[k - 1 : k + 2], ("1e154", "2e154", "3e154")):
+            row[0] = theta
+        rows.append(["4e154", rows[0][1]])  # keeps the minimum interior
+        data = tmp_path / "far.csv"
+        data.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["infer-detuning", "--config", str(config_path), "--out", str(out), "--data", str(data)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (out / "detuning_fit.csv").exists()
+
     # each wrote inf in every area_sn_hz cell of thermometry.csv and locksweep.csv, and exited 0
     @pytest.mark.parametrize("changes, problem", [
         ({"c0_k_per_photon = 3.2e-4": "c0_k_per_photon = 1e300"},
@@ -1007,9 +1038,10 @@ def run_extreme_data(command, keep, repeat, edits):
             assert nonfinite_cells(Path(tmp) / "o") == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNoTraceback:
-    """Extreme numbers in the config or in the fits' data end in a clean exit 0-3, and
-    what an exit 0 writes is finite."""
+    """Extreme numbers in the config or in the fits' data end in a clean exit 0-3 with
+    no numpy warning, and what an exit 0 writes is finite."""
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -14,9 +14,10 @@ workload x end-to-end metric of ``BENCHMARK.json``, with the change of the
 medians against the metric's bound, the number of pairs the checkout won,
 and whether either side's interquartile range exceeds the bound, in which case
 the change cannot be told from the spread.  After the pairs, each side runs
-its Tier-1 suite once, with the command ``ROADMAP.md`` gives, in a child
-process; the ``tier1`` key holds per side its pass and fail counts, its wall
-time, the child's peak RSS and its five slowest tests.
+its Tier-1 suite once, with the command ``ROADMAP.md`` gives, as two child
+processes, ``-m sde`` and ``-m "not sde"``; the ``tier1`` key holds per side
+and marker the pass and fail counts, the wall time, the child's peak RSS and
+its five slowest tests.
 
 ``--diff A B`` reads two such files and prints, per workload x end-to-end
 metric, the change of the checkout's median from A to B against the metric's
@@ -24,7 +25,8 @@ bound, and the failed ops of each; it exits 1 when a resolved change is worse
 than its bound.  The two files may come from different sessions, so their
 medians carry the machine's drift between them; the last column repeats B's
 own change against its base, measured alongside, for comparison.  It then
-prints the Tier-1 rows of both files.
+prints the Tier-1 rows of both files; a file written before the split holds
+one row per side, for the whole suite, printed as ``all``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS, SEED = 10, 1
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]  # with PYTHONPATH=src, as in ROADMAP.md
+TIER1_MARKERS = ("sde", "not sde")  # the two halves each side's Tier-1 runs as
 
 
 def git(*args, cwd=ROOT):
@@ -68,13 +71,14 @@ def run_side(checkout, seconds, out):
     return {r["workload"]: r for r in records}
 
 
-def tier1(checkout):
-    """Run the Tier-1 suite of ``checkout`` once in a child process: its outcome
-    counts, wall time, peak RSS and five slowest tests, from pytest's summary."""
+def tier1(checkout, marker):
+    """Run the Tier-1 tests of ``checkout`` that ``-m marker`` selects once in a child
+    process: their outcome counts, wall time, peak RSS and five slowest tests, from
+    pytest's summary."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryFile("w+", encoding="utf-8") as log:
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, *TIER1, "--durations=5"], cwd=checkout, env=env,
+        child = subprocess.Popen([sys.executable, *TIER1, "-m", marker, "--durations=5"], cwd=checkout, env=env,
                                  stdout=log, stderr=subprocess.STDOUT)
         _, status, usage = os.wait4(child.pid, 0)  # the child's own rusage, unlike RUSAGE_CHILDREN
         wall = time.perf_counter() - start
@@ -125,11 +129,12 @@ def diff(path_a, path_b):
         failed = [sum(f["failed_ops"]["head"]) for f in (old_rows, rows) if "failed_ops" in f]
         print(f"{workload:<11}{'failed ops':<13}" + "".join(f"{n:>11d}" for n in failed))
     for label, bench in (("A", a), ("B", b)):
-        for side, row in bench.get("tier1", {}).items():
-            print(f"tier1 {label} {side}: {row['passed']} passed, {row['failed']} failed, {row['errors']} errors "
-                  f"in {row['wall_s']:.1f} s, peak RSS {row['peak_rss_mb']:.0f} MB")
-            for test in row["slowest"]:
-                print(f"    {test['seconds']:7.2f} s {test['phase']:<8} {test['test']}")
+        for side, rows in bench.get("tier1", {}).items():
+            for marker, row in ({"all": rows} if "passed" in rows else rows).items():
+                print(f"tier1 {label} {side} [{marker}]: {row['passed']} passed, {row['failed']} failed, "
+                      f"{row['errors']} errors in {row['wall_s']:.1f} s, peak RSS {row['peak_rss_mb']:.0f} MB")
+                for test in row["slowest"]:
+                    print(f"    {test['seconds']:7.2f} s {test['phase']:<8} {test['test']}")
     return worst
 
 
@@ -156,7 +161,7 @@ def main(argv=None):
             runs[side].append(run_side(sides[side], spec["run_seconds"], out))
             print(f"pair {k + 1}/{PAIRS}: {side} done", file=sys.stderr, flush=True)
 
-    suites = {side: tier1(sides[side]) for side in ("base", "head")}
+    suites = {side: {marker: tier1(sides[side], marker) for marker in TIER1_MARKERS} for side in ("base", "head")}
     env = runs["head"][0][spec["workloads"][0]["name"]]["env"]
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
