@@ -18,7 +18,9 @@ All file frequencies are ordinary Hz, all angles radians, floats carry
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -47,11 +49,11 @@ from .oracle import (
     InputCorrelationMatrix,
     OracleError,
     matrix_solve_spectrum,
-    plan_sde,
     sde_time_domain_psd,
 )
 
 FMT = "%.9g"
+WORD = np.dtype("<u8")  # the formatter's tables hold text in little-endian 8-byte words
 NEEDS_STABLE = ("spectrum", "densitymap", "quasistatic", "synth", "oracle-check")
 ORACLE_DRAWS = 1000  # random operating points oracle-check compares
 ORACLE_TOL = 1e-9  # largest relative error of the closed form it accepts
@@ -82,113 +84,117 @@ def _overflow(what, cold_finite, keys="[system]"):
 
 @functools.cache
 def _digit_tables():
-    """10**0 .. 10**22 (each exact in float64), the three ASCII digits of
-    each of 0..999 as a (3, 1000) table, and how many of those three digits
-    are left once trailing zeros are stripped (0 for 0)."""
-    g = np.arange(1000)
-    digits = (np.stack([g // 100, g // 10 % 10, g % 10]) + ord("0")).astype(np.uint8)
-    kept = np.where(g % 10, 3, np.where(g % 100, 2, np.where(g, 1, 0))).astype(np.int8)
-    return np.array([float(10**k) for k in range(23)]), digits, kept
+    """For the exponents e = -4 .. 8 that the formatter handles, at e + 4: 10**(8 - e); at
+    g + 1000 (e + 4) for g in 0..999 and each group j of three of the nine digits, the two words
+    holding g's ASCII digits at their places in the text (digit k at 1 + k + (k > e) after a sign
+    byte, the point at e + 2; for e < 0 at 2 - e + k after group 0's "0.000"[:1 - e]) and in byte
+    15 g's count n of significant digits as group j in unary, 2**(n - 1) - 1, whose OR over the
+    groups is the value's; at that + 1000 (e + 4), the masks keeping n digits and every integer one."""
+    g, exps = np.arange(1000, dtype=np.uint64), range(-4, 9)
+    words, masks = np.zeros((3, 2, len(exps), 1000), WORD), np.zeros((2, len(exps), 1000), WORD)
+    kept = 3 - (g % 10 == 0).astype(np.uint64) - (g % 100 == 0) - (g == 0) + np.uint64([[[0]], [[3]], [[6]]])
+    words[:, 1] = ((1 << kept * (g > 0)) - 1 >> 1) << 56
+    for i, e in enumerate(exps):
+        for k in range(9):
+            p = 2 - e + k if e < 0 else 1 + k + (k > e)
+            words[k // 3, p // 8, i] |= (g // 10 ** (2 - k % 3) % 10 + 48) << np.uint64(8 * (p % 8))
+        for p, c in enumerate(b"0.000"[: 1 - e], 1) if e < 0 else [(e + 2, ord("."))] if e < 8 else []:
+            words[0, p // 8, i] |= np.uint64(c << 8 * (p % 8))
+        for n in range(1, 10):
+            end = 2 - e + n if e < 0 else 1 + max(n, e + 1) + (n > e + 1)  # where the kept text ends
+            masks[:, i, 2 ** (n - 1) - 1] = [((1 << 8 * end) - 1) >> 64 * w & 2**64 - 1 for w in (0, 1)]
+    return np.array([float(10 ** (8 - e)) for e in exps]), words.reshape(3, 2, -1), masks.reshape(2, -1)
 
 
 def _format_table(x):
-    """``FMT % v`` for each v of ``x``, as a uint8 table of shape (W, *x.shape):
-    ``table[:, i]`` with its zero bytes removed is ``FMT % x[i]``.
+    """``FMT % v`` for each v of ``x`` as a table of shape (2, *x.shape) of
+    little-endian uint64 words: the 16 bytes of ``table[:, i]`` are
+    ``FMT % x[i]`` with zero bytes added.
 
     With e = floor(log10|v|), y = |v| 10**(8 - e) is one correctly rounded
     product (10**(8 - e) is exact), so |y - t| <= 6e-8 for the exact
-    t = |v| 10**(8 - e) in [1e8, 1e9).  The nine digits are then rint(y),
+    t = |v| 10**(8 - e) in [1e8, 1e9).  The nine digits m are then rint(y),
     which equals the correctly rounded (half-even) round(t) that dtoa
-    prints, unless frac(y) lies within 1e-6 of 1/2 or y within 1e-6 of 1e8
-    or at or above 1e9 - 1 (where the exponent may differ).  Those values,
-    |v| outside [1e-13, 1e9), zeros and non-finite values are formatted by
-    ``FMT %`` instead.  The digits come from a table of 0..999; the sign,
-    the point, the "0.000" prefix and the "e-XX" suffix follow %g."""
-    shape = np.shape(x)
-    x = np.asarray(x, dtype=float).ravel()
-    pow10, digits, kept = _digit_tables()
-    a = np.abs(x)
-    fast = (a >= 1e-13) & (a < 1e9)
-    a[~fast] = 1.0
-    # log10 can be one off only within ~1e-14 of a power of ten, where y
-    # lands within 1e-6 of 1e8 or 1e9 and the value goes to the fallback
-    e = np.floor(np.log10(a)).astype(np.int16)
-    y = a * pow10.take(8 - e, mode="clip")
-    fast &= (y >= 1e8 + 1e-6) & (y < 1e9 - 1) & (np.abs(y - np.floor(y) - 0.5) >= 1e-6)
-    y[~fast], e[~fast] = 1e8, 0  # placeholders, overwritten below
-    m = np.rint(y).astype(np.int32)
-    hi, mid = m // 1000000, m // 1000
-    groups = (hi, mid - 1000 * hi, m - 1000 * mid)
-    n_sig = np.where(
-        groups[2] > 0, 6 + kept[groups[2]],
-        np.where(groups[1] > 0, 3 + kept[groups[1]], kept[groups[0]]),
-    )
-    fixed = e >= -4  # %g: fixed point for exponents -4..8, else d.ddde-XX
-    keep = np.where(fixed, np.maximum(n_sig, e + 1), n_sig)  # integer digits stay
-    d9 = np.empty((9, len(x)), np.uint8)
-    for i, group in enumerate(groups):
-        digits.take(group, axis=1, out=d9[3 * i : 3 * i + 3])
-    for j in range(keep.min(initial=9), 9):
-        d9[j] *= keep > j
-    point = np.where(e >= 0, e, np.where(fixed, -1, 0))  # '.' after this digit
-    point[n_sig <= point + 1] = -1
-    lead = np.where(fixed & (e < 0), 1 - e, 0)  # bytes of the "0.000" prefix
-    negative = x < 0
-    rows = [negative * np.uint8(ord("-"))] if negative.any() else []
-    rows += [(lead > r) * np.uint8(c) for r, c in enumerate(b"0.000"[: lead.max(initial=0)])]
-    for j in range(keep.max(initial=0)):
-        rows.append(d9[j])
-        if (point == j).any():
-            rows.append((point == j) * np.uint8(ord(".")))
-    sci = ~fixed
-    if sci.any():
-        rows += [sci * np.uint8(c) for c in b"e-"]
-        rows += [sci * (ord("0") + d).astype(np.uint8) for d in divmod(-e, 10)]
-    slow = np.flatnonzero(~fast)
-    text = _text_table([FMT % v for v in x[slow].tolist()])
-    table = np.zeros((max(len(rows), len(text)), len(x)), np.uint8)
-    table[: len(rows)] = rows
-    table[:, slow] = 0
-    table[: len(text), slow] = text
-    return table.reshape(len(table), *shape)
+    prints, unless y lies within 1e-6 of a half-integer, or within 1e-6 of
+    1e8 or at or above 1e9 - 1 (where the exponent may differ).  Those values,
+    |v| outside [1e-4, 1e9) (written with "e"), zeros and non-finite values are
+    formatted by ``FMT %`` instead; the rest take their text from tables."""
+    shape, x = np.shape(x), np.asarray(x, dtype=float).ravel()
+    pow10, words, masks = _digit_tables()
+    w0, w1 = table = np.empty((2, len(x)), WORD)
+    # |v| outside [1e-4, 1e9), nan too, is clipped to an end (y = 1e8 or 1e9: the fallback), so nothing
+    # warns; log10 can be one off only within ~1e-14 of a power of ten, where y is within 1e-6 of 1e8 or 1e9
+    y = np.fmax(np.fmin(np.abs(x), 1e9), 1e-4)
+    e4 = (np.floor(np.log10(y)) + 4).astype(np.intp)  # e + 4
+    y *= pow10.take(e4, mode="clip")
+    m = np.rint(y)
+    fast = (y >= 1e8 + 1e-6) & (y < 1e9 - 1) & (np.abs(np.subtract(y, m, out=y), out=y) < 0.5 - 1e-6)
+    last = m.astype(np.intp)
+    middle = last // 1000
+    last -= 1000 * middle
+    first = middle // 1000  # 1000 at most
+    middle -= 1000 * first
+    e4 *= 1000
+    for group in (first, middle, last):
+        group += e4
+    for k, w in enumerate(table):
+        np.bitwise_or(words[0, k].take(first, mode="clip") | words[1, k].take(middle, mode="clip"),
+                      words[2, k].take(last, mode="clip"), out=w)
+    e4 += (w1 >> 56).view(np.intp)  # + the unary count of significant digits, from byte 15
+    for k, w in enumerate(table):  # %g drops trailing zeros, but not integer digits
+        w &= masks[k].take(e4, mode="clip")
+    np.bitwise_or(w0, ord("-"), out=w0, where=x < 0)
+    slow = np.flatnonzero(~fast)  # "%.9g" is at most 16 bytes long
+    if len(slow):
+        texts = [(FMT % s).encode() for s in x[slow].tolist()]
+        table[:, slow] = np.array(texts, "S16").view(WORD).reshape(-1, 2).T
+    return table.reshape(2, *shape)
 
 
 def _text_table(cells):
-    """The ASCII strings ``cells`` as a (W, n) uint8 table in the layout of
-    ``_format_table``: column i with its zero bytes removed is cells[i]."""
-    text = np.array([c.encode() for c in cells], dtype=bytes)
-    return text.view(np.uint8).reshape(-1, text.itemsize).T
+    """The ASCII strings ``cells`` as a (k, n) table in the layout of ``_format_table``."""
+    text = np.array([c.encode() for c in cells], "S")
+    return text.astype(f"S{-(-text.itemsize // 8) * 8}").view(WORD).reshape(len(text), -1).T
 
 
 def _number_columns(cols):
-    """The (W, n) tables of equal-length float columns, formatted in one call."""
+    """The tables of equal-length float columns, formatted in one call."""
     return list(np.moveaxis(_format_table(np.column_stack(cols)), -1, 0))
 
 
-def _csv_bytes(fields):
-    """CSV lines, ended by CRLF, from one byte table per column of shape
-    (W, *shape), the shapes broadcasting together, as ``_format_table``
-    returns them; the zero bytes are removed."""
+def _csv_bytes(fields, buf):
+    """CSV lines, ended by CRLF, from one word table per column of shape (k, *shape),
+    the shapes broadcasting together, as ``_format_table`` returns them.  Each column
+    is as wide as its widest cell, then its separator; a line is OR-ed together in
+    ``buf`` (reused from block to block) from the columns' words shifted to their
+    byte offsets, and the zero bytes are removed.  A column of the full shape starts
+    at a word boundary, as shifting it would cost passes over every cell."""
     shape = np.broadcast_shapes(*(f.shape[1:] for f in fields))
-    width = sum(len(f) for f in fields) + len(fields) + 1
-    table = np.empty((width, *shape), np.uint8)
-    at = 0
-    for f in fields:
-        table[at : at + len(f)] = f
-        at += len(f) + 1
-        table[at - 1] = ord(",")
-    table[at - 1] = ord("\r")
-    table[at] = ord("\n")
-    return table.reshape(width, -1).T.tobytes().translate(None, b"\0")
+    words, at = collections.defaultdict(list), 0  # per word of a line: the parts OR-ed into it
+    for k, f in enumerate(fields):
+        width = len(np.bitwise_or.reduce(f.reshape(len(f), -1), axis=1).astype(WORD).tobytes().rstrip(b"\0"))
+        q, r = divmod(-(-at // 8) * 8 if f.shape[1:] == shape else at, 8)
+        span = bytes(r + width) + (b"\r\n" if k == len(fields) - 1 else b",")
+        for j, sep in enumerate(np.frombuffer(span + bytes(-len(span) % 8), WORD)):
+            words[q + j] += [f[j] << 8 * r if r else f[j]] if j < len(f) else []
+            words[q + j] += ([f[j - 1] >> (64 - 8 * r)] if r and 0 < j <= len(f) else []) + ([sep] if sep else [])
+        at = 8 * q + len(span)
+    size = 8 * len(words) * math.prod(shape)
+    del buf[size:]
+    buf.extend(bytes(size - len(buf)))
+    lines = np.frombuffer(buf, WORD).reshape(*shape, len(words))
+    for k, (first, *rest) in words.items():  # the rest are the separator and broadcast parts: small
+        np.bitwise_or(first, functools.reduce(np.bitwise_or, rest, np.uint64(0)), out=lines[..., k])
+    return buf.translate(None, b"\0")
 
 
 def _write_csv(path, header, blocks):
     """The ``header`` line, then the ``_csv_bytes`` lines of each block of fields:
     the bytes ``csv.writer`` writes for cells with no comma, quote or line break."""
+    buf = bytearray()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for fields in blocks:
-            fh.write(_csv_bytes(fields))
+        fh.writelines(_csv_bytes(fields, buf) for fields in blocks)
 
 
 def write_spectrum_csv(path, trace: SpectrumTrace, components=None):
@@ -206,15 +212,14 @@ MAP_BLOCK = 1 << 13  # map values formatted and written at once (64 kB of float6
 
 
 def write_map_csv(path, sqmap):
-    """Long form theta_lock_rad,freq_hz,s_norm.  Angles and frequencies are formatted
-    once, the values in blocks of whole map rows of about MAP_BLOCK values."""
-    thetas = _format_table(sqmap.theta_locks[:, np.newaxis])
-    freqs = _format_table(sqmap.freqs[np.newaxis])
-    step = max(1, MAP_BLOCK // len(sqmap.freqs))
-    _write_csv(path, ["theta_lock_rad", "freq_hz", "s_norm"], (
-        [thetas[:, r : r + step], freqs, _format_table(sqmap.values[r : r + step])]
-        for r in range(0, len(sqmap.theta_locks), step)
-    ))
+    """Long form theta_lock_rad,freq_hz,s_norm.  Angles and frequencies are formatted once,
+    in one call, the values in blocks of whole map rows of about MAP_BLOCK values, all before
+    the first block is written, so that the formatter runs with its tables in cache."""
+    n, step = len(sqmap.theta_locks), max(1, MAP_BLOCK // len(sqmap.freqs))
+    thetas, freqs = np.split(_format_table(np.concatenate([sqmap.theta_locks, sqmap.freqs])), [n], axis=1)
+    values = [_format_table(sqmap.values[r : r + step]) for r in range(0, n, step)]
+    blocks = ([thetas[:, r : r + step, np.newaxis], freqs[:, np.newaxis], v] for r, v in zip(range(0, n, step), values))
+    _write_csv(path, ["theta_lock_rad", "freq_hz", "s_norm"], blocks)
 
 
 def write_fit_csv(path, pairs, residual_norm):
@@ -353,25 +358,13 @@ def _oracle_draws(params, seed, n_draws):
 
 def cmd_oracle_check(cfg: ScenarioConfig, outdir: Path):
     params = cfg.system
-    sde = cfg.sde_duration_s > 0
-    try:  # reject bad SDE settings before the draws run
-        if sde != (cfg.sde_dt_s > 0):
-            raise ValueError(
-                "both must be positive for an SDE trace or both <= 0 to skip it "
-                f"(got {cfg.sde_duration_s!r} and {cfg.sde_dt_s!r})"
-            )
-        if sde:
-            plan_sde(params, cfg.sde_duration_s, cfg.sde_dt_s)
-    except ValueError as exc:
-        print(f"config error: run.sde_duration_s / run.sde_dt_s: {exc}", file=sys.stderr)
-        return 1
     freqs, thetas, errs = _oracle_draws(params, cfg.seed, ORACLE_DRAWS)
     max_err = float(errs.max())
     _write_csv(outdir / "oracle_check.csv", ["freq_hz", "theta_rad", "rel_err"], [
         _number_columns([freqs, thetas, errs]),
         [_text_table(["max_rel_err"]), _text_table([""]), _format_table([max_err])],
     ])
-    if sde:
+    if cfg.sde_duration_s > 0:  # load_config checked the SDE settings
         trace = sde_time_domain_psd(
             params, nbar=0.0, theta=cfg.theta_lock_rad, duration=cfg.sde_duration_s,
             dt=cfg.sde_dt_s, seed=cfg.seed,

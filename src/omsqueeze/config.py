@@ -26,6 +26,7 @@ from .noise import (
     ExtraModeNoise,
     LaserNoiseModel,
 )
+from .oracle import plan_sde
 
 __all__ = ["ConfigError", "GridSpec", "ScenarioConfig", "load_config", "serialize_config", "default_config_text"]
 
@@ -265,6 +266,12 @@ def _build(values, problems):
                         ("run.theta_lock_rad", run_v["theta_lock_rad"])):
         if not math.isfinite(2 * angle):  # every spectrum reads e^(2i theta)
             problems.append(f"{name} = {angle!r}: twice the angle overflows a float")
+    sde = (run_v["sde_duration_s"], run_v["sde_dt_s"])  # both <= 0: no SDE trace
+    try:  # a growing Euler step raises OracleError: exit 2, as an unstable system does
+        if max(sde) > 0 and system is not None and not instability(system):
+            plan_sde(system, *sde)
+    except ValueError as exc:
+        problems.append(f"run.sde_duration_s, run.sde_dt_s: {exc}")
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(
@@ -295,8 +302,8 @@ def load_config_text(text, overrides=None) -> ScenarioConfig:
 
 
 def load_config(path, overrides=None) -> ScenarioConfig:
-    """Load and fully validate a config file; raises ConfigError listing
-    every missing key, unknown key, and invariant violation found."""
+    """Load and fully validate a config file; raises ConfigError listing every missing
+    key, unknown key, and invariant violation found (OracleError: a growing SDE step)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

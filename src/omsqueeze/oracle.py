@@ -162,9 +162,9 @@ def plan_sde(params: SystemParams, duration, dt, freq_bins=None, segment_samples
         raise OracleError(problem)
     omega_m, gamma = params.omega_m, params.gamma
     adiabatic = _adiabatic(params)
-    if dt > 0.01 / (omega_m if adiabatic else params.optical.kappa):
+    if not 0 < dt <= 0.01 / (omega_m if adiabatic else params.optical.kappa):
         raise ValueError(
-            f"dt={dt:g} violates the step-size precondition dt <= 0.01/{'omega_m' if adiabatic else 'kappa'}"
+            f"dt={dt:g} violates the step-size precondition 0 < dt <= 0.01/{'omega_m' if adiabatic else 'kappa'}"
         )
     if adiabatic:
         growth, label = abs(1.0 - gamma * dt / 2.0), "|1 - gamma dt/2|"

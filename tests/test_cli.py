@@ -385,7 +385,7 @@ class TestCliCommands:
 
 def formatted(table):
     """The strings held by the columns of a ``cli._format_table`` table."""
-    return [bytes(column).replace(b"\0", b"").decode() for column in table.T]
+    return [column.astype("<u8").tobytes().replace(b"\0", b"").decode() for column in table.T]
 
 
 class CountingFormat(str):
@@ -398,6 +398,7 @@ class CountingFormat(str):
         return str.__mod__(self, value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFormatTable:
     EDGES = [
         0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
@@ -425,6 +426,43 @@ class TestFormatTable:
             self.EDGES, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
         ])
         assert formatted(cli._format_table(values)) == ["%.9g" % v for v in values.tolist()]
+
+    def test_every_fixed_point_layout_without_fallback(self, monkeypatch):
+        # each exponent of "%g"'s fixed-point form, each count of significant
+        # digits, zeros inside and at the end of the digits, and both signs
+        digits = ["2", "12", "103", "1234", "12005", "123456", "1000007", "12345678", "123456789", "100000001"]
+        values = np.array([sign * float(d) * 10.0 ** (e + 1 - len(d))
+                           for e in range(-4, 9) for d in digits for sign in (1, -1)])
+        monkeypatch.setattr(cli, "FMT", CountingFormat(cli.FMT))
+        CountingFormat.calls = 0
+        table = cli._format_table(values)
+        assert CountingFormat.calls == 0
+        assert formatted(table) == ["%.9g" % v for v in values.tolist()]
+
+    def test_ragged_map_csv_matches_csv_writer(self, tmp_path):
+        # row blocks that do not divide the map; zero angles, signs, e-XX values,
+        # values of 1e9 and more, and ties next to the rounding of "%.9g"
+        rows, n_theta = cli.MAP_BLOCK // 3 - 7, 7  # blocks of 3, 3 and 1 map rows
+        assert n_theta % (cli.MAP_BLOCK // rows) != 0
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((n_theta, rows)) * 10.0 ** rng.integers(-12, 12, (n_theta, rows))
+        specials = [0.0, -0.0, 1.5e-7, -2.25e-8, 1e9, 3.5e12, -1e9, 123456789.5, 0.1234567895,
+                    -9.999999995e-5, 99999999.95, 1e-13, 5e-324]
+        values.flat[:: len(specials) + 1][: len(specials)] = specials
+        sqmap = SqueezingMap(
+            theta_locks=np.append(np.linspace(-1.0, 1.0, n_theta - 1), 0.0), freqs=np.linspace(0.0, 4e7, rows),
+            values=values,
+        )
+        write_map_csv(tmp_path / "fast.csv", sqmap)
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["theta_lock_rad", "freq_hz", "s_norm"])
+            w.writerows(
+                ["%.9g" % t, "%.9g" % f, "%.9g" % sqmap.values[i, j]]
+                for i, t in enumerate(sqmap.theta_locks)
+                for j, f in enumerate(sqmap.freqs)
+            )
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_default_map_csv_matches_csv_writer(self, config_path, tmp_path):
         # 61 x 501 values: several row blocks of write_map_csv
@@ -567,9 +605,12 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and message in err
+        assert err.strip().splitlines()[0] == "config invalid:"
+        assert len(err.strip().splitlines()) == 2 and message in err
+        assert "run.sde_duration_s, run.sde_dt_s" in err
         assert "Traceback" not in err
         assert not (out / "oracle_check.csv").exists()
+        assert not (out / "resolved_config.ini").exists()
 
     @pytest.mark.parametrize(
         "duration, dt",
@@ -586,11 +627,13 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "run.sde_duration_s" in err and "run.sde_dt_s" in err
+        assert err.strip().splitlines()[0] == "config invalid:"
+        assert len(err.strip().splitlines()) == 2
+        assert "run.sde_duration_s, run.sde_dt_s" in err
         assert "Traceback" not in err
         assert not (out / "oracle_check.csv").exists()
         assert not (out / "sde_trace.csv").exists()
+        assert not (out / "resolved_config.ini").exists()
 
     @pytest.mark.parametrize("override, old, new", [
         (["--n-c", "1e300"], "", ""),

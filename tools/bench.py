@@ -14,10 +14,16 @@ workload x end-to-end metric of ``BENCHMARK.json``, with the change of the
 medians against the metric's bound, the number of pairs the checkout won,
 and whether either side's interquartile range exceeds the bound, in which case
 the change cannot be told from the spread.  After the pairs, each side runs
-its Tier-1 suite once, with the command ``ROADMAP.md`` gives, as two child
-processes, ``-m sde`` and ``-m "not sde"``; the ``tier1`` key holds per side
-and marker the pass and fail counts, the wall time, the child's peak RSS and
-its five slowest tests.
+the seven CLI commands on ``configs/default.ini`` and an SDE-tracing
+``oracle-check`` (``sde_duration_s = 6e-3``, ``sde_dt_s = 5e-11``), each in
+its own child process, 5 times, alternating which side runs first; the
+``commands`` key holds per side and command every run's wall time and the
+child's peak RSS (``ru_maxrss`` from ``os.wait4``), their medians and the exit
+codes.  Then each side runs its Tier-1 suite 3 times, alternating sides, with
+the command ``ROADMAP.md`` gives, as two child processes, ``-m sde`` and
+``-m "not sde"``; the ``tier1`` key holds per side and marker every run's pass
+and fail counts, wall time, peak RSS and five slowest tests, and the median
+wall time and peak RSS.
 
 ``--diff A B`` reads two such files and prints, per workload x end-to-end
 metric, the change of the checkout's median from A to B against the metric's
@@ -25,8 +31,10 @@ bound, and the failed ops of each; it exits 1 when a resolved change is worse
 than its bound.  The two files may come from different sessions, so their
 medians carry the machine's drift between them; the last column repeats B's
 own change against its base, measured alongside, for comparison.  It then
-prints the Tier-1 rows of both files; a file written before the split holds
-one row per side, for the whole suite, printed as ``all``.
+prints the per-command rows of the files that hold them and the Tier-1 rows
+of both files: the median and each run where there are several, else the one
+run; a file written before the split holds one row per side, for the whole
+suite, printed as ``all``.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS, SEED = 10, 1
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]  # with PYTHONPATH=src, as in ROADMAP.md
 TIER1_MARKERS = ("sde", "not sde")  # the two halves each side's Tier-1 runs as
+TIER1_RUNS, COMMAND_RUNS = 3, 5
+COMMANDS = ("synth", "spectrum", "densitymap", "quasistatic", "oracle-check", "thermometry-fit", "infer-detuning")
+FIT_DATA = {"thermometry-fit": "thermometry.csv", "infer-detuning": "locksweep.csv"}
+SDE_RUN = "sde_duration_s = 6e-3\nsde_dt_s = 5e-11\n"  # as tools/csv_digest.py runs it
 
 
 def git(*args, cwd=ROOT):
@@ -71,18 +83,39 @@ def run_side(checkout, seconds, out):
     return {r["workload"]: r for r in records}
 
 
+def child(argv, checkout, **kwargs):
+    """Run ``argv`` in ``checkout`` with its ``src`` on the path; its exit code,
+    wall time and peak RSS (MB), from the child's own rusage."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=checkout, env=env, **kwargs)
+    _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage, unlike RUSAGE_CHILDREN
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss / 1024
+
+
+def commands(checkout, work):
+    """Each CLI command on ``configs/default.ini``, and an SDE-tracing
+    ``oracle-check``, once in its own child process: {name: (exit, wall, rss)}."""
+    default = checkout / "configs" / "default.ini"
+    sde = work / "sde.ini"
+    sde.write_text(default.read_text(encoding="utf-8").rstrip("\n") + "\n" + SDE_RUN, encoding="utf-8")
+    rows = {}
+    for name, config in [(c, default) for c in COMMANDS] + [("oracle-check-sde", sde)]:
+        command = name.removesuffix("-sde")
+        argv = [sys.executable, "-m", "omsqueeze.cli", command, "--config", str(config), "--out", str(work / name)]
+        if command in FIT_DATA:
+            argv += ["--data", str(work / "synth" / FIT_DATA[command])]
+        rows[name] = child(argv, checkout, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return rows
+
+
 def tier1(checkout, marker):
     """Run the Tier-1 tests of ``checkout`` that ``-m marker`` selects once in a child
     process: their outcome counts, wall time, peak RSS and five slowest tests, from
     pytest's summary."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryFile("w+", encoding="utf-8") as log:
-        start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, *TIER1, "-m", marker, "--durations=5"], cwd=checkout, env=env,
-                                 stdout=log, stderr=subprocess.STDOUT)
-        _, status, usage = os.wait4(child.pid, 0)  # the child's own rusage, unlike RUSAGE_CHILDREN
-        wall = time.perf_counter() - start
-        child.returncode = os.waitstatus_to_exitcode(status)
+        code, wall, rss = child([sys.executable, *TIER1, "-m", marker, "--durations=5"], checkout,
+                                stdout=log, stderr=subprocess.STDOUT)
         log.seek(0)
         lines = log.read().splitlines()
     counts = dict.fromkeys(("passed", "failed", "errors"), 0)
@@ -90,8 +123,7 @@ def tier1(checkout, marker):
         counts["errors" if word == "error" else word] += int(n)
     slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
                for m in map(re.compile(r"([\d.]+)s (call|setup|teardown) +(.+)").fullmatch, lines) if m]
-    return {**counts, "exit_code": child.returncode, "wall_s": wall,
-            "peak_rss_mb": usage.ru_maxrss / 1024, "slowest": slowest[:5]}
+    return {**counts, "exit_code": code, "wall_s": wall, "peak_rss_mb": rss, "slowest": slowest[:5]}
 
 
 def summary(values):
@@ -129,12 +161,22 @@ def diff(path_a, path_b):
         failed = [sum(f["failed_ops"]["head"]) for f in (old_rows, rows) if "failed_ops" in f]
         print(f"{workload:<11}{'failed ops':<13}" + "".join(f"{n:>11d}" for n in failed))
     for label, bench in (("A", a), ("B", b)):
+        for side, rows in bench.get("commands", {}).items():
+            for name, row in rows.items():
+                print(f"command {label} {side} {name:<17} median {row['wall_s']['median']:.3f} s, "
+                      f"{row['peak_rss_mb']['median']:.1f} MB; runs "
+                      + " ".join(f"{w:.3f}" for w in row["wall_s"]["runs"]) + f"; exit {row['exit_codes']}")
+    for label, bench in (("A", a), ("B", b)):
         for side, rows in bench.get("tier1", {}).items():
             for marker, row in ({"all": rows} if "passed" in rows else rows).items():
-                print(f"tier1 {label} {side} [{marker}]: {row['passed']} passed, {row['failed']} failed, "
-                      f"{row['errors']} errors in {row['wall_s']:.1f} s, peak RSS {row['peak_rss_mb']:.0f} MB")
-                for test in row["slowest"]:
-                    print(f"    {test['seconds']:7.2f} s {test['phase']:<8} {test['test']}")
+                runs = row.get("runs", [row])
+                print(f"tier1 {label} {side} [{marker}]: median {statistics.median(r['wall_s'] for r in runs):.1f} s, "
+                      f"peak RSS {statistics.median(r['peak_rss_mb'] for r in runs):.0f} MB over {len(runs)} run(s)")
+                for run in runs:
+                    print(f"  {run['passed']} passed, {run['failed']} failed, {run['errors']} errors in "
+                          f"{run['wall_s']:.1f} s, peak RSS {run['peak_rss_mb']:.0f} MB")
+                    for test in run["slowest"]:
+                        print(f"    {test['seconds']:7.2f} s {test['phase']:<8} {test['test']}")
     return worst
 
 
@@ -161,7 +203,23 @@ def main(argv=None):
             runs[side].append(run_side(sides[side], spec["run_seconds"], out))
             print(f"pair {k + 1}/{PAIRS}: {side} done", file=sys.stderr, flush=True)
 
-    suites = {side: {marker: tier1(sides[side], marker) for marker in TIER1_MARKERS} for side in ("base", "head")}
+    calls = {"base": [], "head": []}
+    for k in range(COMMAND_RUNS):
+        for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
+            with tempfile.TemporaryDirectory() as work:
+                calls[side].append(commands(sides[side], Path(work)))
+    per_command = {side: {name: {"wall_s": summary([r[name][1] for r in runs]),
+                                 "peak_rss_mb": summary([r[name][2] for r in runs]),
+                                 "exit_codes": sorted({r[name][0] for r in runs})} for name in runs[0]}
+                   for side, runs in calls.items()}
+    suites = {side: {marker: [] for marker in TIER1_MARKERS} for side in ("base", "head")}
+    for k in range(TIER1_RUNS):
+        for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
+            for marker in TIER1_MARKERS:
+                suites[side][marker].append(tier1(sides[side], marker))
+    suites = {side: {marker: {"runs": runs, "median_wall_s": statistics.median(r["wall_s"] for r in runs),
+                              "median_peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
+                     for marker, runs in rows.items()} for side, rows in suites.items()}
     env = runs["head"][0][spec["workloads"][0]["name"]]["env"]
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -185,7 +243,7 @@ def main(argv=None):
         "cpu_model": env["cpu_model"], "nproc": env["nproc"],
         "seed": SEED, "seconds": spec["run_seconds"], "pairs": PAIRS,
         "order": "pair k runs the base first for even k, the checkout first for odd k",
-        "workloads": workloads, "tier1": suites,
+        "workloads": workloads, "commands": per_command, "tier1": suites,
     }
     args.json.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
