@@ -22,7 +22,6 @@ import collections
 import functools
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,17 +229,27 @@ def write_fit_csv(path, pairs, residual_norm):
 
 
 def _read_columns(path, names):
-    """Named columns of a CSV with a header row, as float arrays."""
+    """Named columns of a CSV with a header row, as float arrays.  The first line
+    that is not blank is the header, a leading ``#`` dropped (``np.savetxt``
+    writes one); its names, stripped of blanks and double quotes, pick the
+    columns in any order.  Later blank lines and ``#`` comments are skipped."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # genfromtxt only warns on an empty file
-            data = np.genfromtxt(path, delimiter=",", names=True)
-    except (ValueError, UserWarning) as exc:  # also ragged rows and bad UTF-8
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not a name
+            first = next((line for line in fh if line.strip()), "")
+            header = [name.strip().strip('"') for name in first.strip().removeprefix("#").split(",")]
+            rows = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
+        if header == [""]:
+            raise ValueError("no header row")
+        # loadtxt warns on no rows: a header-only file reads as zero rows
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, len(header)))
+        if data.shape[1] != len(header):
+            raise ValueError(f"{len(header)} names in the header, {data.shape[1]} cells in each row")
+    except ValueError as exc:  # also ragged rows, cells that are not numbers and bad UTF-8
         raise DataError(f"{path}: unreadable CSV: {' '.join(str(exc).split())}") from None
-    missing = [n for n in names if n not in (data.dtype.names or ())]
+    missing = [n for n in names if n not in header]
     if missing:
         raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-    cols = [np.atleast_1d(data[n]) for n in names]
+    cols = [data[:, header.index(n)] for n in names]
     if not all(np.all(np.isfinite(c)) for c in cols):
         raise DataError(f"{path}: empty or non-numeric values in {', '.join(names)}")
     return cols

@@ -10,9 +10,9 @@ load/serialize round trip is idempotent.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +119,47 @@ class ScenarioConfig:
         return self.scenario.system
 
 
+_KEY_VALUE = re.compile(r"([^=:]*)[=:](.*)")  # split at the first '=' or ':'
+
+
 def _parse_sections(text):
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError([f"parse error: {exc}"]) from None
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    """``{section: {key: value}}`` of INI text in the grammar the program writes and
+    reads: ``[section]`` headers; ``key = value`` or ``key: value`` lines, split at
+    the first ``=`` or ``:``, the key lower-cased and both sides stripped; whole-line
+    ``#`` and ``;`` comments and blank lines.  Any other line (an indented one, text
+    after a header's ``]``), a duplicate section or a duplicate key is a ConfigError
+    naming the first such line."""
+    sections, name = {}, None
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        pair = _KEY_VALUE.fullmatch(stripped)
+        key = pair[1].rstrip().lower() if pair else ""
+        if line[0].isspace():
+            problem = f"indented line {stripped!r}: every key starts its line and every value fits on it"
+        elif stripped[0] == "[":
+            if stripped[-1] != "]" or len(stripped) == 2:
+                problem = f"{stripped!r} is not a [section] header"
+            elif stripped[1:-1] in sections:
+                problem = f"duplicate section {stripped}"
+            else:
+                name = stripped[1:-1]
+                sections[name] = {}
+                continue
+        elif not pair:
+            problem = f"{stripped!r} is neither '[section]' nor 'key = value'"
+        elif not key:
+            problem = f"empty key in {stripped!r}"
+        elif name is None:
+            problem = f"key {key!r} before any [section]"
+        elif key in sections[name]:
+            problem = f"duplicate key {name}.{key}"
+        else:
+            sections[name][key] = pair[2].strip()
+            continue
+        raise ConfigError([f"parse error: line {number}: {problem}"])
+    return sections
 
 
 def _number(key, raw):
@@ -305,7 +339,7 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     """Load and fully validate a config file; raises ConfigError listing every missing
     key, unknown key, and invariant violation found (OracleError: a growing SDE step)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not text
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from None

@@ -1,6 +1,8 @@
+import codecs
 import configparser
 import csv
 import functools
+import string
 import struct
 import tempfile
 from pathlib import Path
@@ -21,6 +23,7 @@ from omsqueeze.cli import (
 )
 from omsqueeze.config import (
     ConfigError,
+    _parse_sections,
     default_config_text,
     load_config,
     load_config_text,
@@ -58,6 +61,33 @@ def small_sde_config(tmp_path, duration, dt):
     cfg = tmp_path / "small.ini"
     cfg.write_text(text, encoding="utf-8")
     return cfg
+
+
+def configparser_sections(text):
+    """``{section: {key: value}}`` of ``text`` as ``configparser`` reads it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {s: dict(parser.items(s)) for s in parser.sections()}
+
+
+INI_NAMES = st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=12)
+INI_BLANKS = st.sampled_from(["", " ", "\t", " \t  "])
+INI_FILLER = st.lists(st.sampled_from(["", "   ", "\t", "# note", "; note", ";x = 1", "  # indented note"]), max_size=2)
+
+
+@st.composite
+def ini_texts(draw):
+    """INI text in the config reader's grammar: sections and keys in any order,
+    mixed-case keys, ``=`` or ``:`` with blanks or tabs around it, any one-line
+    value, blank and comment lines, each line ended by LF or CRLF."""
+    lines = draw(INI_FILLER)
+    for section in draw(st.lists(INI_NAMES.filter(lambda s: s != "DEFAULT"), unique=True, max_size=4)):
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(INI_NAMES, unique_by=str.lower, max_size=5)):
+            value = draw(st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\n"), max_size=12))
+            lines.append(key + draw(INI_BLANKS) + draw(st.sampled_from("=:")) + draw(INI_BLANKS) + value)
+            lines += draw(INI_FILLER)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
 
 
 class TestConfig:
@@ -189,6 +219,11 @@ class TestConfig:
         shipped = Path(__file__).parents[1] / "configs" / "default.ini"
         assert shipped.read_text(encoding="utf-8") == default_config_text()
         load_config(shipped)  # validates
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=ini_texts())
+    def test_reader_matches_configparser(self, text):
+        assert _parse_sections(text) == configparser_sections(text)
 
 
 class TestCliCommands:
@@ -1006,6 +1041,99 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.splitlines() == ["config invalid:", f"  - {problem}"]
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.ini"]
 
+    @pytest.mark.parametrize("old, new, problem", [
+        ("n_c = 790", "n_c 790", "line 9: 'n_c 790' is neither '[section]' nor 'key = value'"),
+        ("n_c = 790", "= 790", "line 9: empty key in '= 790'"),
+        ("[system]", "seed = 1\n[system]", "line 1: key 'seed' before any [section]"),
+        ("[run]", "[grid]\n[run]", "line 35: duplicate section [grid]"),
+        ("n_c = 790", "n_c = 790\nN_C: 791", "line 10: duplicate key system.n_c"),
+    ], ids=["no-delimiter", "empty-key", "key-before-section", "duplicate-section", "duplicate-key"])
+    def test_malformed_config_line_exit_1(self, tmp_path, capsys, old, new, problem):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(default_config_text().replace(old, new, 1), encoding="utf-8")
+        assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config invalid:", f"  - parse error: {problem}"]
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("[run]", "[run] ; acquisition", "parse error: line 35: '[run] ; acquisition' is not a [section] header"),
+        ("[run]", "[DEFAULT]\n[run]", "unknown section [DEFAULT]"),
+        ("n_c = 790", "n_c = 7\n  90", "parse error: line 10: indented line '90': "
+                                          "every key starts its line and every value fits on it"),
+        ("seed = 12345", "  seed = 12345", "parse error: line 36: indented line 'seed = 12345': "
+                                             "every key starts its line and every value fits on it"),
+    ], ids=["text-after-header", "default-section", "continuation-line", "indented-key"])
+    def test_narrowed_config_grammar_exit_1(self, tmp_path, capsys, old, new, problem):
+        """Lines that configparser read but the config reader does not accept."""
+        text = default_config_text().replace(old, new, 1)
+        configparser_sections(text)  # no error
+        bad = tmp_path / "narrowed.ini"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config invalid:", f"  - {problem}"]
+
+    FITS = ("thermometry-fit", "infer-detuning")
+    CSV_CORPUS = {  # name: (the file from the good file's lines, exit code of each of FITS)
+        "header only": (lambda lines: lines[0] + "\n", 3, 2),
+        "zero bytes": (lambda lines: "", 3, 3),
+        "ragged short row": (lambda lines: "\n".join([*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]]), 3, 3),
+        "ragged long row": (lambda lines: "\n".join([*lines[:2], lines[2] + ",1", *lines[3:]]), 3, 3),
+        "text cell": (lambda lines: "\n".join([*lines[:2], "x" + lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
+        "empty cell": (lambda lines: "\n".join([*lines[:2], lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
+        "nan cell": (lambda lines: "\n".join([*lines[:2], "nan" + lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
+        "quoted header": (lambda lines: "\n".join([",".join(f'"{n}"' for n in lines[0].split(",")), *lines[1:]]), 0, 0),
+        "CRLF": (lambda lines: "\r\n".join(lines) + "\r\n", 0, 0),
+        "trailing blank lines": (lambda lines: "\n".join(lines) + "\n\n  \n\n", 0, 0),
+        "# line": (lambda lines: "\n".join([*lines[:2], "# a note", *lines[2:]]), 0, 0),
+        "# header": (lambda lines: "\n".join(["# " + lines[0], *lines[1:]]), 0, 0),
+        "leading blank line": (lambda lines: "\n" + "\n".join(lines), 0, 0),
+        "reordered columns": (lambda lines: "\n".join(",".join(line.split(",")[::-1]) for line in lines), 0, 0),
+        "extra columns": (lambda lines: "\n".join(line + (",extra" if i == 0 else ",7") for i, line in enumerate(lines)), 0, 0),
+    }
+
+    @pytest.mark.parametrize("command", FITS)
+    @pytest.mark.parametrize("case", sorted(CSV_CORPUS))
+    def test_data_csv_corpus(self, tmp_path, capsys, command, case):
+        """Each file exits as it did under numpy's genfromtxt; a failure prints one line that
+        names the file once (exit 3) or not at all (exit 2), and an exit 0 writes what the
+        plain file gives."""
+        make, *codes = self.CSV_CORPUS[case]
+        code = codes[self.FITS.index(command)]
+        cfg = tmp_path / "default.ini"
+        cfg.write_text(default_config_text(), encoding="utf-8")
+        lines = [",".join(row) for row in [DATA_COLUMNS[command], *synthetic_rows()[command]]]
+        outputs = []
+        for name, text in (("plain.csv", "\n".join(lines) + "\n"), ("case.csv", make(lines))):
+            data = tmp_path / name
+            data.write_bytes(text.encode())
+            out = tmp_path / name.removesuffix(".csv")
+            rc = main([command, "--config", str(cfg), "--out", str(out), "--data", str(data)])
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if code:
+            assert len(err.splitlines()) == 1 and err.count(str(data)) == (code == 3), err
+            assert "TextIOWrapper" not in err
+        else:
+            assert err == "" and outputs[0] == outputs[1]
+
+    def test_byte_order_mark_is_skipped(self, config_path, tmp_path):
+        """A config and a data CSV that start with a UTF-8 byte-order mark give the
+        bytes that the same files without one give."""
+        bom_cfg = tmp_path / "bom.ini"
+        bom_cfg.write_bytes(codecs.BOM_UTF8 + config_path.read_bytes())
+        runs = {}
+        for label, cfg in (("plain", config_path), ("bom", bom_cfg)):
+            out = tmp_path / label
+            assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+            for command, name in TestColdStart.FIT_DATA.items():
+                data = out / name
+                if label == "bom":
+                    data = tmp_path / f"bom-{name}"
+                    data.write_bytes(codecs.BOM_UTF8 + (out / name).read_bytes())
+                assert main([command, "--config", str(cfg), "--out", str(out), "--data", str(data)]) == 0
+            runs[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(runs["bom"]) == sorted(runs["plain"]) and runs["bom"] == runs["plain"]
+
 
 EXTREMES = ["1e-300", "5e-324", "1e-154", "1e154", "1e300", "1e308", "-1e300", "0", "-1"]
 
@@ -1123,21 +1251,21 @@ class TestNoTraceback:
 
 
 class TestColdStart:
-    """No module of the package imports scipy, so no command loads it, an
-    oracle-check that writes an SDE trace included."""
+    """No module of the package imports scipy or configparser, so no command
+    loads either, an oracle-check that writes an SDE trace included."""
 
     SCRIPT = (
         "import json, sys\n"
         "import omsqueeze, omsqueeze.cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert omsqueeze.cli.main(argv) == 0, argv\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('scipy', 'configparser')))))\n"
     )
 
     @classmethod
-    def scipy_modules_after(cls, *calls):
-        """The ``scipy*`` modules loaded by a fresh interpreter that imports
-        omsqueeze and runs each of ``calls`` through ``cli.main``."""
+    def unwanted_modules_after(cls, *calls):
+        """The ``scipy*`` and ``configparser`` modules loaded by a fresh interpreter
+        that imports omsqueeze and runs each of ``calls`` through ``cli.main``."""
         import json
         import os
         import subprocess
@@ -1156,7 +1284,7 @@ class TestColdStart:
         return set(json.loads(proc.stdout.splitlines()[-1]))
 
     def test_import_loads_no_scipy(self):
-        assert self.scipy_modules_after() == set()
+        assert self.unwanted_modules_after() == set()
 
     FIT_DATA = {"thermometry-fit": "thermometry.csv", "infer-detuning": "locksweep.csv"}
 
@@ -1171,12 +1299,12 @@ class TestColdStart:
         if command in self.FIT_DATA:
             assert main(["synth", *common, "--n-c", "50"]) == 0
             argv += ["--n-c", "50", "--data", str(out / self.FIT_DATA[command])]
-        assert self.scipy_modules_after(argv) == set()
+        assert self.unwanted_modules_after(argv) == set()
 
     def test_sde_trace_loads_no_scipy(self, tmp_path):
         cfg = small_sde_config(tmp_path, duration=1.2e-3, dt=1.5e-9)
         out = tmp_path / "o"
-        assert self.scipy_modules_after(["oracle-check", "--config", str(cfg), "--out", str(out)]) == set()
+        assert self.unwanted_modules_after(["oracle-check", "--config", str(cfg), "--out", str(out)]) == set()
         assert (out / "sde_trace.csv").exists()
 
 

@@ -19,11 +19,12 @@ the seven CLI commands on ``configs/default.ini`` and an SDE-tracing
 its own child process, 5 times, alternating which side runs first; the
 ``commands`` key holds per side and command every run's wall time and the
 child's peak RSS (``ru_maxrss`` from ``os.wait4``), their medians and the exit
-codes.  Then each side runs its Tier-1 suite 3 times, alternating sides, with
-the command ``ROADMAP.md`` gives, as two child processes, ``-m sde`` and
-``-m "not sde"``; the ``tier1`` key holds per side and marker every run's pass
-and fail counts, wall time, peak RSS and five slowest tests, and the median
-wall time and peak RSS.
+codes, and beside each wall time the child's CPU time (``ru_utime +
+ru_stime``), which the machine's other load sways less.  Then each side runs
+its Tier-1 suite 3 times, alternating sides, with the command ``ROADMAP.md``
+gives, as two child processes, ``-m sde`` and ``-m "not sde"``; the ``tier1``
+key holds per side and marker every run's pass and fail counts, wall and CPU
+time, peak RSS and five slowest tests, and the median wall time and peak RSS.
 
 ``--diff A B`` reads two such files and prints, per workload x end-to-end
 metric, the change of the checkout's median from A to B against the metric's
@@ -33,8 +34,8 @@ medians carry the machine's drift between them; the last column repeats B's
 own change against its base, measured alongside, for comparison.  It then
 prints the per-command rows of the files that hold them and the Tier-1 rows
 of both files: the median and each run where there are several, else the one
-run; a file written before the split holds one row per side, for the whole
-suite, printed as ``all``.
+run, with CPU times where the file holds them; a file written before the
+split holds one row per side, for the whole suite, printed as ``all``.
 """
 
 from __future__ import annotations
@@ -85,17 +86,18 @@ def run_side(checkout, seconds, out):
 
 def child(argv, checkout, **kwargs):
     """Run ``argv`` in ``checkout`` with its ``src`` on the path; its exit code,
-    wall time and peak RSS (MB), from the child's own rusage."""
+    wall time, peak RSS (MB) and CPU time (user + system), from the child's own rusage."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=checkout, env=env, **kwargs)
     _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage, unlike RUSAGE_CHILDREN
-    return os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss / 1024
+    wall = time.perf_counter() - start
+    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime
 
 
 def commands(checkout, work):
     """Each CLI command on ``configs/default.ini``, and an SDE-tracing
-    ``oracle-check``, once in its own child process: {name: (exit, wall, rss)}."""
+    ``oracle-check``, once in its own child process: {name: (exit, wall, rss, cpu)}."""
     default = checkout / "configs" / "default.ini"
     sde = work / "sde.ini"
     sde.write_text(default.read_text(encoding="utf-8").rstrip("\n") + "\n" + SDE_RUN, encoding="utf-8")
@@ -111,11 +113,11 @@ def commands(checkout, work):
 
 def tier1(checkout, marker):
     """Run the Tier-1 tests of ``checkout`` that ``-m marker`` selects once in a child
-    process: their outcome counts, wall time, peak RSS and five slowest tests, from
-    pytest's summary."""
+    process: their outcome counts, wall and CPU time, peak RSS and five slowest tests,
+    from pytest's summary."""
     with tempfile.TemporaryFile("w+", encoding="utf-8") as log:
-        code, wall, rss = child([sys.executable, *TIER1, "-m", marker, "--durations=5"], checkout,
-                                stdout=log, stderr=subprocess.STDOUT)
+        code, wall, rss, cpu = child([sys.executable, *TIER1, "-m", marker, "--durations=5"], checkout,
+                                     stdout=log, stderr=subprocess.STDOUT)
         log.seek(0)
         lines = log.read().splitlines()
     counts = dict.fromkeys(("passed", "failed", "errors"), 0)
@@ -123,7 +125,7 @@ def tier1(checkout, marker):
         counts["errors" if word == "error" else word] += int(n)
     slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
                for m in map(re.compile(r"([\d.]+)s (call|setup|teardown) +(.+)").fullmatch, lines) if m]
-    return {**counts, "exit_code": code, "wall_s": wall, "peak_rss_mb": rss, "slowest": slowest[:5]}
+    return {**counts, "exit_code": code, "wall_s": wall, "cpu_s": cpu, "peak_rss_mb": rss, "slowest": slowest[:5]}
 
 
 def summary(values):
@@ -163,9 +165,13 @@ def diff(path_a, path_b):
     for label, bench in (("A", a), ("B", b)):
         for side, rows in bench.get("commands", {}).items():
             for name, row in rows.items():
-                print(f"command {label} {side} {name:<17} median {row['wall_s']['median']:.3f} s, "
-                      f"{row['peak_rss_mb']['median']:.1f} MB; runs "
-                      + " ".join(f"{w:.3f}" for w in row["wall_s"]["runs"]) + f"; exit {row['exit_codes']}")
+                cpu = row.get("cpu_s")  # files before BENCH_pr28.json hold wall times only
+                print(f"command {label} {side} {name:<17} median {row['wall_s']['median']:.3f} s"
+                      + (f" wall, {cpu['median']:.3f} s CPU" if cpu else "")
+                      + f", {row['peak_rss_mb']['median']:.1f} MB; runs "
+                      + " ".join(f"{w:.3f}" for w in row["wall_s"]["runs"])
+                      + (" (CPU " + " ".join(f"{c:.3f}" for c in cpu["runs"]) + ")" if cpu else "")
+                      + f"; exit {row['exit_codes']}")
     for label, bench in (("A", a), ("B", b)):
         for side, rows in bench.get("tier1", {}).items():
             for marker, row in ({"all": rows} if "passed" in rows else rows).items():
@@ -173,8 +179,9 @@ def diff(path_a, path_b):
                 print(f"tier1 {label} {side} [{marker}]: median {statistics.median(r['wall_s'] for r in runs):.1f} s, "
                       f"peak RSS {statistics.median(r['peak_rss_mb'] for r in runs):.0f} MB over {len(runs)} run(s)")
                 for run in runs:
+                    cpu = f" ({run['cpu_s']:.1f} s CPU)" if "cpu_s" in run else ""
                     print(f"  {run['passed']} passed, {run['failed']} failed, {run['errors']} errors in "
-                          f"{run['wall_s']:.1f} s, peak RSS {run['peak_rss_mb']:.0f} MB")
+                          f"{run['wall_s']:.1f} s{cpu}, peak RSS {run['peak_rss_mb']:.0f} MB")
                     for test in run["slowest"]:
                         print(f"    {test['seconds']:7.2f} s {test['phase']:<8} {test['test']}")
     return worst
@@ -209,6 +216,7 @@ def main(argv=None):
             with tempfile.TemporaryDirectory() as work:
                 calls[side].append(commands(sides[side], Path(work)))
     per_command = {side: {name: {"wall_s": summary([r[name][1] for r in runs]),
+                                 "cpu_s": summary([r[name][3] for r in runs]),
                                  "peak_rss_mb": summary([r[name][2] for r in runs]),
                                  "exit_codes": sorted({r[name][0] for r in runs})} for name in runs[0]}
                    for side, runs in calls.items()}
