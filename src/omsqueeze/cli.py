@@ -228,6 +228,10 @@ def write_fit_csv(path, pairs, residual_norm):
     _write_csv(path, ["param", "estimate", "stderr"], [fields])
 
 
+def _is_row(line):
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 def _read_columns(path, names):
     """Named columns of a CSV with a header row, as float arrays.  The first line
     that is not blank is the header, a leading ``#`` dropped (``np.savetxt``
@@ -235,17 +239,21 @@ def _read_columns(path, names):
     columns in any order.  Later blank lines and ``#`` comments are skipped."""
     try:
         with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not a name
-            first = next((line for line in fh if line.strip()), "")
-            header = [name.strip().strip('"') for name in first.strip().removeprefix("#").split(",")]
-            rows = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
+            lines = fh.readlines()
+        first = next((n for n, line in enumerate(lines) if line.strip()), len(lines))
+        header = "".join(lines[first : first + 1]).strip().removeprefix("#").split(",")
+        header = [name.strip().strip('"') for name in header]
         if header == [""]:
             raise ValueError("no header row")
-        # loadtxt warns on no rows: a header-only file reads as zero rows
-        data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, len(header)))
-        if data.shape[1] != len(header):
-            raise ValueError(f"{len(header)} names in the header, {data.shape[1]} cells in each row")
-    except ValueError as exc:  # also ragged rows, cells that are not numbers and bad UTF-8
+    except ValueError as exc:  # also bad UTF-8
         raise DataError(f"{path}: unreadable CSV: {' '.join(str(exc).split())}") from None
+    rows = [line for line in lines[first + 1 :] if _is_row(line)]
+    try:  # loadtxt warns on no rows: a header-only file reads as zero rows
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, len(header)))
+    except ValueError:  # ragged rows or cells that are not numbers
+        data = None
+    if data is None or data.shape[1] != len(header):
+        raise DataError(f"{path}: unreadable CSV: {_first_bad_row(lines, first + 1, len(header))}")
     missing = [n for n in names if n not in header]
     if missing:
         raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -253,6 +261,20 @@ def _read_columns(path, names):
     if not all(np.all(np.isfinite(c)) for c in cols):
         raise DataError(f"{path}: empty or non-numeric values in {', '.join(names)}")
     return cols
+
+
+def _first_bad_row(lines, start, width):
+    """The first row of the data ``lines[start:]`` that ``np.loadtxt`` does not
+    read as ``width`` numbers, quoted with its 1-based file line."""
+    for n, line in enumerate(lines[start:], start + 1):
+        if _is_row(line):
+            try:
+                if np.loadtxt([line], delimiter=",", ndmin=2).shape[1] == width:
+                    continue
+            except ValueError:
+                pass
+            return f"line {n}: {line.strip()!r} is not a row of {width} numbers"
+    return f"the rows are not {width} numbers each"
 
 
 def read_thermometry_csv(path) -> ThermometryCurve:

@@ -242,16 +242,18 @@ def quadrature_rule(scenario, out_freqs, rbw):
     j = np.clip(np.searchsorted(u_table, u, side="right") - 1, 0, len(table) - 2)
     lo, hi = table[j], table[j + 1]
     f = np.interp(u, u_table, table)
+    todo = np.arange(n + 1)  # the nodes not yet converged; a converged node stays put
     for _ in range(60):  # Newton converges in a few steps; bisection bounds the rest
-        r = _cumulative(f, f_k, a_k, h_c) - u
-        todo = np.abs(r) > 1e-13 * u_max
-        if not todo.any():
+        x = f[todo]
+        r = _cumulative(x, f_k, a_k, h_c) - u[todo]
+        left = np.abs(r) > 1e-13 * u_max
+        if not left.any():
             break
-        lo = np.where(r < 0, f, lo)
-        hi = np.where(r > 0, f, hi)
-        step = f - r / density(f)
-        step = np.where((step <= lo) | (step >= hi), 0.5 * (lo + hi), step)
-        f = np.where(todo, step, f)
+        todo, x, r = todo[left], x[left], r[left]
+        lo[todo] = x_lo = np.where(r < 0, x, lo[todo])
+        hi[todo] = x_hi = np.where(r > 0, x, hi[todo])
+        step = x - r / density(x)
+        f[todo] = np.where((step <= x_lo) | (step >= x_hi), 0.5 * (x_lo + x_hi), step)
     f[0], f[-1] = f_min, f_max
     weights = (u_max / n) / density(f)
     weights[: len(GREGORY)] *= GREGORY
@@ -350,9 +352,12 @@ def assemble_density_map(theta_locks, out_freqs, scenario: Scenario, rbw) -> Squ
         raise ValueError("model PSD is negative at some quadrature")
     optical, delta = scenario.system.optical, scenario.system.drive.delta
     two_theta = 2.0 * lock_to_quadrature(theta_locks, optical, delta)[:, np.newaxis]
-    values = shaped[0] + np.cos(two_theta) * shaped[1] + np.sin(two_theta) * shaped[2]
+    # built in place: cos B + A is A + cos B to the bit
+    values = np.cos(two_theta) * shaped[1]
+    values += shaped[0]
+    values += np.sin(two_theta) * shaped[2]
     # a shaped value that roundoff leaves slightly below zero is written, not rejected
-    values = mix_vacuum(values, scenario.eta_tot)
+    mix_vacuum(values, scenario.eta_tot, out=values)
     return SqueezingMap(theta_locks=theta_locks, freqs=out_freqs, values=values)
 
 

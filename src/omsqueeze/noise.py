@@ -228,7 +228,8 @@ def extra_mode_psd(omega, theta, params: SystemParams, lump: ExtraModeNoise, nba
     return spectrum_full(omega, theta, lump.system(params), nbar_lump)[2]
 
 
-def mix_vacuum(s_out, eta):
+def mix_vacuum(s_out, eta, out=None):
     """The detected spectrum eta * s_out + (1 - eta): the lost share of the cavity
-    output replaced by uncorrelated vacuum, so vacuum (s_out = 1) is a fixed point."""
-    return eta * s_out + (1.0 - eta)
+    output replaced by uncorrelated vacuum, so vacuum (s_out = 1) is a fixed point.
+    ``out``, as for a ufunc, may be ``s_out`` itself."""
+    return np.add(np.multiply(eta, s_out, out=out), 1.0 - eta, out=out)

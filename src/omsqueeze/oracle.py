@@ -19,7 +19,6 @@ here; sideband asymmetries are out of scope.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -213,7 +212,8 @@ def sde_time_domain_psd(
     is never held, so memory is bounded by the segments one ``_CHUNK`` spans,
     whatever the record length.  Once the checks and the branch's set-up have
     passed, one helper thread draws the normals ahead; they are those of
-    ``np.random.default_rng(seed)``, and no thread outlives the call.
+    ``np.random.default_rng(seed)``.  No thread and no table of pole powers
+    outlives the call.
     """
     welch = plan_sde(params, duration, dt, freq_bins, segment_samples)
     build = _integrate_adiabatic if _adiabatic(params) else _integrate_full
@@ -320,7 +320,8 @@ def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
     block: each normal pair (n_re, n_im) of a stream z = scale (n_re + i n_im)
     is mapped by the stream's real matrix to the modes' inputs (Re, Im pairs)
     and the direct current, and the modes are scanned bottom-up by
-    ``_one_pole``, each also driven by the modes below it one step late.  The
+    ``_one_pole``, each also driven by the modes below it one step late, with
+    its pole's ``_pole_powers`` table, built once for the run.  The
     normals are those of one ``rng.standard_normal`` call for the whole run,
     drawn ahead by ``_normals_ahead``.  Each piece lands at its offset in one
     segment-long buffer, zero elsewhere, and is folded into its segment's band
@@ -330,6 +331,7 @@ def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
     states = np.zeros((len(streams), n_modes), dtype=complex)
     record = np.empty(n_seg)
     step = min(_BLOCK, n_seg)
+    powers = [_pole_powers(tri[m, m], step) for m in range(n_modes)]  # this run's, dropped on return
     sizes = (min(step, length - k) for *_, length in _pieces(n_total, n_seg, len(streams))
              for k in range(0, length, step))
     draws = _normals_ahead(rng, sizes, step)
@@ -347,7 +349,7 @@ def _scan_streams(tri, streams, out_row, welch, rng, amp_bound):
                     x = y[:, 2 * m : 2 * m + 2].view(np.complex128)[:, 0]
                     for j in range(m + 1, n_modes):  # the modes below, one step late
                         x = x + tri[m, j] * np.append(state[j], v[j][:-1])
-                    v[m] = _one_pole(x, tri[m, m], state[m])
+                    v[m] = _one_pole(x, tri[m, m], state[m], powers[m])
                     block[0] += out_row[m] * state[m].real
                     block[1:] += out_row[m] * v[m].real[:-1]
                 state[:] = [vm[-1] for vm in v]
@@ -400,36 +402,36 @@ def _normals_ahead(rng, sizes, width):
         helper.join()
 
 
-@functools.lru_cache(maxsize=4)
-def _pole_powers(a, length):
-    """``a**j`` and ``a**-j`` for ``j < length``, read-only: callers share them.
-    Repeated products, as a sample loop forms them: ``a ** np.arange`` takes
-    ``exp(j log a)``, whose phase error grows as ``j |arg a|`` ulp."""
-    up = np.full(length, a)
-    up[0] = 1.0
-    np.cumprod(up, out=up)
-    down = 1.0 / up
-    up.flags.writeable = down.flags.writeable = False
-    return up, down
-
-
-def _one_pole(x, a, v0=0.0):
-    """``v[n] = a v[n-1] + x[n]`` with ``v[-1] = v0``, for ``|a| < 1``.
-
-    A prefix scan (Blelloch 1990): in sub-blocks of ``L = 2**k`` samples, the
-    longest with ``|a|**-L <= 2`` so that no term outgrows ``v`` by more than
-    a factor 2, ``v[j] = a**j (a c + sum_{i <= j} a**-i x[i])`` with ``c`` the
-    value before the sub-block; the sub-blocks are chained by their end values.
-    """
+def _pole_powers(a, n):
+    """``a**j`` and ``a**-j`` for ``j < L``, the table ``_one_pole`` scans up to
+    ``n`` samples of pole ``a`` with: ``L = 2**k`` is the longest sub-block with
+    ``|a|**-L <= 2``, so that no term outgrows ``v`` by more than a factor 2,
+    or the shortest that holds ``n`` samples.  Repeated products, as a sample
+    loop forms them: ``a ** np.arange`` takes ``exp(j log a)``, whose phase
+    error grows as ``j |arg a|`` ulp.  A shorter input reads a prefix, the
+    same bits.  Raises OracleError for ``|a| >= 1`` before any work."""
     r = abs(a)
     if not r < 1:
         raise OracleError(f"unstable one-pole recurrence: |a| = {r:.6g} >= 1")
-    n = len(x)
     span = math.log(0.5) / math.log(r) if r > 0 else 0.0  # |a|**-span = 2
     k = max(int(span).bit_length() - 1, 0)
-    # one cached table per pole, sized for a whole _BLOCK; a shorter x takes its prefix
-    up, down = _pole_powers(a, 1 << min(k, max(n - 1, _BLOCK - 1).bit_length()))
-    up, down = (p[: 1 << min(k, (n - 1).bit_length())] for p in (up, down))
+    up = np.full(1 << min(k, (n - 1).bit_length()), a)
+    up[0] = 1.0
+    np.cumprod(up, out=up)
+    return up, 1.0 / up
+
+
+def _one_pole(x, a, v0, powers):
+    """``v[n] = a v[n-1] + x[n]`` with ``v[-1] = v0``, for ``|a| < 1``.
+
+    A prefix scan (Blelloch 1990): in sub-blocks of ``L`` samples, the length
+    of the prefix of ``powers = _pole_powers(a, m)``, ``m >= len(x)``, that
+    ``len(x)`` needs, ``v[j] = a**j (a c + sum_{i <= j} a**-i x[i])`` with
+    ``c`` the value before the sub-block; the sub-blocks are chained by their
+    end values.
+    """
+    n = len(x)
+    up, down = (p[: 1 << (n - 1).bit_length()] for p in powers)
     if n % len(up):
         sums = np.zeros((-(-n // len(up)), len(up)), dtype=np.result_type(x, up))
         sums.reshape(-1)[:n] = x

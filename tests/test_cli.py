@@ -1090,12 +1090,16 @@ class TestCliExitCodes:
         "extra columns": (lambda lines: "\n".join(line + (",extra" if i == 0 else ",7") for i, line in enumerate(lines)), 0, 0),
     }
 
+    # cases whose bad row, the second data row, is line 3 of the file
+    CSV_LINE_3 = ("ragged short row", "ragged long row", "text cell", "empty cell")
+
     @pytest.mark.parametrize("command", FITS)
     @pytest.mark.parametrize("case", sorted(CSV_CORPUS))
     def test_data_csv_corpus(self, tmp_path, capsys, command, case):
         """Each file exits as it did under numpy's genfromtxt; a failure prints one line that
-        names the file once (exit 3) or not at all (exit 2), and an exit 0 writes what the
-        plain file gives."""
+        names the file once (exit 3) or not at all (exit 2), a row that is not numbers by its
+        file line and with no hint at numpy's API, and an exit 0 writes what the plain file
+        gives."""
         make, *codes = self.CSV_CORPUS[case]
         code = codes[self.FITS.index(command)]
         cfg = tmp_path / "default.ini"
@@ -1112,7 +1116,8 @@ class TestCliExitCodes:
         assert rc == code, err
         if code:
             assert len(err.splitlines()) == 1 and err.count(str(data)) == (code == 3), err
-            assert "TextIOWrapper" not in err
+            assert "TextIOWrapper" not in err and "usecols" not in err
+            assert ("line 3: " in err) == (case in self.CSV_LINE_3), err
         else:
             assert err == "" and outputs[0] == outputs[1]
 

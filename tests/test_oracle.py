@@ -430,6 +430,47 @@ class TestSdeStreaming:
 
 
 @pytest.mark.sde
+class TestSdePoleTables:
+    # each run builds its poles' power tables once and drops them on return
+
+    def test_runs_retain_no_memory(self):
+        # Q = 50-80 at dt = 0.01/omega_m: each pole's table holds 2**12 or 2**13
+        # powers each way (up to 256 kB), a different pole for every point
+        points = []
+        for q_m in (50.0, 60.0, 70.0, 80.0):
+            optical, mech = small_adiabatic(q_m=q_m)
+            points.append(SystemParams.build(optical, mech, delta=0.05 * optical.kappa, n_c=1.0))
+        assert len({p.gamma for p in points}) == len(points)
+        tracemalloc.start()
+        try:
+            retained = []
+            for p in points:  # the first run warms up lazy imports and numpy's FFT plans
+                dt = 0.01 / p.omega_m
+                sde_time_domain_psd(p, 3.0, 0.4, 101.0 / p.gamma, dt, seed=1, segment_samples=1 << 14)
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert retained[-1] - retained[0] < 64 << 10
+
+    def test_one_table_per_schur_mode(self, monkeypatch):
+        # 3000-sample segments leave partial blocks of 2**14 samples: each reads
+        # a prefix of its mode's one table
+        build, poles = oracle._pole_powers, []
+
+        def counted(a, n):
+            poles.append(a)
+            return build(a, n)
+
+        monkeypatch.setattr(oracle, "_pole_powers", counted)
+        p, dt, bins = streaming_full_case()
+        seg = TestSdeStreaming.SEG
+        sde_time_domain_psd(p, 5.0, 0.6, 14.5 * seg * dt, dt, seed=5, freq_bins=bins, segment_samples=seg)
+        modes = np.diag(oracle._full_modes(p, dt)[0])
+        assert len(poles) == len(modes) == 4
+        np.testing.assert_allclose(poles, modes, rtol=1e-12)
+
+
+@pytest.mark.sde
 class TestSdeChecksBeforeWork:
     @pytest.fixture(autouse=True)
     def no_integration(self, monkeypatch):
@@ -620,17 +661,16 @@ class TestOnePole:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(2 * n).view(np.complex128)
         a, v0 = radius * np.exp(1j * angle), complex(*rng.standard_normal(2))
-        # 1-4 calls, the state carried from each to the next
-        pieces, v = [], v0
+        # 1-4 calls, the state carried from each to the next, each reading a prefix of one table
+        pieces, v, powers = [], v0, oracle._pole_powers(a, n)
         for part in np.split(x, sorted({c for c in cuts if c < n})):
-            pieces.append(oracle._one_pole(part, a, v).copy())
+            pieces.append(oracle._one_pole(part, a, v, powers).copy())
             v = pieces[-1][-1]
         ref = one_pole_loop(x, a, v0)
         assert np.max(np.abs(np.concatenate(pieces) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("a", [1.0, -1.0, 1j, 1.5 * np.exp(0.3j), np.nan])
     def test_unstable_pole_raises_before_any_work(self, a):
-        # a 2**40-sample input that is never materialized: any per-sample work would show
-        x = np.broadcast_to(np.complex128(1.0), (1 << 40,))
+        # a table for 2**40 samples: building any of it would show
         with pytest.raises(OracleError, match="one-pole"):
-            oracle._one_pole(x, a, 0j)
+            oracle._pole_powers(a, 1 << 40)

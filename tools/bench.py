@@ -20,7 +20,11 @@ its own child process, 5 times, alternating which side runs first; the
 ``commands`` key holds per side and command every run's wall time and the
 child's peak RSS (``ru_maxrss`` from ``os.wait4``), their medians and the exit
 codes, and beside each wall time the child's CPU time (``ru_utime +
-ru_stime``), which the machine's other load sways less.  Then each side runs
+ru_stime``), which the machine's other load sways less.  Next, one child per
+side makes ``HWM_OPS`` SDE-tracing ``oracle-check`` calls in process, each on
+another point of the ``oracle`` workload, and the ``oracle_vmhwm`` key holds
+its VmHWM after each call: a peak that grows with the op count shows there,
+where a fixed-length run would read it as a cost of speed.  Then each side runs
 its Tier-1 suite 3 times, alternating sides, with the command ``ROADMAP.md``
 gives, as two child processes, ``-m sde`` and ``-m "not sde"``; the ``tier1``
 key holds per side and marker every run's pass and fail counts, wall and CPU
@@ -35,7 +39,8 @@ own change against its base, measured alongside, for comparison.  It then
 prints the per-command rows of the files that hold them and the Tier-1 rows
 of both files: the median and each run where there are several, else the one
 run, with CPU times where the file holds them; a file written before the
-split holds one row per side, for the whole suite, printed as ``all``.
+split holds one row per side, for the whole suite, printed as ``all``.  Files
+that hold ``oracle_vmhwm`` print its first and last value per side.
 """
 
 from __future__ import annotations
@@ -61,6 +66,31 @@ TIER1_RUNS, COMMAND_RUNS = 3, 5
 COMMANDS = ("synth", "spectrum", "densitymap", "quasistatic", "oracle-check", "thermometry-fit", "infer-detuning")
 FIT_DATA = {"thermometry-fit": "thermometry.csv", "infer-detuning": "locksweep.csv"}
 SDE_RUN = "sde_duration_s = 6e-3\nsde_dt_s = 5e-11\n"  # as tools/csv_digest.py runs it
+HWM_OPS = 8  # in-process oracle ops of the VmHWM child, one point each
+HWM_CHILD = """
+import contextlib, io, json, shutil, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, "benchmarks")
+import workloads
+from omsqueeze import cli
+
+def vmhwm_mb():
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+seed, ops = map(int, sys.argv[1:])
+marks = []
+with tempfile.TemporaryDirectory() as work:
+    for k, point in enumerate(workloads.generate("oracle", seed, n=ops)):
+        cfg, out = Path(work) / f"cfg-{k}.ini", Path(work) / f"op-{k}"
+        cfg.write_text(workloads.config_text(point), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["oracle-check", "--config", str(cfg), "--out", str(out)]) != 0:
+                raise SystemExit(f"oracle-check exited nonzero on point {k}")
+        shutil.rmtree(out)
+        marks.append(vmhwm_mb())
+print(json.dumps(marks))
+"""
 
 
 def git(*args, cwd=ROOT):
@@ -84,12 +114,16 @@ def run_side(checkout, seconds, out):
     return {r["workload"]: r for r in records}
 
 
+def src_env():
+    """This process's environment with a checkout's ``src`` (the working directory) first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+
+
 def child(argv, checkout, **kwargs):
     """Run ``argv`` in ``checkout`` with its ``src`` on the path; its exit code,
     wall time, peak RSS (MB) and CPU time (user + system), from the child's own rusage."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=checkout, env=env, **kwargs)
+    proc = subprocess.Popen(argv, cwd=checkout, env=src_env(), **kwargs)
     _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage, unlike RUSAGE_CHILDREN
     wall = time.perf_counter() - start
     return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime
@@ -109,6 +143,16 @@ def commands(checkout, work):
             argv += ["--data", str(work / "synth" / FIT_DATA[command])]
         rows[name] = child(argv, checkout, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return rows
+
+
+def oracle_vmhwm(checkout):
+    """VmHWM (MB) of one child process of ``checkout`` after each of ``HWM_OPS``
+    SDE-tracing ``oracle-check`` calls, made in process on the first ``HWM_OPS``
+    ``oracle`` points of the benchmark's workload at ``SEED``."""
+    argv = [sys.executable, "-c", HWM_CHILD, str(SEED), str(HWM_OPS)]
+    proc = subprocess.run(argv, cwd=checkout, env=src_env(), check=True, capture_output=True, text=True)
+    marks = json.loads(proc.stdout.splitlines()[-1])
+    return {"first_mb": marks[0], "last_mb": marks[-1], "after_each_mb": marks}
 
 
 def tier1(checkout, marker):
@@ -173,6 +217,10 @@ def diff(path_a, path_b):
                       + (" (CPU " + " ".join(f"{c:.3f}" for c in cpu["runs"]) + ")" if cpu else "")
                       + f"; exit {row['exit_codes']}")
     for label, bench in (("A", a), ("B", b)):
+        for side, row in bench.get("oracle_vmhwm", {}).items():  # files since BENCH_pr30.json
+            print(f"oracle VmHWM {label} {side}: {row['first_mb']:.1f} MB after op 1, "
+                  f"{row['last_mb']:.1f} MB after op {len(row['after_each_mb'])}")
+    for label, bench in (("A", a), ("B", b)):
         for side, rows in bench.get("tier1", {}).items():
             for marker, row in ({"all": rows} if "passed" in rows else rows).items():
                 runs = row.get("runs", [row])
@@ -220,6 +268,7 @@ def main(argv=None):
                                  "peak_rss_mb": summary([r[name][2] for r in runs]),
                                  "exit_codes": sorted({r[name][0] for r in runs})} for name in runs[0]}
                    for side, runs in calls.items()}
+    vmhwm = {side: oracle_vmhwm(sides[side]) for side in ("base", "head")}
     suites = {side: {marker: [] for marker in TIER1_MARKERS} for side in ("base", "head")}
     for k in range(TIER1_RUNS):
         for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
@@ -251,7 +300,7 @@ def main(argv=None):
         "cpu_model": env["cpu_model"], "nproc": env["nproc"],
         "seed": SEED, "seconds": spec["run_seconds"], "pairs": PAIRS,
         "order": "pair k runs the base first for even k, the checkout first for odd k",
-        "workloads": workloads, "commands": per_command, "tier1": suites,
+        "workloads": workloads, "commands": per_command, "oracle_vmhwm": vmhwm, "tier1": suites,
     }
     args.json.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
