@@ -258,8 +258,12 @@ def _read_columns(path, names):
     if missing:
         raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
     cols = [data[:, header.index(n)] for n in names]
-    if not all(np.all(np.isfinite(c)) for c in cols):
-        raise DataError(f"{path}: empty or non-numeric values in {', '.join(names)}")
+    bad = ~np.isfinite(cols)  # (column, row): a nan or inf cell in a requested column
+    if bad.any():
+        row = bad.any(axis=0).argmax()
+        n = [n for n, line in enumerate(lines[first + 1 :], first + 2) if _is_row(line)][row]
+        name = names[bad[:, row].argmax()]
+        raise DataError(f"{path}: unreadable CSV: line {n}: {rows[row].strip()!r} has a non-finite {name}")
     return cols
 
 

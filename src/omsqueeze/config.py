@@ -28,7 +28,6 @@ from .noise import (
 )
 from .oracle import plan_sde
 
-__all__ = ["ConfigError", "GridSpec", "ScenarioConfig", "load_config", "serialize_config", "default_config_text"]
 
 TWO_PI = 2 * math.pi
 

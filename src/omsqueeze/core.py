@@ -20,29 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "OpticalMode",
-    "MechanicalMode",
-    "DriveCondition",
-    "DriveOverflowError",
-    "SystemParams",
-    "instability",
-    "CoefficientSet",
-    "mech_susceptibility",
-    "spring_damping_rates",
-    "spring_and_damping",
-    "transfer_coefficients",
-    "spectrum_harmonics",
-    "thermal_harmonics",
-    "at_quadrature",
-    "spectrum_full",
-    "quasi_static_spectrum",
-    "squeezing_cross_term",
-    "transduction_phasors",
-    "zero_transduction_angle",
-    "reflection_coefficient",
-    "reflection_phase",
-]
 
 _REL_TOL = 1e-12
 
@@ -375,17 +352,6 @@ def quasi_static_spectrum(theta, params: SystemParams, nbar):
     return 1.0 + 4.0 * ratio * (
         np.sin(2.0 * theta) + thermal_weight * (1.0 - np.cos(2.0 * theta))
     )
-
-
-def squeezing_cross_term(omega, theta, params: SystemParams):
-    """Back-action/position correlation term of the resonant bad-cavity model.
-
-    4 sin(2 theta) (G_meas/omega_m) Re[chi(omega)]; changes sign across
-    the mechanical resonance and vanishes at theta = 0, +-pi/2.
-    """
-    chi = mech_susceptibility(omega, params.mech)
-    ratio = params.drive.gamma_meas / params.mech.omega_m0
-    return 4.0 * np.sin(2.0 * theta) * ratio * chi.real
 
 
 def transduction_phasors(delta, kappa, omega_probe):

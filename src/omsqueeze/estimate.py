@@ -29,15 +29,6 @@ from .core import (
 )
 from .instrument import lock_to_quadrature, quadrature_to_lock
 
-__all__ = [
-    "ThermometryCurve",
-    "FitResult",
-    "EstimationError",
-    "fit_thermometry",
-    "infer_detuning",
-    "generate_thermometry_curve",
-    "generate_lock_sweep",
-]
 
 MAX_NFEV = 200
 

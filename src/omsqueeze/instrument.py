@@ -29,21 +29,6 @@ from .noise import (
     phase_noise_harmonics,
 )
 
-__all__ = [
-    "NoiseOverflowError",
-    "SpectrumTrace",
-    "SqueezingMap",
-    "Scenario",
-    "lock_to_quadrature",
-    "quadrature_to_lock",
-    "rbw_shape_rows",
-    "quadrature_rule",
-    "rule_node_count",
-    "output_harmonics",
-    "total_harmonics",
-    "assemble_density_map",
-    "detected_components",
-]
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 RBW_SUPPORT = 10.0  # kernel half-width in sigma; the Gaussian is below 2e-22 beyond it

@@ -30,20 +30,6 @@ from .core import (
 hbar = 6.62607015e-34 / (2 * math.pi)  # J s, exact h / 2pi
 k_B = 1.380649e-23  # J/K, exact
 
-__all__ = [
-    "BathModel",
-    "ExtraModeNoise",
-    "LaserNoiseModel",
-    "AbsorptiveNoiseModel",
-    "DetectionChain",
-    "bath_occupation",
-    "effective_temperature",
-    "phase_noise_harmonics",
-    "absorptive_harmonics",
-    "extra_mode_harmonics",
-    "extra_mode_psd",
-    "mix_vacuum",
-]
 
 ABSORPTIVE_REF_OMEGA = 2 * np.pi * 1e6  # reference frequency of the amp_coeff
 

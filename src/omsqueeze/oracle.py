@@ -27,7 +27,6 @@ import numpy as np
 from .core import SystemParams, instability
 from .instrument import SpectrumTrace
 
-__all__ = ["InputCorrelationMatrix", "OracleError", "matrix_solve_spectrum", "plan_sde", "sde_time_domain_psd"]
 
 ADIABATIC_KAPPA_RATIO = 50.0
 _CHUNK = 1 << 22  # samples each noise stream integrates in turn; fixes the noise stream
@@ -80,6 +79,11 @@ def _output_quadrature_rows(omega, theta, params: SystemParams):
     d_cbar = -1j * (delta + omega) + optical.kappa / 2
     d_m = 1j * (params.omega_m - omega) + params.gamma / 2
     d_mbar = -1j * (params.omega_m + omega) + params.gamma / 2
+    # the system is upper triangular: singular exactly where its diagonal has a zero
+    singular = (d_c == 0) | (d_cbar == 0) | (d_m == 0) | (d_mbar == 0)
+    if singular.any():
+        first = np.unravel_index(singular.argmax(), singular.shape)
+        raise OracleError(f"singular frequency-domain system at omega={omega[first]}")
 
     m = np.zeros(d_c.shape + (4, 4), dtype=complex)
     m[..., 0, 0] = d_c
@@ -101,18 +105,7 @@ def _output_quadrature_rows(omega, theta, params: SystemParams):
     load[..., 3, 1] = -1j * g * se / d_cbar
     load[..., 3, 4] = -1j * g * si / d_c
     load[..., 3, 5] = -1j * g * si / d_cbar
-    try:
-        trans = np.linalg.solve(m, load)
-    except np.linalg.LinAlgError as exc:
-        # name the first singular system
-        for i in np.ndindex(d_c.shape):
-            try:
-                np.linalg.solve(m[i], load[i])
-            except np.linalg.LinAlgError:
-                raise OracleError(
-                    f"singular frequency-domain system at omega={omega[i]}"
-                ) from exc
-        raise OracleError("singular frequency-domain system") from exc
+    trans = np.linalg.solve(m, load)
     a_out = se * trans[..., 0, :]
     a_out[..., 0] += 1.0
     a_out_dag = se * trans[..., 1, :]

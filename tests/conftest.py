@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omsqueeze import MechanicalMode, OpticalMode, SystemParams
+from omsqueeze.core import MechanicalMode, OpticalMode, SystemParams
 
 TWO_PI = 2 * np.pi
 

@@ -8,20 +8,11 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
-from omsqueeze import (
-    AbsorptiveNoiseModel,
-    BathModel,
-    DetectionChain,
-    ExtraModeNoise,
-    InputCorrelationMatrix,
-    LaserNoiseModel,
+from omsqueeze.core import (
     MechanicalMode,
     OpticalMode,
-    Scenario,
     SystemParams,
-    assemble_density_map,
-    bath_occupation,
-    matrix_solve_spectrum,
+    at_quadrature,
     quasi_static_spectrum,
     spectrum_full,
 )
@@ -31,10 +22,20 @@ from omsqueeze.estimate import (
     generate_thermometry_curve,
     infer_detuning,
 )
-from omsqueeze.core import at_quadrature
-from omsqueeze.instrument import total_harmonics
-from omsqueeze.noise import absorptive_harmonics, extra_mode_harmonics, mix_vacuum, phase_noise_harmonics
-from omsqueeze.oracle import sde_time_domain_psd
+from omsqueeze.instrument import Scenario, assemble_density_map, total_harmonics
+from omsqueeze.noise import (
+    AbsorptiveNoiseModel,
+    BathModel,
+    DetectionChain,
+    ExtraModeNoise,
+    LaserNoiseModel,
+    absorptive_harmonics,
+    bath_occupation,
+    extra_mode_harmonics,
+    mix_vacuum,
+    phase_noise_harmonics,
+)
+from omsqueeze.oracle import InputCorrelationMatrix, matrix_solve_spectrum, sde_time_domain_psd
 
 from conftest import DELTA, ETA_KAPPA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 

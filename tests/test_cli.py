@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omsqueeze import SpectrumTrace, SqueezingMap
 from omsqueeze import cli, instrument
 from omsqueeze.cli import (
     main,
@@ -29,6 +28,7 @@ from omsqueeze.config import (
     load_config_text,
     serialize_config,
 )
+from omsqueeze.instrument import SpectrumTrace, SqueezingMap
 
 from conftest import KAPPA, TWO_PI
 
@@ -1080,6 +1080,8 @@ class TestCliExitCodes:
         "text cell": (lambda lines: "\n".join([*lines[:2], "x" + lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
         "empty cell": (lambda lines: "\n".join([*lines[:2], lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
         "nan cell": (lambda lines: "\n".join([*lines[:2], "nan" + lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
+        "inf cell": (lambda lines: "\n".join([*lines[:2], "inf" + lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
+        "-inf cell": (lambda lines: "\n".join([*lines[:2], "-inf" + lines[2][lines[2].index(","):], *lines[3:]]), 3, 3),
         "quoted header": (lambda lines: "\n".join([",".join(f'"{n}"' for n in lines[0].split(",")), *lines[1:]]), 0, 0),
         "CRLF": (lambda lines: "\r\n".join(lines) + "\r\n", 0, 0),
         "trailing blank lines": (lambda lines: "\n".join(lines) + "\n\n  \n\n", 0, 0),
@@ -1091,7 +1093,7 @@ class TestCliExitCodes:
     }
 
     # cases whose bad row, the second data row, is line 3 of the file
-    CSV_LINE_3 = ("ragged short row", "ragged long row", "text cell", "empty cell")
+    CSV_LINE_3 = ("ragged short row", "ragged long row", "text cell", "empty cell", "nan cell", "inf cell", "-inf cell")
 
     @pytest.mark.parametrize("command", FITS)
     @pytest.mark.parametrize("case", sorted(CSV_CORPUS))
@@ -1257,7 +1259,9 @@ class TestNoTraceback:
 
 class TestColdStart:
     """No module of the package imports scipy or configparser, so no command
-    loads either, an oracle-check that writes an SDE trace included."""
+    loads either, an oracle-check that writes an SDE trace included.  The
+    package root imports no module of its own, so importing a layer loads only
+    that layer and the ones below it (``tests/test_layering.py``)."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -1267,10 +1271,10 @@ class TestColdStart:
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('scipy', 'configparser')))))\n"
     )
 
-    @classmethod
-    def unwanted_modules_after(cls, *calls):
-        """The ``scipy*`` and ``configparser`` modules loaded by a fresh interpreter
-        that imports omsqueeze and runs each of ``calls`` through ``cli.main``."""
+    @staticmethod
+    def run_fresh(script, *args):
+        """The JSON on the last stdout line of a fresh interpreter that runs
+        ``script`` with ``args``, this package first on its path."""
         import json
         import os
         import subprocess
@@ -1281,15 +1285,33 @@ class TestColdStart:
         src = str(Path(omsqueeze.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", cls.SCRIPT, json.dumps([list(c) for c in calls])],
-            capture_output=True, text=True, env=env,
-        )
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        return set(json.loads(proc.stdout.splitlines()[-1]))
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @classmethod
+    def unwanted_modules_after(cls, *calls):
+        """The ``scipy*`` and ``configparser`` modules loaded by a fresh interpreter
+        that imports omsqueeze and runs each of ``calls`` through ``cli.main``."""
+        import json
+
+        return set(cls.run_fresh(cls.SCRIPT, json.dumps([list(c) for c in calls])))
 
     def test_import_loads_no_scipy(self):
         assert self.unwanted_modules_after() == set()
+
+    @pytest.mark.parametrize("module, loaded", [
+        ("omsqueeze", []),
+        ("omsqueeze.core", ["core"]),
+        ("omsqueeze.noise", ["core", "noise"]),
+        ("omsqueeze.instrument", ["core", "instrument", "noise"]),
+    ])
+    def test_import_loads_only_lower_layers(self, module, loaded):
+        script = (
+            f"import json, sys, {module}\n"
+            "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('omsqueeze.'))))\n"
+        )
+        assert self.run_fresh(script) == loaded
 
     FIT_DATA = {"thermometry-fit": "thermometry.csv", "infer-detuning": "locksweep.csv"}
 

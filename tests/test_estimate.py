@@ -4,35 +4,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, least_squares
 
-from omsqueeze import (
-    EstimationError,
+from omsqueeze import estimate
+from omsqueeze.core import (
     MechanicalMode,
     OpticalMode,
     SystemParams,
-    fit_thermometry,
-    infer_detuning,
-)
-from omsqueeze import estimate
-from omsqueeze.core import (
     reflection_coefficient,
     reflection_phase,
     spring_damping_rates,
     transduction_phasors,
 )
 from omsqueeze.estimate import (
+    EstimationError,
     ThermometryCurve,
     _cavity_photon_number,
     _panel_scale,
     _wrap_half_pi,
+    fit_thermometry,
     generate_lock_sweep,
     generate_thermometry_curve,
+    infer_detuning,
     lock_sweep_area_model,
     model_zero_transduction_lock,
     thermometry_model,
 )
-from omsqueeze.noise import bath_occupation
 from omsqueeze.instrument import lock_to_quadrature
-from omsqueeze.noise import BathModel
+from omsqueeze.noise import BathModel, bath_occupation
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 

@@ -5,26 +5,35 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omsqueeze import (
+from omsqueeze.core import (
+    MechanicalMode,
+    OpticalMode,
+    SystemParams,
+    at_quadrature,
+    reflection_coefficient,
+    reflection_phase,
+)
+from omsqueeze.instrument import (
+    Scenario,
+    assemble_density_map,
+    detected_components,
+    lock_to_quadrature,
+    output_harmonics,
+    quadrature_rule,
+    quadrature_to_lock,
+    rbw_shape_rows,
+    total_harmonics,
+)
+from omsqueeze.noise import (
     AbsorptiveNoiseModel,
     BathModel,
     DetectionChain,
     ExtraModeNoise,
     LaserNoiseModel,
-    MechanicalMode,
-    OpticalMode,
-    Scenario,
-    SystemParams,
-    assemble_density_map,
     bath_occupation,
-    detected_components,
     effective_temperature,
-    lock_to_quadrature,
-    quadrature_to_lock,
+    mix_vacuum,
 )
-from omsqueeze.core import at_quadrature, reflection_coefficient, reflection_phase
-from omsqueeze.instrument import output_harmonics, quadrature_rule, rbw_shape_rows, total_harmonics
-from omsqueeze.noise import mix_vacuum
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 

@@ -3,7 +3,8 @@ imported and no process is started.
 
 The modules form the layers core -> noise -> instrument -> {estimate, oracle}
 -> config -> cli; each may import only modules of a lower layer, so the
-import graph has no cycle.  Package modules are imported at module level
+import graph has no cycle.  The package's ``__init__`` runs before any of
+them is imported, so it sits below core and imports none.  Package modules are imported at module level
 only (a function-local import is how a cycle hides), and no module imports
 scipy, anywhere: the package depends on numpy alone.
 """
@@ -22,7 +23,7 @@ LAYERS = {
     "oracle": 3,
     "config": 4,
     "cli": 5,
-    "__init__": 6,
+    "__init__": -1,
 }
 
 

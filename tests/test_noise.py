@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
-from omsqueeze import (
+from omsqueeze import noise
+from omsqueeze.core import OpticalMode, SystemParams, at_quadrature
+from omsqueeze.noise import (
     AbsorptiveNoiseModel,
     BathModel,
     DetectionChain,
     ExtraModeNoise,
     LaserNoiseModel,
-    OpticalMode,
-    SystemParams,
+    absorptive_harmonics,
     bath_occupation,
     effective_temperature,
+    extra_mode_harmonics,
     extra_mode_psd,
+    mix_vacuum,
+    phase_noise_harmonics,
 )
-from omsqueeze import noise
-from omsqueeze.core import at_quadrature
-from omsqueeze.noise import absorptive_harmonics, extra_mode_harmonics, mix_vacuum, phase_noise_harmonics
 
 from conftest import DELTA, G0, KAPPA, N_C, OMEGA_M0, TWO_PI
 

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from omsqueeze import oracle
-from omsqueeze import (
-    InputCorrelationMatrix,
+from omsqueeze.core import (
     MechanicalMode,
     OpticalMode,
-    OracleError,
     SystemParams,
-    matrix_solve_spectrum,
     spectrum_full,
 )
 from omsqueeze.noise import bath_occupation
-from omsqueeze.oracle import sde_time_domain_psd
+from omsqueeze.oracle import (
+    InputCorrelationMatrix,
+    OracleError,
+    matrix_solve_spectrum,
+    sde_time_domain_psd,
+)
 
 from conftest import DELTA, G0, GAMMA_I, KAPPA, N_C, OMEGA_M0, TWO_PI
 

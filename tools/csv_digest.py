@@ -14,6 +14,10 @@ package under ``--src`` (this checkout's ``src`` by default).  Each run
 prints one ``name: exit N`` line, then ``sha256  name/file`` for every file
 it wrote, in name order, so two checkouts that write the same bytes print
 the same text.  The commands' own stdout goes to stderr.
+
+The first line names numpy's version, its SIMD baseline and the dispatched
+targets this CPU runs: some files' bytes depend on which kernels numpy picks,
+so two digests are a byte-identity check only when their first lines match.
 """
 
 from __future__ import annotations
@@ -52,6 +56,19 @@ def runs(work, workloads):
             yield f"{workload}/{i:02d}", out, workloads.op_calls(workload, cfg, out)
 
 
+def numpy_dispatch():
+    """``numpy <version> baseline <targets> dispatch <targets>``: the dispatched
+    targets this CPU runs, less any that ``NPY_DISABLE_CPU_FEATURES`` turns off."""
+    import numpy as np
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__} baseline {' '.join(umath.__cpu_baseline__)} dispatch {' '.join(active) or '-'}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the omsqueeze package")
@@ -60,6 +77,7 @@ def main(argv=None):
     import workloads
     from omsqueeze import cli
 
+    print(numpy_dispatch())
     with tempfile.TemporaryDirectory() as tmp:
         for name, out, calls in runs(Path(tmp), workloads):
             with contextlib.redirect_stdout(sys.stderr):
